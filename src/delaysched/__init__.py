@@ -46,6 +46,7 @@ from .cycles import (
     algorithm_b,
     build_layered,
     canonical_cycle,
+    closed_path_rate,
     count_layered_paths,
     cycle_dominates,
     dominates,
@@ -58,7 +59,6 @@ from .region import (
     RegionDescription,
     framed_region,
     is_achievable,
-    rate_of_closed_path,
     region_from_cycles,
     region_regime,
     sandwich_check,

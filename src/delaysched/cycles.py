@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-import networkx as nx
-
 from .network import Network
 from .schedgraph import MaximalEdgeGraph, SchedulingGraph, build_maximal
 from .window import bit_position
@@ -106,23 +104,37 @@ def johnson_cycles(
 ) -> CycleSearchResult:
     """Enumerate elementary cycles of a materialized scheduling graph.
 
-    Cycles come out canonically rotated and sorted; with a budget the
-    enumeration may stop early and flags the result as incomplete.
+    Each cycle is found once, from its least block: the search from a root
+    extends only through larger blocks not already on the path, and a path
+    holds at most ``max_len`` blocks (Johnson, SIAM J. Comput. 4(1), 1975,
+    without the blocking sets).  Cycles come out canonically rotated and
+    sorted.  The budget is checked on every step; a search it stops is
+    flagged incomplete.
     """
-    g = nx.DiGraph()
-    g.add_nodes_from(graph.vertices)
-    for a in graph.vertices:
-        for b in graph.adjacency[a]:
-            g.add_edge(a, b)
-    deadline = _Deadline(budget)
-    found = set()
-    complete = True
-    for nodes in nx.simple_cycles(g, length_bound=max_len):
-        if deadline.expired():
-            complete = False
-            break
-        found.add(canonical_cycle(tuple(nodes) + (nodes[0],)))
-    return CycleSearchResult(tuple(sorted(found)), complete)
+    if max_len is None:
+        max_len = len(graph.vertices)
+    elif max_len < 0:
+        raise ValueError("max_len must be >= 0")
+    adj = graph.adjacency
+    expired = _Deadline(budget).expired
+    found: list[tuple[int, ...]] = []
+    for root in graph.vertices if max_len else ():
+        path = [root]
+        stack = [iter(adj[root])]
+        while stack:
+            if expired():
+                return CycleSearchResult(tuple(sorted(found)), False)
+            for nxt in stack[-1]:
+                if nxt == root:
+                    found.append((*path, root))
+                elif nxt > root and len(path) < max_len and nxt not in path:
+                    path.append(nxt)
+                    stack.append(iter(adj[nxt]))
+                    break
+            else:
+                stack.pop()
+                path.pop()
+    return CycleSearchResult(tuple(sorted(found)), True)
 
 
 def _iter_bits(mask: int) -> Iterator[int]:

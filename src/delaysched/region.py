@@ -19,7 +19,6 @@ from .window import bit_position, block_from_rows, block_to_rows, build_window
 
 __all__ = [
     "RegionDescription",
-    "rate_of_closed_path",
     "region_from_cycles",
     "is_achievable",
     "achievability_certificate",
@@ -45,11 +44,6 @@ class RegionDescription:
     def __post_init__(self):
         if len(self.witnesses) != len(self.generators):
             raise ValueError("one witness slot per generator required")
-
-
-def rate_of_closed_path(path: Sequence[int], T: int, num_links: int) -> tuple[Fraction, ...]:
-    """Per-link activation average of a closed path, normalized per slot."""
-    return closed_path_rate(path, T, num_links)
 
 
 def region_regime(network: Network, T: int) -> str:
@@ -141,12 +135,7 @@ def framed_region(network: Network) -> RegionDescription:
     )
 
 
-def sandwich_check(
-    network: Network,
-    T: int,
-    inner: RegionDescription,
-    outer: RegionDescription,
-) -> bool:
+def sandwich_check(inner: RegionDescription, outer: RegionDescription) -> bool:
     """True iff every inner generator is dominated within the outer region."""
     if inner.links != outer.links:
         raise ValueError("regions live on different link sets")

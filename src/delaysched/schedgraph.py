@@ -54,11 +54,6 @@ class SchedulingGraph:
     def edge_count(self) -> int:
         return sum(len(v) for v in self.adjacency.values())
 
-    def edges(self):
-        for a in self.vertices:
-            for b in self.adjacency[a]:
-                yield a, b
-
 
 @dataclass(frozen=True)
 class MaximalEdgeGraph:
@@ -73,9 +68,6 @@ class MaximalEdgeGraph:
     left: tuple[int, ...]
     right: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
-
-    def successors(self, block: int) -> tuple[int, ...]:
-        return tuple(b for a, b in self.edges if a == block)
 
 
 def is_vertex(network: Network, block: int, T: int, window: WindowGraph | None = None) -> bool:

@@ -77,21 +77,19 @@ class WindowGraph:
     def nbits(self) -> int:
         return len(self.network.links) * self.T
 
-    def position(self, link: str, t: int) -> int:
-        return bit_position(
-            self.network.link_index(link), t, len(self.network.links), self.T
-        )
-
     def is_independent(self, bits: int) -> bool:
         """No hyperedge has its source and all its targets active."""
         return all(bits & m != m for m in self.masks)
 
-    def independent_sets(self) -> Iterator[int]:
-        """Yield every independent assignment once, in ascending bit order."""
+    def _check_cap(self) -> None:
         if self.nbits > brute_force_cap():
             raise CapExceededError(
                 f"{self.nbits} bits exceeds brute-force cap {brute_force_cap()}"
             )
+
+    def independent_sets(self) -> Iterator[int]:
+        """Yield every independent assignment once, in ascending bit order."""
+        self._check_cap()
         yield from self._independent_rec(self.nbits - 1, 0, self._masks_by_min())
 
     def _masks_by_min(self) -> list[list[int]]:
@@ -116,11 +114,13 @@ class WindowGraph:
 
         Binary profiles reduce to maximal cliques of the complement of the
         pairwise conflict graph (pivoted Bron-Kerbosch); general profiles
-        use branch and bound with an explicit maximality certificate.
+        use branch and bound with an explicit maximality certificate, which
+        walks every independent set and so is held to the brute-force cap.
         """
         if all(m.bit_count() <= 2 for m in self.masks):
             out = self._maximal_binary()
         else:
+            self._check_cap()
             out = self._maximal_hyper()
         return sorted(out)
 

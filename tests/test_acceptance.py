@@ -201,7 +201,7 @@ def test_criterion_5_framed_region_strict_inclusion():
         r4 = (F(1, 2),) * 4
         assert not is_achievable(framed, r4)
         assert is_achievable(cycle_region, r4)
-        assert sandwich_check(net, 1, framed, cycle_region)
+        assert sandwich_check(framed, cycle_region)
 
 
 def test_criterion_6_window_rates():

@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import delaysched
 from delaysched.cli import main
 
 F = Fraction
@@ -226,6 +230,18 @@ def test_cap_override_via_environment(capsys, monkeypatch):
         capsys, monkeypatch, ["schedgraph", "--T", "2"], stdin_doc=net_doc
     )
     assert code == 2  # 26 bits over the default cap
+    # Five-link chain, each inner link colliding with both neighbours at -1/+1.
+    chain = [f"l{i}" for i in range(1, 6)]
+    collisions = {l: [] for l in chain}
+    delays = []
+    for i in range(1, 4):
+        collisions[chain[i]] = [[chain[i - 1], chain[i + 1]]]
+        delays += [[chain[i], chain[i - 1], -1], [chain[i], chain[i + 1], 1]]
+    chain_doc = {"links": chain, "collisions": collisions, "delays": delays}
+    code, _ = run_cli(
+        capsys, monkeypatch, ["schedgraph", "--maximal", "--T", "3"], stdin_doc=chain_doc
+    )
+    assert code == 2  # hyperedge chain: maximal sets of a 30-bit doubled window
     monkeypatch.setenv("DELAYSCHED_CAP_BITS", "12")
     code, _ = run_cli(
         capsys, monkeypatch, ["schedgraph", "--T", "1"], stdin_doc=net_doc
@@ -237,3 +253,18 @@ def test_unknown_flag_exits_2(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["character", "--bogus"])
     assert exc.value.code == 2
+
+
+def test_import_loads_only_the_standard_library():
+    # Every CLI call pays for what ``import delaysched`` loads.
+    src = os.path.dirname(os.path.dirname(delaysched.__file__))
+    probe = (
+        "import sys; before = set(sys.modules); import delaysched; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    foreign = {m.split(".")[0] for m in out} - set(sys.stdlib_module_names) - {"delaysched"}
+    assert not foreign

@@ -95,12 +95,47 @@ def brute_cycles(graph, max_len=None):
     return out
 
 
-def test_johnson_matches_dfs_oracle_small(line41):
-    g = build(line41, 1)
-    for max_len in (1, 2, 3):
-        res = johnson_cycles(g, max_len=max_len)
-        assert res.complete
-        assert set(res.cycles) == brute_cycles(g, max_len)
+# Graphs for the cross-checks: name -> (random_network seed, T), or line41.
+ORACLE_CASES = {
+    "line41": None,
+    "binary7000": (7000, 2),
+    "hyper7001": (7001, 1),
+    "hyper7004": (7004, 2),
+    "binary7008": (7008, 1),
+}
+
+
+def oracle_graph(case):
+    if ORACLE_CASES[case] is None:
+        return build(line_network(4, 1), 1)
+    seed, T = ORACLE_CASES[case]
+    return build(random_network(random.Random(seed)), T)
+
+
+@pytest.mark.parametrize("max_len", [0, 1, 2, 3])
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_johnson_matches_dfs_oracle_small(case, max_len):
+    g = oracle_graph(case)
+    res = johnson_cycles(g, max_len=max_len)
+    assert res.complete
+    assert set(res.cycles) == brute_cycles(g, max_len)
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_johnson_matches_networkx(case):
+    nx = pytest.importorskip("networkx")
+    g = oracle_graph(case)
+    dg = nx.DiGraph([(a, b) for a in g.vertices for b in g.adjacency[a]])
+    for max_len in (1, 2, 3, None) if case == "line41" else (1, 2, 3):
+        expected = sorted(
+            canonical_cycle((*c, c[0])) for c in nx.simple_cycles(dg, length_bound=max_len)
+        )
+        assert johnson_cycles(g, max_len=max_len).cycles == tuple(expected)
+
+
+def test_johnson_negative_length_rejected(line41):
+    with pytest.raises(ValueError):
+        johnson_cycles(build(line41, 1), max_len=-1)
 
 
 def test_johnson_full_enumeration_count(line41):

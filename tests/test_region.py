@@ -7,13 +7,13 @@ from delaysched import (
     algorithm_a,
     apply_vertex_assignment,
     build,
+    closed_path_rate,
     framed_region,
     gcd_reduce,
     is_achievable,
     johnson_cycles,
     line_network,
     make_network,
-    rate_of_closed_path,
     rate_vector,
     region_from_cycles,
     region_regime,
@@ -44,17 +44,17 @@ def cycle_region(line41):
 
 
 def test_rate_of_closed_path_reference():
-    assert rate_of_closed_path((0, 0), 1, 4) == (F(0),) * 4
-    assert rate_of_closed_path((v(5), v(8), v(7), v(6), v(5)), 1, 4) == R4
-    assert rate_of_closed_path((v(2), v(2)), 1, 4) == R1
+    assert closed_path_rate((0, 0), 1, 4) == (F(0),) * 4
+    assert closed_path_rate((v(5), v(8), v(7), v(6), v(5)), 1, 4) == R4
+    assert closed_path_rate((v(2), v(2)), 1, 4) == R1
     with pytest.raises(ValueError, match="not closed"):
-        rate_of_closed_path((v(2), v(3)), 1, 4)
+        closed_path_rate((v(2), v(3)), 1, 4)
 
 
 def test_rate_normalized_per_slot():
     # Two-column blocks divide by k*T, keeping components in [0, 1].
     block = int("10" "01", 2)  # link 0 active at t=0, link 1 at t=1
-    assert rate_of_closed_path((block, block), 2, 2) == (F(1, 2), F(1, 2))
+    assert closed_path_rate((block, block), 2, 2) == (F(1, 2), F(1, 2))
 
 
 def test_region_generators_reference(cycle_region):
@@ -126,9 +126,9 @@ def test_sandwich_reference(line41, cycle_region):
     framed = framed_region(line41)
     from delaysched import sandwich_check
 
-    assert sandwich_check(line41, 1, framed, cycle_region)
-    assert sandwich_check(line41, 1, cycle_region, cycle_region)
-    assert not sandwich_check(line41, 1, cycle_region, framed)
+    assert sandwich_check(framed, cycle_region)
+    assert sandwich_check(cycle_region, cycle_region)
+    assert not sandwich_check(cycle_region, framed)
 
 
 @pytest.mark.parametrize(

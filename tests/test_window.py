@@ -71,10 +71,13 @@ def test_enumeration_is_sorted_and_unique(line41):
     assert out == sorted(set(out))
 
 
-def test_enumeration_cap(monkeypatch):
+def test_enumeration_cap(monkeypatch, hyper_n4):
     free = make_network([f"l{i}" for i in range(30)], {}, {})
     with pytest.raises(CapExceededError):
         list(build_window(free, 1).independent_sets())
+    # Maximal sets under hyperedges walk every independent set: 28 bits.
+    with pytest.raises(CapExceededError):
+        build_window(hyper_n4, 7).maximal_independent_sets()
     monkeypatch.setenv("DELAYSCHED_CAP_BITS", "30")
     gen = build_window(free, 1).independent_sets()
     assert next(gen) == 0
