@@ -14,11 +14,12 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from .network import Network
 from .schedgraph import MaximalEdgeGraph, SchedulingGraph, build_maximal
-from .window import bit_position
+from .window import link_row_masks
 
 __all__ = [
     "CycleSearchResult",
@@ -27,6 +28,7 @@ __all__ = [
     "cycle_dominates",
     "canonical_cycle",
     "closed_path_rate",
+    "rate_numerators",
     "johnson_cycles",
     "path_to_cycles",
     "build_layered",
@@ -75,18 +77,32 @@ def cycle_dominates(a: Sequence[int], b: Sequence[int]) -> bool:
     )
 
 
+def rate_numerators(
+    paths: Sequence[Sequence[int]], T: int, num_links: int
+) -> tuple[list[tuple[int, ...]], int]:
+    """Rates of closed block paths as integer vectors over one denominator.
+
+    The rate of ``paths[i]`` is ``numerators[i] / den`` component-wise,
+    with ``den = lcm(path lengths) * T``, so integer comparisons order the
+    rates exactly as their fractions.
+    """
+    if any(len(p) < 2 or p[0] != p[-1] for p in paths):
+        raise ValueError("path is not closed")
+    masks = link_row_masks(num_links, T)
+    period = lcm(*(len(p) - 1 for p in paths))
+    numerators = []
+    for p in paths:
+        scale = period // (len(p) - 1)
+        numerators.append(tuple(
+            scale * sum((block & m).bit_count() for block in p[:-1]) for m in masks
+        ))
+    return numerators, period * T
+
+
 def closed_path_rate(path: Sequence[int], T: int, num_links: int) -> tuple[Fraction, ...]:
     """Per-link average activation per timeslot of a closed block path."""
-    if len(path) < 2 or path[0] != path[-1]:
-        raise ValueError("path is not closed")
-    k = len(path) - 1
-    counts = [0] * num_links
-    for block in path[:-1]:
-        for l in range(num_links):
-            counts[l] += sum(
-                block >> bit_position(l, t, num_links, T) & 1 for t in range(T)
-            )
-    return tuple(Fraction(c, k * T) for c in counts)
+    (numerator,), den = rate_numerators([path], T, num_links)
+    return tuple(Fraction(c, den) for c in numerator)
 
 
 class _Deadline:
@@ -286,27 +302,43 @@ def count_layered_paths(layered: LayeredGraph) -> int:
     return sum(counts.values())
 
 
-def _retain_maximal(cycles: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Drop cycles strictly dominated by another of the same length.
+def _retain_maximal(cycles: Iterable[tuple[int, ...]], nbits: int) -> list[tuple[int, ...]]:
+    """Drop cycles dominated, up to rotation, by another of the same length.
 
-    Mutual domination forces equality, so after deduplication it suffices
-    to test each cycle against the already-kept ones in decreasing total
-    activation order (a dominator never has fewer set bits).
+    The interior of a length-k cycle is packed into one int of ``k * nbits``
+    bits (``nbits`` bits per block), so a rotation is a shift and the
+    dominance test is one AND.  Cycles are taken by decreasing total
+    activation (a dominator never has fewer set bits), then as tuples; each
+    is kept unless a rotation of a kept one covers it.  Mutual domination
+    means rotation equality, so the first of each rotation class wins.
+    Kept rotations are indexed by their first two blocks; as they are
+    closed under rotation, a candidate is tested rotated to its fullest
+    block, against the rotations whose leading blocks cover its own.
     """
-    by_len: dict[int, list[tuple[int, ...]]] = defaultdict(list)
+    by_len: dict[int, set[tuple[int, ...]]] = defaultdict(set)
     for c in cycles:
-        by_len[len(c)].append(c)
+        by_len[len(c)].add(c)
     out: list[tuple[int, ...]] = []
-    for group in by_len.values():
-        items = sorted(
-            set(group),
-            key=lambda c: (-sum(b.bit_count() for b in c[:-1]), c),
-        )
-        kept: list[tuple[int, ...]] = []
-        for c in items:
-            if not any(cycle_dominates(k, c) for k in kept):
-                kept.append(c)
-        out.extend(kept)
+    low = (1 << nbits) - 1
+    for size, group in by_len.items():
+        width = (size - 1) * nbits
+        full = (1 << width) - 1
+        index: dict[int, dict[int, list[int]]] = defaultdict(lambda: defaultdict(list))
+        for c in sorted(group, key=lambda c: (-sum(b.bit_count() for b in c[:-1]), c)):
+            packed = sum(b << i * nbits for i, b in enumerate(c[:-1]))
+            s = max(range(size - 1), key=lambda i: c[i].bit_count()) * nbits
+            q = (packed >> s | packed << width - s) & full
+            h0, h1 = q & low, q >> nbits & low
+            if not any(
+                rot & q == q
+                for k0, heads in index.items() if k0 & h0 == h0
+                for k1, rots in heads.items() if k1 & h1 == h1
+                for rot in rots
+            ):
+                out.append(c)
+                for s in range(0, width, nbits):
+                    rot = (packed << s | packed >> width - s) & full
+                    index[rot & low][rot >> nbits & low].append(rot)
     return sorted(out)
 
 
@@ -337,7 +369,7 @@ def algorithm_a(
                 found.add(canonical_cycle(cyc))
         if not complete:
             break
-    return CycleSearchResult(tuple(_retain_maximal(found)), complete)
+    return CycleSearchResult(tuple(_retain_maximal(found, len(network.links) * T)), complete)
 
 
 def algorithm_b(
@@ -371,7 +403,7 @@ def algorithm_b(
         if not expand((start,)):
             complete = False
             break
-    return CycleSearchResult(tuple(_retain_maximal(found)), complete)
+    return CycleSearchResult(tuple(_retain_maximal(found, len(network.links) * T)), complete)
 
 
 def pareto_filter(
@@ -381,16 +413,16 @@ def pareto_filter(
 ) -> list[tuple[int, ...]]:
     """Keep cycles whose rate vectors are not strictly dominated.
 
-    Cycles sharing a maximal rate vector are all retained, so every
-    surviving vector keeps its witnesses retrievable.
+    Distinct integer rate numerators are taken by decreasing sum; one is
+    dominated iff an earlier undominated one covers it.  Cycles sharing a
+    maximal rate vector are all retained, so every surviving vector keeps
+    its witnesses retrievable.
     """
-    items = [(c, closed_path_rate(c, T, num_links)) for c in sorted(set(cycles))]
-    rates = [r for _, r in items]
-    kept = []
-    for c, r in items:
-        if any(
-            r2 != r and all(x >= y for x, y in zip(r2, r)) for r2 in rates
-        ):
-            continue
-        kept.append(c)
-    return kept
+    items = sorted(set(cycles))
+    numerators, _ = rate_numerators(items, T, num_links)
+    front: list[tuple[int, ...]] = []
+    for r in sorted(set(numerators), key=sum, reverse=True):
+        if not any(all(x >= y for x, y in zip(f, r)) for f in front):
+            front.append(r)
+    maximal = set(front)
+    return [c for c, r in zip(items, numerators) if r in maximal]

@@ -1,47 +1,47 @@
-"""Small exact simplex over rationals, plus the two queries built on it.
+"""Small exact simplex, plus the two queries built on it.
 
-Everything runs on :class:`fractions.Fraction`; Bland's rule guarantees
-termination.  Problems here are tiny (a handful of rows, up to a few
-thousand columns), so the dense tableau with recomputed reduced costs is
-plenty.
+The tableau is fraction-free: ``A`` and ``b`` are scaled by one common
+denominator, and each pivot is an integer Edmonds/Bareiss step whose
+division by the previous pivot is exact.  The true tableau is the integer
+one over ``det``, which every basic column holds in its own row.  Both
+objective rows are carried in the tableau.  Bland's rule guarantees
+termination; :class:`fractions.Fraction` appears only in the solution.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 __all__ = ["simplex_min", "dominating_combination", "max_symmetric_scale"]
 
 
 def _pivot(tab, basis, r, s):
-    piv = tab[r][s]
-    tab[r] = [x / piv for x in tab[r]]
-    for i in range(len(tab)):
-        if i != r and tab[i][s]:
-            f = tab[i][s]
-            tab[i] = [a - f * b for a, b in zip(tab[i], tab[r])]
+    """Integer pivot on ``tab[r][s]``, keeping ``det`` positive."""
+    det, piv, prow = tab[r][basis[r]], tab[r][s], tab[r]
+    for i, row in enumerate(tab):
+        if i != r:
+            f = row[s]
+            tab[i] = [(piv * a - f * b) // det for a, b in zip(row, prow)]
     basis[r] = s
+    if piv < 0:
+        tab[:] = [[-a for a in row] for row in tab]
 
 
-def _optimize(tab, basis, cost, ncols) -> bool:
-    """Bland-rule simplex sweep; False means unbounded."""
-    m = len(tab)
+def _optimize(tab, basis, z, ncols) -> bool:
+    """Bland-rule sweep on objective row ``tab[z]``; False means unbounded."""
     while True:
-        z = [
-            cost[j] - sum(cost[basis[i]] * tab[i][j] for i in range(m))
-            for j in range(ncols)
-        ]
-        enter = next((j for j in range(ncols) if z[j] < 0), None)
+        enter = next((j for j in range(ncols) if tab[z][j] < 0), None)
         if enter is None:
             return True
         leave = None
-        ratio = None
-        for i in range(m):
-            if tab[i][enter] > 0:
-                r = tab[i][-1] / tab[i][enter]
-                if ratio is None or r < ratio or (r == ratio and basis[i] < basis[leave]):
-                    ratio, leave = r, i
+        for i in range(len(basis)):
+            a = tab[i][enter]
+            # Ratios compared by cross-multiplication; ties go to the lower basis index.
+            if a > 0 and (leave is None or (tab[i][-1] * tab[leave][enter], basis[i])
+                          < (tab[leave][-1] * a, basis[leave])):
+                leave = i
         if leave is None:
             return False
         _pivot(tab, basis, leave, enter)
@@ -50,21 +50,24 @@ def _optimize(tab, basis, cost, ncols) -> bool:
 def simplex_min(c: Sequence, A: Sequence[Sequence], b: Sequence):
     """min c.x  s.t.  A x = b, x >= 0.  Returns (status, x, value)."""
     m, n = len(A), len(c)
+    rows = [[Fraction(v) for v in row] + [Fraction(bi)] for row, bi in zip(A, b)]
+    scale = lcm(*(v.denominator for row in rows for v in row))
     tab = []
-    for row, bi in zip(A, b):
-        r = [Fraction(v) for v in row]
-        rhs = Fraction(bi)
-        if rhs < 0:
-            r = [-v for v in r]
-            rhs = -rhs
-        tab.append(r + [Fraction(0)] * m + [rhs])
-    for i in range(m):
-        tab[i][n + i] = Fraction(1)
+    for i, row in enumerate(rows):
+        sign = -1 if row[-1] < 0 else 1
+        ints = [sign * v.numerator * (scale // v.denominator) for v in row]
+        tab.append(ints[:-1] + [int(j == i) for j in range(m)] + ints[-1:])
+    # Phase-1 costs priced out against the artificial basis, then phase 2.
+    phase1 = [-sum(col) for col in zip(*tab, [0] * (n + m + 1))]
+    phase1[n:n + m] = [0] * m
+    cost = [Fraction(v) for v in c]
+    cscale = lcm(*(v.denominator for v in cost))
+    phase2 = [v.numerator * (cscale // v.denominator) for v in cost] + [0] * (m + 1)
+    tab += [phase1, phase2]
     basis = list(range(n, n + m))
 
-    phase1 = [Fraction(0)] * n + [Fraction(1)] * m
-    _optimize(tab, basis, phase1, n + m)
-    if sum(phase1[basis[i]] * tab[i][-1] for i in range(m)) != 0:
+    _optimize(tab, basis, m, n + m)
+    if tab[m][-1] != 0:
         return "infeasible", None, None
     for i in range(m):
         if basis[i] >= n:
@@ -72,13 +75,12 @@ def simplex_min(c: Sequence, A: Sequence[Sequence], b: Sequence):
             if s is not None:
                 _pivot(tab, basis, i, s)
 
-    cost = [Fraction(v) for v in c] + [Fraction(0)] * m
-    if not _optimize(tab, basis, cost, n):
+    if not _optimize(tab, basis, m + 1, n):
         return "unbounded", None, None
     x = [Fraction(0)] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = tab[i][-1]
+            x[basis[i]] = Fraction(tab[i][-1], tab[i][basis[i]])
     return "optimal", x, sum(Fraction(v) * xv for v, xv in zip(c, x))
 
 

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .cycles import closed_path_rate, pareto_filter
+from .cycles import pareto_filter, rate_numerators
 from .exactlp import dominating_combination, max_symmetric_scale
 from .network import Network, character, format_rate, is_binary, parse_rate
-from .window import bit_position, block_from_rows, block_to_rows, build_window
+from .window import block_from_rows, block_to_rows, build_window, link_row_masks
 
 __all__ = [
     "RegionDescription",
@@ -53,9 +53,7 @@ def region_regime(network: Network, T: int) -> str:
     return "exact" if exact else "outer-bound"
 
 
-def _drop_convex_redundant(
-    rates: list[tuple[Fraction, ...]]
-) -> list[tuple[Fraction, ...]]:
+def _drop_convex_redundant(rates: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Reduce to the unique irredundant generating set.
 
     A vector already dominated by a convex combination of the others adds
@@ -81,13 +79,13 @@ def region_from_cycles(
     """Collapse a cycle set to the maximal rate vectors generating its hull."""
     num_links = len(network.links)
     kept = pareto_filter(cycles, T, num_links)
-    by_rate: dict[tuple[Fraction, ...], tuple[int, ...]] = {}
-    for cyc in kept:
-        rate = closed_path_rate(cyc, T, num_links)
-        if rate not in by_rate or cyc < by_rate[rate]:
-            by_rate[rate] = cyc
-    generators = tuple(sorted(_drop_convex_redundant(list(by_rate))))
-    witnesses = tuple(by_rate[g] for g in generators)
+    numerators, den = rate_numerators(kept, T, num_links)
+    by_rate: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for cyc, rate in zip(kept, numerators):
+        by_rate.setdefault(rate, cyc)  # kept is sorted: the least cycle wins
+    hull = sorted(_drop_convex_redundant(list(by_rate)))
+    generators = tuple(tuple(Fraction(x, den) for x in rate) for rate in hull)
+    witnesses = tuple(by_rate[rate] for rate in hull)
     prov = dict(provenance or {})
     prov.setdefault("regime", region_regime(network, T))
     return RegionDescription(network.links, T, generators, witnesses, prov)
@@ -150,15 +148,9 @@ def window_symmetric_rate(network: Network, T: int) -> Fraction:
     exact LP under the T/(T+D*) guard-time factor.
     """
     window = build_window(network, T)
-    num_links = len(network.links)
-    row_masks = []
-    for l in range(num_links):
-        mask = 0
-        for t in range(T):
-            mask |= 1 << bit_position(l, t, num_links, T)
-        row_masks.append(mask)
+    row_masks = link_row_masks(len(network.links), T)
     sums = {
-        tuple((bits & row_masks[l]).bit_count() for l in range(num_links))
+        tuple((bits & m).bit_count() for m in row_masks)
         for bits in window.independent_sets()
     }
     # Dominated count vectors never help a >=-feasibility problem.

@@ -24,6 +24,7 @@ __all__ = [
     "block_from_rows",
     "block_to_rows",
     "brute_force_cap",
+    "link_row_masks",
 ]
 
 DEFAULT_CAP_BITS = 24
@@ -37,6 +38,12 @@ def brute_force_cap() -> int:
 def bit_position(link_index: int, t: int, num_links: int, T: int) -> int:
     """Bit index (from LSB) of matrix entry ``(link, t)``."""
     return (T - 1 - t) * num_links + (num_links - 1 - link_index)
+
+
+def link_row_masks(num_links: int, T: int) -> list[int]:
+    """Per link, the mask of its T bits in a block: popcount gives its count."""
+    column = sum(1 << t * num_links for t in range(T))
+    return [column << (num_links - 1 - l) for l in range(num_links)]
 
 
 def block_from_rows(rows, T: int) -> int:

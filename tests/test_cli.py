@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -63,6 +64,27 @@ def test_schedgraph_dump_roundtrip(capsys, monkeypatch):
     assert code == 0
     assert len(doc["vertex_list"]) == 9
     assert sum(len(row) for row in doc["adjacency"]) == 56
+
+
+# Outputs recorded before rates and the exact LP moved to integers; every
+# later change must reproduce them (``wall_time_ms`` aside).
+LADDER_OUTPUTS = json.loads(
+    (Path(__file__).parent / "data" / "ladder_outputs.json").read_text()
+)
+
+
+@pytest.mark.parametrize("case", sorted(LADDER_OUTPUTS), ids=lambda c: c.replace(" ", "-"))
+def test_ladder_outputs_unchanged(capsys, monkeypatch, case):
+    command, L, T, k, algorithm = case.split()
+    net_doc = gen_line(capsys, monkeypatch, int(L[1:]), 1)
+    code, doc = run_cli(
+        capsys, monkeypatch,
+        [command, "--T", T[1:], "--algorithm", algorithm, "--max-length", k[1:]],
+        stdin_doc=net_doc,
+    )
+    assert code == 0
+    doc["manifest"].pop("wall_time_ms")
+    assert doc == LADDER_OUTPUTS[case]
 
 
 def test_rate_region_reference(capsys, monkeypatch):

@@ -15,6 +15,7 @@ from delaysched import (
     count_layered_paths,
     cycle_dominates,
     dominates,
+    is_binary,
     iter_layered_paths,
     johnson_cycles,
     line_network,
@@ -23,7 +24,8 @@ from delaysched import (
     path_to_cycles,
     validate,
 )
-from delaysched.cycles import _layer_chain, closed_path_rate
+from delaysched import cycles as cycles_mod
+from delaysched.cycles import _layer_chain, _retain_maximal, closed_path_rate
 
 from conftest import (
     MAXIMAL_EDGE_MATRIX_41,
@@ -468,7 +470,70 @@ def test_algorithm_b_budget_truncation(line41):
     assert not res.complete
 
 
+# ------------------------------------------------------------------ retention
+
+def retain_oracle(cands):
+    """Quadratic reference: a cycle goes if another strictly dominates it up
+    to rotation; of a rotation class only the least tuple stays."""
+    bits = {c: sum(b.bit_count() for b in c[:-1]) for c in cands}
+    return sorted(
+        c for c in cands
+        if not any(
+            c2 != c and bits[c2] >= bits[c] and cycle_dominates(c2, c)
+            and (c2 < c or not cycle_dominates(c, c2))
+            for c2 in cands
+        )
+    )
+
+
+@pytest.mark.parametrize("net_id, T, k", [("L4", 2, 3), ("L5", 1, 4), ("hyper7004", 2, 3)])
+def test_retain_maximal_matches_quadratic_oracle(monkeypatch, net_id, T, k):
+    if net_id.startswith("hyper"):
+        net = random_network(random.Random(int(net_id[5:])))
+        assert not is_binary(net)
+    else:
+        net = line_network(int(net_id[1:]), 1)
+    seen = []
+
+    def spy(found, nbits):
+        seen.append(set(found))
+        return _retain_maximal(found, nbits)
+
+    monkeypatch.setattr(cycles_mod, "_retain_maximal", spy)
+    res = algorithm_a(net, T, k)
+    (cands,) = seen
+    assert len(cands) > 5 * len(res.cycles)
+    assert list(res.cycles) == retain_oracle(cands)
+
+
+def test_retain_maximal_rotations_and_mixed_lengths():
+    # Two bits per block.  (1, 1, 2) is covered only by the rotation
+    # (3, 1, 2) of the earlier (1, 2, 3); (1, 1) goes to (3, 3); the lone
+    # 2-cycle survives next to longer packed cycles; (1, 3, 1, 2) is a
+    # rotation of (1, 2, 1, 3), so only the lesser tuple stays.
+    cands = [
+        (1, 2, 3, 1), (1, 1, 2, 1), (3, 3), (1, 1), (1, 2, 1),
+        (1, 3, 1, 2, 1), (1, 2, 1, 3, 1),
+    ]
+    expected = [(1, 2, 1), (1, 2, 1, 3, 1), (1, 2, 3, 1), (3, 3)]
+    assert _retain_maximal(cands, 2) == expected
+    assert retain_oracle(set(cands)) == expected
+
+
 # -------------------------------------------------------------- pareto filter
+
+def test_pareto_filter_common_denominator():
+    # Over two links, the 2-cycle and the 4-cycle both have rate (1/2, 1/2):
+    # equal once counts are scaled to one denominator, so both stay.  The
+    # 3-cycle's (1/3, 1/3) is dominated although its raw counts equal the
+    # 2-cycle's.
+    two = (0b10, 0b01, 0b10)
+    four = (0b00, 0b10, 0b01, 0b11, 0b00)
+    three = (0b00, 0b10, 0b01, 0b00)
+    solo = (0b10, 0b10)
+    assert pareto_filter([four, three, two, solo], 1, 2) == sorted([two, four, solo])
+    assert closed_path_rate(two, 1, 2) == closed_path_rate(four, 1, 2) == (F(1, 2),) * 2
+
 
 def test_pareto_filter_drops_zero_cycle(line41):
     kept = pareto_filter([(0, 0), (v(5), v(5))], 1, 4)

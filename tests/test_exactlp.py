@@ -6,6 +6,77 @@ from delaysched.exactlp import dominating_combination, max_symmetric_scale, simp
 F = Fraction
 
 
+# The rational simplex the fraction-free one replaced, kept as its oracle:
+# a Fraction tableau whose reduced costs are recomputed on every pivot.
+
+def _ref_pivot(tab, basis, r, s):
+    piv = tab[r][s]
+    tab[r] = [x / piv for x in tab[r]]
+    for i in range(len(tab)):
+        if i != r and tab[i][s]:
+            f = tab[i][s]
+            tab[i] = [a - f * b for a, b in zip(tab[i], tab[r])]
+    basis[r] = s
+
+
+def _ref_optimize(tab, basis, cost, ncols) -> bool:
+    """Bland-rule simplex sweep; False means unbounded."""
+    m = len(tab)
+    while True:
+        z = [
+            cost[j] - sum(cost[basis[i]] * tab[i][j] for i in range(m))
+            for j in range(ncols)
+        ]
+        enter = next((j for j in range(ncols) if z[j] < 0), None)
+        if enter is None:
+            return True
+        leave = None
+        ratio = None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                r = tab[i][-1] / tab[i][enter]
+                if ratio is None or r < ratio or (r == ratio and basis[i] < basis[leave]):
+                    ratio, leave = r, i
+        if leave is None:
+            return False
+        _ref_pivot(tab, basis, leave, enter)
+
+
+def _ref_simplex_min(c, A, b):
+    """min c.x  s.t.  A x = b, x >= 0.  Returns (status, x, value)."""
+    m, n = len(A), len(c)
+    tab = []
+    for row, bi in zip(A, b):
+        r = [Fraction(v) for v in row]
+        rhs = Fraction(bi)
+        if rhs < 0:
+            r = [-v for v in r]
+            rhs = -rhs
+        tab.append(r + [Fraction(0)] * m + [rhs])
+    for i in range(m):
+        tab[i][n + i] = Fraction(1)
+    basis = list(range(n, n + m))
+
+    phase1 = [Fraction(0)] * n + [Fraction(1)] * m
+    _ref_optimize(tab, basis, phase1, n + m)
+    if sum(phase1[basis[i]] * tab[i][-1] for i in range(m)) != 0:
+        return "infeasible", None, None
+    for i in range(m):
+        if basis[i] >= n:
+            s = next((j for j in range(n) if tab[i][j] != 0), None)
+            if s is not None:
+                _ref_pivot(tab, basis, i, s)
+
+    cost = [Fraction(v) for v in c] + [Fraction(0)] * m
+    if not _ref_optimize(tab, basis, cost, n):
+        return "unbounded", None, None
+    x = [Fraction(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = tab[i][-1]
+    return "optimal", x, sum(Fraction(v) * xv for v, xv in zip(c, x))
+
+
 def test_simplex_basic_optimum():
     # min -x - y  s.t.  x + y + s = 4, x + 3y + t = 6
     status, x, val = simplex_min(
@@ -80,3 +151,43 @@ def test_random_feasibility_consistency():
         assert dominating_combination(gens, target) is not None
         above = tuple(max(g[d] for g in gens) + F(1, 100) for d in range(dims))
         assert dominating_combination(gens, above) is None
+
+
+def _random_entry(rng):
+    roll = rng.random()
+    if roll < 0.35:
+        return 0
+    if roll < 0.7:
+        return rng.randint(-3, 3)
+    return F(rng.randint(-6, 6), rng.randint(1, 5))
+
+
+def test_simplex_matches_rational_reference():
+    # Zero-heavy entries give degenerate pivots; a copied row makes the
+    # system redundant, so an artificial stays basic after phase 1.
+    rng = random.Random(20240)
+    statuses = {}
+    degenerate = 0
+    for _ in range(2500):
+        m, n = rng.randint(0, 4), rng.randint(0, 6)
+        A = [[_random_entry(rng) for _ in range(n)] for _ in range(m)]
+        b = [_random_entry(rng) for _ in range(m)]
+        c = [_random_entry(rng) for _ in range(n)]
+        if m >= 2 and rng.random() < 0.2:
+            A[-1], b[-1] = list(A[0]), b[0]
+        expected = _ref_simplex_min(c, A, b)
+        assert simplex_min(c, A, b) == expected, (c, A, b)
+        statuses[expected[0]] = statuses.get(expected[0], 0) + 1
+        if expected[0] == "optimal":
+            degenerate += sum(1 for v in expected[1] if v) < m
+    assert min(statuses.get(s, 0) for s in ("optimal", "infeasible", "unbounded")) > 500
+    assert degenerate > 200
+
+
+def test_simplex_ratio_tie_goes_to_lowest_basis_index():
+    # Both rows tie in phase 1's first ratio test; leaving by the lower
+    # basis index ends at this optimum, the other choice at (0, 0, 1, 0).
+    c, A, b = [1, 0, 0, 0], [[2, 1, 2, 0], [1, 0, 1, 1]], [2, 1]
+    expected = ("optimal", [F(0), F(2), F(0), F(1)], F(0))
+    assert _ref_simplex_min(c, A, b) == expected
+    assert simplex_min(c, A, b) == expected
