@@ -420,9 +420,19 @@ def pareto_filter(
     """
     items = sorted(set(cycles))
     numerators, _ = rate_numerators(items, T, num_links)
+    maximal = set(_pareto_front(numerators))
+    return [c for c, r in zip(items, numerators) if r in maximal]
+
+
+def _pareto_front(vectors: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The distinct vectors that no other one strictly dominates.
+
+    Taken by decreasing sum, a vector is dominated iff an earlier kept one
+    covers it: a dominator has a larger sum, and is itself kept or covered
+    by a kept one.
+    """
     front: list[tuple[int, ...]] = []
-    for r in sorted(set(numerators), key=sum, reverse=True):
+    for r in sorted(set(vectors), key=sum, reverse=True):
         if not any(all(x >= y for x, y in zip(f, r)) for f in front):
             front.append(r)
-    maximal = set(front)
-    return [c for c, r in zip(items, numerators) if r in maximal]
+    return front

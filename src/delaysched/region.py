@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .cycles import pareto_filter, rate_numerators
+from .cycles import _pareto_front, pareto_filter, rate_numerators
 from .exactlp import dominating_combination, max_symmetric_scale
 from .network import Network, character, format_rate, is_binary, parse_rate
 from .window import block_from_rows, block_to_rows, build_window, link_row_masks
@@ -154,10 +154,7 @@ def window_symmetric_rate(network: Network, T: int) -> Fraction:
         for bits in window.independent_sets()
     }
     # Dominated count vectors never help a >=-feasibility problem.
-    loose = [
-        s for s in sums
-        if not any(s2 != s and all(a >= b for a, b in zip(s2, s)) for s2 in sums)
-    ]
+    loose = _pareto_front(sums)
     vectors = [tuple(Fraction(v, T) for v in s) for s in sorted(loose)]
     dstar = character(network)
     return max_symmetric_scale(vectors, Fraction(T, T + dstar))

@@ -88,17 +88,42 @@ def has_edge(
 
 
 def build(network: Network, T: int) -> SchedulingGraph:
-    """Materialize the scheduling graph (within the brute-force cap)."""
+    """Materialize the scheduling graph (within the brute-force cap).
+
+    A 2T-window constraint inside one half is a time-shifted T-window
+    constraint, which both vertices already satisfy, so only the masks
+    crossing the boundary decide an edge.  Those active under ``a`` forbid
+    single right bits (OR-ed into one mask) or, for hyperedges, right
+    sets; blocks with equal forbidden sets share one successor tuple.
+    """
     single = build_window(network, T)
     double = build_window(network, 2 * T)
     nbits = single.nbits
     vertices = tuple(single.independent_sets())
+    crossing = [
+        (left, right)
+        for left, right in (split_pair(m, nbits) for m in double.masks)
+        if left and right
+    ]
+    rows: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
     adjacency = {}
     for a in vertices:
-        shifted = a << nbits
-        adjacency[a] = tuple(
-            b for b in vertices if double.is_independent(shifted | b)
-        )
+        forbidden = 0
+        residual = set()
+        for left, right in crossing:
+            if a & left == left:
+                if right & (right - 1):
+                    residual.add(right)
+                else:
+                    forbidden |= right
+        key = (forbidden, tuple(sorted(residual)))
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = tuple(
+                b for b in vertices
+                if not b & forbidden and all(b & r != r for r in key[1])
+            )
+        adjacency[a] = row
     return SchedulingGraph(network, T, vertices, adjacency)
 
 

@@ -86,16 +86,24 @@ def line51():
     return line_network(5, 1)
 
 
+def hyper_chain(L: int):
+    """L links where each inner l_i collides with {l_(i-1), l_(i+1)} at -1/+1."""
+    links = [f"l{i}" for i in range(1, L + 1)]
+    collisions = {link: [] for link in links}
+    delays = {}
+    for i in range(2, L):
+        collisions[f"l{i}"] = [[f"l{i - 1}", f"l{i + 1}"]]
+        delays[(f"l{i}", f"l{i - 1}")] = -1
+        delays[(f"l{i}", f"l{i + 1}")] = 1
+    net = make_network(links, collisions, delays)
+    validate(net)
+    return net
+
+
 @pytest.fixture
 def hyper_n4():
     """Four links where the middle two collide with pairs at offsets -1/+1."""
-    net = make_network(
-        ["l1", "l2", "l3", "l4"],
-        {"l1": [], "l2": [["l1", "l3"]], "l3": [["l2", "l4"]], "l4": []},
-        {("l2", "l1"): -1, ("l2", "l3"): 1, ("l3", "l2"): -1, ("l3", "l4"): 1},
-    )
-    validate(net)
-    return net
+    return hyper_chain(4)
 
 
 @pytest.fixture

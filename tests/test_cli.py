@@ -10,6 +10,7 @@ import pytest
 
 import delaysched
 from delaysched.cli import main
+from delaysched.network import network_to_json
 
 F = Fraction
 
@@ -66,7 +67,9 @@ def test_schedgraph_dump_roundtrip(capsys, monkeypatch):
     assert sum(len(row) for row in doc["adjacency"]) == 56
 
 
-# Outputs recorded before rates and the exact LP moved to integers; every
+# Outputs recorded before rates and the exact LP moved to integers, and
+# ``schedgraph --dump`` outputs recorded before edges were built from the
+# boundary-crossing masks (their row order feeds Johnson's output); every
 # later change must reproduce them (``wall_time_ms`` aside).
 LADDER_OUTPUTS = json.loads(
     (Path(__file__).parent / "data" / "ladder_outputs.json").read_text()
@@ -74,14 +77,19 @@ LADDER_OUTPUTS = json.loads(
 
 
 @pytest.mark.parametrize("case", sorted(LADDER_OUTPUTS), ids=lambda c: c.replace(" ", "-"))
-def test_ladder_outputs_unchanged(capsys, monkeypatch, case):
-    command, L, T, k, algorithm = case.split()
-    net_doc = gen_line(capsys, monkeypatch, int(L[1:]), 1)
-    code, doc = run_cli(
-        capsys, monkeypatch,
-        [command, "--T", T[1:], "--algorithm", algorithm, "--max-length", k[1:]],
-        stdin_doc=net_doc,
-    )
+def test_ladder_outputs_unchanged(capsys, monkeypatch, hyper_n4, case):
+    command, net, T, *options = case.split()
+    if net == "hyper_n4":
+        net_doc = network_to_json(hyper_n4)
+    else:
+        net_doc = gen_line(capsys, monkeypatch, int(net[1:]), 1)
+    argv = [command, "--T", T[1:]]
+    if command == "schedgraph":
+        argv.append("--dump")
+    else:
+        k, algorithm = options
+        argv += ["--algorithm", algorithm, "--max-length", k[1:]]
+    code, doc = run_cli(capsys, monkeypatch, argv, stdin_doc=net_doc)
     assert code == 0
     doc["manifest"].pop("wall_time_ms")
     assert doc == LADDER_OUTPUTS[case]

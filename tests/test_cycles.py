@@ -25,7 +25,12 @@ from delaysched import (
     validate,
 )
 from delaysched import cycles as cycles_mod
-from delaysched.cycles import _layer_chain, _retain_maximal, closed_path_rate
+from delaysched.cycles import (
+    _layer_chain,
+    _pareto_front,
+    _retain_maximal,
+    closed_path_rate,
+)
 
 from conftest import (
     MAXIMAL_EDGE_MATRIX_41,
@@ -533,6 +538,27 @@ def test_pareto_filter_common_denominator():
     solo = (0b10, 0b10)
     assert pareto_filter([four, three, two, solo], 1, 2) == sorted([two, four, solo])
     assert closed_path_rate(two, 1, 2) == closed_path_rate(four, 1, 2) == (F(1, 2),) * 2
+
+
+def test_pareto_front_matches_quadratic_filter():
+    # The quadratic scan window_symmetric_rate used before the shared front.
+    rng = random.Random(8100)
+    for _ in range(300):
+        dim = rng.randint(1, 5)
+        vectors = [
+            tuple(rng.randint(0, 4) for _ in range(dim))
+            for _ in range(rng.randint(0, 60))
+        ]
+        distinct = set(vectors)
+        quadratic = [
+            s for s in distinct
+            if not any(
+                s2 != s and all(a >= b for a, b in zip(s2, s)) for s2 in distinct
+            )
+        ]
+        front = _pareto_front(vectors)
+        assert len(front) == len(set(front))
+        assert sorted(front) == sorted(quadratic)
 
 
 def test_pareto_filter_drops_zero_cycle(line41):

@@ -18,7 +18,13 @@ from delaysched import (
 )
 from delaysched.window import block_from_rows
 
-from conftest import EDGE_MATRIX_41, MAXIMAL_EDGE_MATRIX_41, random_network, v
+from conftest import (
+    EDGE_MATRIX_41,
+    MAXIMAL_EDGE_MATRIX_41,
+    hyper_chain,
+    random_network,
+    v,
+)
 
 
 def test_is_vertex_reference(line41):
@@ -42,6 +48,64 @@ def test_reference_graph_sizes(L, vertices, edges):
     g = build(line_network(L, 1), 1)
     assert len(g.vertices) == vertices
     assert g.edge_count == edges
+
+
+# The graph-build rungs of the benchmark (perfbench/golden.json holds the
+# same counts).
+@pytest.mark.parametrize(
+    "net,T,vertices,edges",
+    [
+        (line_network(5, 1), 3, 1421, 1340964),
+        (hyper_chain(5), 2, 1024, 529984),
+    ],
+    ids=["line51-T3", "chain5-T2"],
+)
+def test_graph_build_sizes(net, T, vertices, edges):
+    g = build(net, T)
+    assert len(g.vertices) == vertices
+    assert g.edge_count == edges
+
+
+def _ref_build_adjacency(network, T):
+    """The all-pairs definition: (a, b) is an edge iff the juxtaposed 2T
+    window a|b is independent under every mask of the doubled window."""
+    single = build_window(network, T)
+    double = build_window(network, 2 * T)
+    nbits = single.nbits
+    vertices = tuple(single.independent_sets())
+    adjacency = {}
+    for a in vertices:
+        shifted = a << nbits
+        adjacency[a] = tuple(
+            b for b in vertices if double.is_independent(shifted | b)
+        )
+    return vertices, adjacency
+
+
+# Seeds 7000-7011 draw both binary and hypergraph profiles.
+DEFINITION_CASES = (
+    [(f"line{L}1", line_network(L, 1), T) for L in (4, 5) for T in (1, 2, 3)]
+    + [("hyper_n4", hyper_chain(4), T) for T in (1, 2)]
+    + [("chain5", hyper_chain(5), T) for T in (1, 2)]
+    + [
+        (f"random{seed}", random_network(random.Random(seed)), T)
+        for seed in range(7000, 7012)
+        for T in (1, 2)
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "net,T",
+    [case[1:] for case in DEFINITION_CASES],
+    ids=[f"{name}-T{T}" for name, _, T in DEFINITION_CASES],
+)
+def test_build_matches_double_window_definition(net, T):
+    g = build(net, T)
+    vertices, adjacency = _ref_build_adjacency(net, T)
+    assert g.vertices == vertices
+    assert g.adjacency == adjacency
+    assert list(g.adjacency) == list(adjacency)
 
 
 def test_line41_adjacency_matches_reference_matrix(line41):
