@@ -257,13 +257,10 @@ def build_layered(
         raise ValueError("k must be >= 1")
     maximal = maximal or build_maximal(network, T)
     mids = tuple(sorted({b & bp for b in maximal.right for bp in maximal.left}))
-    for kk, u_list, uprime in _layer_chain(maximal.edges, k):
-        if kk == k:
-            return LayeredGraph(
-                network, T, k, maximal.left, mids, maximal.right,
-                tuple(u_list) + (uprime,),
-            )
-    raise AssertionError("unreachable")
+    *_, (_k, u_list, uprime) = _layer_chain(maximal.edges, k)
+    return LayeredGraph(
+        network, T, k, maximal.left, mids, maximal.right, u_list + (uprime,)
+    )
 
 
 def _adjacency(edges: Iterable[tuple[int, int]]) -> dict[int, tuple[int, ...]]:

@@ -114,21 +114,15 @@ def framed_region(network: Network) -> RegionDescription:
     zero_delays = {pair: 0 for pair in network.delays}
     static = Network(network.links, network.collisions, zero_delays)
     window = build_window(static, 1)
+    # Sorted indicators give sorted 0/1 rate tuples: link 0 is the top bit.
     indicators = window.maximal_independent_sets()
-    generators = []
-    witnesses = []
-    for bits in sorted(indicators):
-        rate = tuple(
-            Fraction(int(row)) for row in block_to_rows(bits, len(network.links), 1)
-        )
-        generators.append(rate)
-        witnesses.append((bits, bits))
-    order = sorted(range(len(generators)), key=lambda i: generators[i])
+    generators = tuple(
+        tuple(Fraction(int(row)) for row in block_to_rows(bits, len(network.links), 1))
+        for bits in indicators
+    )
+    witnesses = tuple((bits, bits) for bits in indicators)
     return RegionDescription(
-        network.links,
-        1,
-        tuple(generators[i] for i in order),
-        tuple(witnesses[i] for i in order),
+        network.links, 1, generators, witnesses,
         {"algorithm": "framed", "regime": "exact"},
     )
 
@@ -143,15 +137,19 @@ def sandwich_check(inner: RegionDescription, outer: RegionDescription) -> bool:
 def window_symmetric_rate(network: Network, T: int) -> Fraction:
     """Largest a with (a, ..., a) in the scaled window-region hull.
 
-    Brute-forces the independent sets of the T-window, keeps their
-    activation-count vectors, and maximizes the symmetric coordinate by
-    exact LP under the T/(T+D*) guard-time factor.
+    Takes the activation-count vectors of the maximal independent sets of
+    the T-window (every independent set lies inside a maximal one, whose
+    count vector covers its own, so the Pareto front is that of all the
+    independent sets), and maximizes the symmetric coordinate by exact LP
+    under the T/(T+D*) guard-time factor.  The window is held to the
+    brute-force cap, although the binary maximal-set search needs none.
     """
     window = build_window(network, T)
+    window.check_cap()
     row_masks = link_row_masks(len(network.links), T)
     sums = {
         tuple((bits & m).bit_count() for m in row_masks)
-        for bits in window.independent_sets()
+        for bits in window.maximal_independent_sets()
     }
     # Dominated count vectors never help a >=-feasibility problem.
     loose = _pareto_front(sums)

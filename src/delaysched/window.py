@@ -88,7 +88,8 @@ class WindowGraph:
         """No hyperedge has its source and all its targets active."""
         return all(bits & m != m for m in self.masks)
 
-    def _check_cap(self) -> None:
+    def check_cap(self) -> None:
+        """Raise ``CapExceededError`` if the window is past the brute-force cap."""
         if self.nbits > brute_force_cap():
             raise CapExceededError(
                 f"{self.nbits} bits exceeds brute-force cap {brute_force_cap()}"
@@ -96,7 +97,7 @@ class WindowGraph:
 
     def independent_sets(self) -> Iterator[int]:
         """Yield every independent assignment once, in ascending bit order."""
-        self._check_cap()
+        self.check_cap()
         yield from self._independent_rec(self.nbits - 1, 0, self._masks_by_min())
 
     def _masks_by_min(self) -> list[list[int]]:
@@ -120,14 +121,17 @@ class WindowGraph:
         """All inclusion-maximal independent assignments, sorted.
 
         Binary profiles reduce to maximal cliques of the complement of the
-        pairwise conflict graph (pivoted Bron-Kerbosch); general profiles
-        use branch and bound with an explicit maximality certificate, which
-        walks every independent set and so is held to the brute-force cap.
+        pairwise conflict graph (pivoted Bron-Kerbosch, uncapped); general
+        profiles use a branch-and-bound walk that checks each left-out
+        vertex's maximality certificate at that vertex's deadline, the
+        lowest bit of its masks, and cuts the branch there if it fails.
+        The walk is still exponential in the worst case and stays held to
+        the brute-force cap.
         """
         if all(m.bit_count() <= 2 for m in self.masks):
             out = self._maximal_binary()
         else:
-            self._check_cap()
+            self.check_cap()
             out = self._maximal_hyper()
         return sorted(out)
 
@@ -179,32 +183,40 @@ class WindowGraph:
 
     def _maximal_hyper(self) -> list[int]:
         n = self.nbits
-        by_member: list[list[int]] = [[] for _ in range(n)]
+        by_min = self._masks_by_min()
+        # A vertex's deadline is the lowest bit of any mask holding it (itself
+        # if none does): once that bit is decided, so is every such mask.
+        rests: list[list[int]] = [[] for _ in range(n)]
+        deadline = list(range(n))
         for m in self.masks:
+            low = (m & -m).bit_length() - 1
             mm = m
             while mm:
-                v = (mm & -mm).bit_length() - 1
-                mm &= mm - 1
-                by_member[v].append(m)
+                vbit = mm & -mm
+                mm ^= vbit
+                v = vbit.bit_length() - 1
+                rests[v].append(m ^ vbit)
+                deadline[v] = min(deadline[v], low)
+        due: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
+        for v in range(n):
+            due[deadline[v]].append((1 << v, rests[v]))
         out: list[int] = []
 
-        def certify(bits: int) -> bool:
-            for v in range(n):
-                if bits >> v & 1:
-                    continue
-                flipped = bits | (1 << v)
-                if all(flipped & m != m for m in by_member[v]):
-                    return False
-            return True
+        def certified(bits: int, p: int) -> bool:
+            # A left-out vertex due at p must complete one of its masks.
+            return all(
+                bits & vbit or any(bits & r == r for r in vrests)
+                for vbit, vrests in due[p]
+            )
 
         def walk(p: int, cur: int):
             if p < 0:
-                if certify(cur):
-                    out.append(cur)
+                out.append(cur)
                 return
-            walk(p - 1, cur)
+            if certified(cur, p):
+                walk(p - 1, cur)
             nxt = cur | (1 << p)
-            if all(nxt & m != m for m in by_member[p]):
+            if all(nxt & m != m for m in by_min[p]) and certified(nxt, p):
                 walk(p - 1, nxt)
 
         walk(n - 1, 0)

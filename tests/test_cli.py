@@ -12,6 +12,8 @@ import delaysched
 from delaysched.cli import main
 from delaysched.network import network_to_json
 
+from conftest import hyper_chain
+
 F = Fraction
 
 
@@ -67,10 +69,13 @@ def test_schedgraph_dump_roundtrip(capsys, monkeypatch):
     assert sum(len(row) for row in doc["adjacency"]) == 56
 
 
-# Outputs recorded before rates and the exact LP moved to integers, and
+# Outputs recorded before rates and the exact LP moved to integers,
 # ``schedgraph --dump`` outputs recorded before edges were built from the
-# boundary-crossing masks (their row order feeds Johnson's output); every
-# later change must reproduce them (``wall_time_ms`` aside).
+# boundary-crossing masks (their row order feeds Johnson's output), and the
+# ``schedgraph --maximal`` hyperedge-chain and ``window-rate`` outputs
+# recorded before the hyperedge maximal-set walk was pruned and window-rate
+# moved to maximal sets; every later change must reproduce them
+# (``wall_time_ms`` aside).
 LADDER_OUTPUTS = json.loads(
     (Path(__file__).parent / "data" / "ladder_outputs.json").read_text()
 )
@@ -81,12 +86,15 @@ def test_ladder_outputs_unchanged(capsys, monkeypatch, hyper_n4, case):
     command, net, T, *options = case.split()
     if net == "hyper_n4":
         net_doc = network_to_json(hyper_n4)
+    elif net.startswith("chain"):
+        net_doc = network_to_json(hyper_chain(int(net[5:])))
     else:
         net_doc = gen_line(capsys, monkeypatch, int(net[1:]), 1)
     argv = [command, "--T", T[1:]]
     if command == "schedgraph":
-        argv.append("--dump")
-    else:
+        # Every schedgraph pin is a dump; the option "maximal" adds --maximal.
+        argv += ["--dump"] + (["--maximal"] if options == ["maximal"] else [])
+    elif command != "window-rate":
         k, algorithm = options
         argv += ["--algorithm", algorithm, "--max-length", k[1:]]
     code, doc = run_cli(capsys, monkeypatch, argv, stdin_doc=net_doc)
@@ -272,11 +280,18 @@ def test_cap_override_via_environment(capsys, monkeypatch):
         capsys, monkeypatch, ["schedgraph", "--maximal", "--T", "3"], stdin_doc=chain_doc
     )
     assert code == 2  # hyperedge chain: maximal sets of a 30-bit doubled window
+    # A binary window takes the uncapped Bron-Kerbosch search, so the cap
+    # below is window-rate's own check.
+    line_doc = gen_line(capsys, monkeypatch, 4, 1)
+    code, doc = run_cli(capsys, monkeypatch, ["window-rate", "--T", "4"], stdin_doc=line_doc)
+    assert code == 0 and doc["rate"] == "2/5"
     monkeypatch.setenv("DELAYSCHED_CAP_BITS", "12")
     code, _ = run_cli(
         capsys, monkeypatch, ["schedgraph", "--T", "1"], stdin_doc=net_doc
     )
     assert code == 2  # 13 bits over the tightened cap
+    code, _ = run_cli(capsys, monkeypatch, ["window-rate", "--T", "4"], stdin_doc=line_doc)
+    assert code == 2  # line network L4 T4: 16 bits over the tightened cap
 
 
 def test_unknown_flag_exits_2(capsys, monkeypatch):

@@ -22,9 +22,13 @@ from delaysched import (
     verify,
     window_symmetric_rate,
 )
+from delaysched.cycles import _pareto_front
+from delaysched.exactlp import max_symmetric_scale
+from delaysched.network import character, is_binary
 from delaysched.region import region_from_json, region_to_json
+from delaysched.window import build_window, link_row_masks
 
-from conftest import v
+from conftest import random_network, v
 
 F = Fraction
 
@@ -137,6 +141,40 @@ def test_sandwich_reference(line41, cycle_region):
 )
 def test_window_symmetric_rate_reference(line41, T, expected):
     assert window_symmetric_rate(line41, T) == expected
+
+
+def _ref_window_symmetric_rate(network, T):
+    """The count vectors of every independent set of the T-window."""
+    window = build_window(network, T)
+    row_masks = link_row_masks(len(network.links), T)
+    sums = {
+        tuple((bits & m).bit_count() for m in row_masks)
+        for bits in window.independent_sets()
+    }
+    vectors = [tuple(F(x, T) for x in s) for s in sorted(_pareto_front(sums))]
+    return max_symmetric_scale(vectors, F(T, T + character(network)))
+
+
+# Seeds 7000-7059 at T 1-3, kept under 13 bits: 126 binary and 54
+# hypergraph windows.
+RANDOM_RATE_CASES = [
+    (net, T)
+    for seed in range(7000, 7060)
+    for net in [random_network(random.Random(seed))]
+    for T in (1, 2, 3)
+    if len(net.links) * T <= 12
+]
+
+
+def test_window_rate_from_maximal_sets_matches_all_sets(line41):
+    cases = [(line41, T) for T in range(1, 7)] + [(line_network(5, 1), 4)]
+    kinds = [is_binary(net) for net, _ in RANDOM_RATE_CASES]
+    assert (kinds.count(True), kinds.count(False)) == (126, 54)
+    for net, T in cases + RANDOM_RATE_CASES:
+        got = window_symmetric_rate(net, T)
+        assert isinstance(got, F)
+        assert got == _ref_window_symmetric_rate(net, T), (net.links, T)
+    assert window_symmetric_rate(line41, 6) == F(3, 7)
 
 
 def test_window_symmetric_rate_free_link():

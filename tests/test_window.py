@@ -5,7 +5,9 @@ import pytest
 from delaysched import CapExceededError, build_window, make_network, validate
 from delaysched.window import block_from_rows, block_to_rows
 
-from conftest import random_network
+from delaysched.network import is_binary
+
+from conftest import hyper_chain, random_network
 
 
 def edge_set(window):
@@ -75,7 +77,7 @@ def test_enumeration_cap(monkeypatch, hyper_n4):
     free = make_network([f"l{i}" for i in range(30)], {}, {})
     with pytest.raises(CapExceededError):
         list(build_window(free, 1).independent_sets())
-    # Maximal sets under hyperedges walk every independent set: 28 bits.
+    # Maximal sets under hyperedges stay held to the cap: 28 bits.
     with pytest.raises(CapExceededError):
         build_window(hyper_n4, 7).maximal_independent_sets()
     monkeypatch.setenv("DELAYSCHED_CAP_BITS", "30")
@@ -181,3 +183,64 @@ def test_maximality_certificate_every_flip_violates(line41, hyper_n4):
             for p in range(w.nbits):
                 if not bits >> p & 1:
                     assert not w.is_independent(bits | (1 << p))
+
+
+def _ref_maximal_hyper(window):
+    """The unpruned walk: every independent set, each leaf certified maximal
+    by checking that adding any left-out vertex completes one of its masks."""
+    n = window.nbits
+    by_member = [[] for _ in range(n)]
+    for m in window.masks:
+        mm = m
+        while mm:
+            v = (mm & -mm).bit_length() - 1
+            mm &= mm - 1
+            by_member[v].append(m)
+    out = []
+
+    def certify(bits):
+        for v in range(n):
+            if bits >> v & 1:
+                continue
+            flipped = bits | (1 << v)
+            if all(flipped & m != m for m in by_member[v]):
+                return False
+        return True
+
+    def walk(p, cur):
+        if p < 0:
+            if certify(cur):
+                out.append(cur)
+            return
+        walk(p - 1, cur)
+        nxt = cur | (1 << p)
+        if all(nxt & m != m for m in by_member[p]):
+            walk(p - 1, nxt)
+
+    walk(n - 1, 0)
+    return sorted(out)
+
+
+# Doubled (2T) windows, as ``build_maximal`` takes them; the random seeds
+# keep only hypergraph profiles (58 of the 200 draws), all under 20 bits.
+# On chain5 T2 the unpruned walk visits 529,984 leaves for 81 results.
+PRUNED_WALK_CASES = (
+    [(f"hyper_n4-T{T}", hyper_chain(4), 2 * T) for T in (1, 2)]
+    + [(f"chain5-T{T}", hyper_chain(5), 2 * T) for T in (1, 2)]
+    + [
+        (f"random{seed}-T{T}", net, 2 * T)
+        for seed in range(7000, 7200)
+        for net in [random_network(random.Random(seed))]
+        if not is_binary(net)
+        for T in (1, 2)
+    ]
+)
+
+
+def test_pruned_hyper_walk_matches_unpruned_walk():
+    assert len(PRUNED_WALK_CASES) == 120
+    for name, net, T in PRUNED_WALK_CASES:
+        w = build_window(net, T)
+        assert w.nbits <= 20, name
+        assert sorted(w._maximal_hyper()) == _ref_maximal_hyper(w), name
+
