@@ -60,8 +60,7 @@ def canonical_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
     if cycle[0] != cycle[-1]:
         raise ValueError("cycle is not closed")
     interior = tuple(cycle[:-1])
-    k = len(interior)
-    shift = min(range(k), key=lambda i: interior[i])
+    shift = interior.index(min(interior))
     rotated = interior[shift:] + interior[:shift]
     return rotated + (rotated[0],)
 
@@ -123,9 +122,11 @@ def johnson_cycles(
     Each cycle is found once, from its least block: the search from a root
     extends only through larger blocks not already on the path, and a path
     holds at most ``max_len`` blocks (Johnson, SIAM J. Comput. 4(1), 1975,
-    without the blocking sets).  Cycles come out canonically rotated and
-    sorted.  The budget is checked on every step; a search it stops is
-    flagged incomplete.
+    without the blocking sets).  A block closes a cycle when the root is in
+    its row, so a row is only walked to extend the path, and only past the
+    root: that part is taken once per row and root.  Cycles come out
+    canonically rotated and sorted.  The budget is checked on every step;
+    a search it stops is flagged incomplete.
     """
     if max_len is None:
         max_len = len(graph.vertices)
@@ -135,21 +136,39 @@ def johnson_cycles(
     expired = _Deadline(budget).expired
     found: list[tuple[int, ...]] = []
     for root in graph.vertices if max_len else ():
+        if expired():
+            return CycleSearchResult(tuple(sorted(found)), False)
+        if root in adj[root]:
+            found.append((root, root))
+        if max_len < 2:
+            continue
+        # Rows are shared between blocks; each one's part past the root
+        # is kept under the row's id while this root's search runs.
+        row = adj[root]
+        above = {id(row): tuple(b for b in row if b > root)}
         path = [root]
-        stack = [iter(adj[root])]
+        on_path = {root}
+        stack = [iter(above[id(row)])]
         while stack:
             if expired():
                 return CycleSearchResult(tuple(sorted(found)), False)
             for nxt in stack[-1]:
-                if nxt == root:
-                    found.append((*path, root))
-                elif nxt > root and len(path) < max_len and nxt not in path:
+                if nxt in on_path:
+                    continue
+                row = adj[nxt]
+                if root in row:
+                    found.append((*path, nxt, root))
+                if len(path) + 1 < max_len:
+                    succ = above.get(id(row))
+                    if succ is None:
+                        succ = above[id(row)] = tuple(b for b in row if b > root)
                     path.append(nxt)
-                    stack.append(iter(adj[nxt]))
+                    on_path.add(nxt)
+                    stack.append(iter(succ))
                     break
             else:
                 stack.pop()
-                path.pop()
+                on_path.discard(path.pop())
     return CycleSearchResult(tuple(sorted(found)), True)
 
 
@@ -167,13 +186,17 @@ def path_to_cycles(path: Sequence[int]) -> set[tuple[int, ...]]:
     coincide, one activation bit of one copy is cleared per branch; flags
     keep later branches from re-clearing a bit already explored.  Every
     maximal cycle of the path's length that the path dominates appears in
-    the output (dominated cycles may appear alongside).
+    the output (dominated cycles may appear alongside).  Pairwise distinct
+    blocks are already the one cycle.
     """
     if len(path) < 2:
         raise ValueError("path must have length >= 1")
-    out: set[tuple[int, ...]] = set()
     first = path[0] & path[-1]
-    _distinct([first, *path[1:-1]], [0] * (len(path) - 1), out)
+    blocks = [first, *path[1:-1]]
+    if len(set(blocks)) == len(blocks):
+        return {(*blocks, first)}
+    out: set[tuple[int, ...]] = set()
+    _distinct(blocks, [0] * len(blocks), out)
     return out
 
 
@@ -220,19 +243,34 @@ def _next_layer(
     uprime_prev: Iterable[tuple[int, int]],
     estar: Iterable[tuple[int, int]],
 ) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-    """One recursion step: AND middles, keep per-(outer, outer) maxima."""
-    by_outer: dict[tuple[int, int], set[int]] = defaultdict(set)
+    """One recursion step: AND middles, keep per-(outer, outer) maxima.
+
+    The middles of an outer pair (a, c) are the ANDs b & b' of a's
+    successors b in U' and c's predecessors b' in E*.  They are taken by
+    decreasing popcount, so a strict superset of a middle comes before it;
+    a middle is kept unless a kept one covers it, which leaves exactly the
+    maximal ones.
+    """
+    lefts: dict[int, set[int]] = defaultdict(set)
     for a, b in uprime_prev:
-        for bp, c in estar:
-            by_outer[(a, c)].add(b & bp)
+        lefts[a].add(b)
+    rights: dict[int, set[int]] = defaultdict(set)
+    for bp, c in estar:
+        rights[c].add(bp)
     u_new = set()
     uprime_new = set()
-    for (a, c), mids in by_outer.items():
-        for m in mids:
-            if any(m2 != m and m2 & m == m for m2 in mids):
-                continue
-            u_new.add((a, m))
-            uprime_new.add((m, c))
+    for a, bs in lefts.items():
+        for c, bps in rights.items():
+            mids = {b & bp for b in bs for bp in bps}
+            kept: list[int] = []
+            for m in sorted(mids, key=int.bit_count, reverse=True):
+                for k in kept:
+                    if k & m == m:
+                        break
+                else:
+                    kept.append(m)
+                    u_new.add((a, m))
+                    uprime_new.add((m, c))
     return tuple(sorted(u_new)), tuple(sorted(uprime_new))
 
 
@@ -271,17 +309,25 @@ def _adjacency(edges: Iterable[tuple[int, int]]) -> dict[int, tuple[int, ...]]:
 
 
 def _iter_edge_paths(layer_edges) -> Iterator[tuple[int, ...]]:
+    """Paths through consecutive edge sets, depth first, successors ascending."""
     adjs = [_adjacency(edges) for edges in layer_edges]
-
-    def walk(prefix: tuple[int, ...], depth: int) -> Iterator[tuple[int, ...]]:
-        if depth == len(adjs):
-            yield prefix
-            return
-        for nxt in adjs[depth].get(prefix[-1], ()):
-            yield from walk(prefix + (nxt,), depth + 1)
-
-    for start in sorted(set(a for a, _ in layer_edges[0])):
-        yield from walk((start,), 0)
+    last = len(adjs)
+    for start in sorted({a for a, _ in layer_edges[0]}):
+        path = [start]
+        stack = [iter(adjs[0].get(start, ()))]
+        while stack:
+            if len(stack) == last:
+                for nxt in stack.pop():
+                    yield (*path, nxt)
+                path.pop()
+                continue
+            for nxt in stack[-1]:
+                path.append(nxt)
+                stack.append(iter(adjs[len(stack)].get(nxt, ())))
+                break
+            else:
+                stack.pop()
+                path.pop()
 
 
 def iter_layered_paths(layered: LayeredGraph) -> Iterator[tuple[int, ...]]:
@@ -362,8 +408,7 @@ def algorithm_a(
             if deadline.expired():
                 complete = False
                 break
-            for cyc in path_to_cycles(path):
-                found.add(canonical_cycle(cyc))
+            found.update(map(canonical_cycle, path_to_cycles(path)))
         if not complete:
             break
     return CycleSearchResult(tuple(_retain_maximal(found, len(network.links) * T)), complete)
@@ -387,8 +432,7 @@ def algorithm_b(
         if deadline.expired():
             return False
         if len(path) >= 2:
-            for cyc in path_to_cycles(path):
-                found.add(canonical_cycle(cyc))
+            found.update(map(canonical_cycle, path_to_cycles(path)))
         if len(path) - 1 >= k_max:
             return True
         for nxt in adj.get(path[-1], ()):

@@ -1,11 +1,13 @@
 """Small exact simplex, plus the two queries built on it.
 
-The tableau is fraction-free: ``A`` and ``b`` are scaled by one common
-denominator, and each pivot is an integer Edmonds/Bareiss step whose
-division by the previous pivot is exact.  The true tableau is the integer
-one over ``det``, which every basic column holds in its own row.  Both
-objective rows are carried in the tableau.  Bland's rule guarantees
-termination; :class:`fractions.Fraction` appears only in the solution.
+The tableau is fraction-free.  Entries are read as int or Fraction
+through their numerator and denominator, with no conversion; ``A`` and
+``b`` are scaled by one common denominator, and each pivot is an integer
+Edmonds/Bareiss step whose division by the previous pivot is exact.  The
+true tableau is the integer one over ``det``, which every basic column
+holds in its own row.  Both objective rows are carried in the tableau.
+Bland's rule guarantees termination; :class:`fractions.Fraction` appears
+only in the solution.
 """
 
 from __future__ import annotations
@@ -21,9 +23,13 @@ def _pivot(tab, basis, r, s):
     """Integer pivot on ``tab[r][s]``, keeping ``det`` positive."""
     det, piv, prow = tab[r][basis[r]], tab[r][s], tab[r]
     for i, row in enumerate(tab):
-        if i != r:
-            f = row[s]
+        if i == r:
+            continue
+        f = row[s]
+        if f:
             tab[i] = [(piv * a - f * b) // det for a, b in zip(row, prow)]
+        elif piv != det:  # with f = 0 the step only scales by piv / det
+            tab[i] = [piv * a // det for a in row]
     basis[r] = s
     if piv < 0:
         tab[:] = [[-a for a in row] for row in tab]
@@ -47,11 +53,24 @@ def _optimize(tab, basis, z, ncols) -> bool:
         _pivot(tab, basis, leave, enter)
 
 
+def _common_denominator(entries) -> int:
+    """lcm of the denominators of int and Fraction entries."""
+    try:
+        return lcm(*(v.denominator for v in entries))
+    except AttributeError:
+        raise TypeError("LP entries must be int or Fraction") from None
+
+
 def simplex_min(c: Sequence, A: Sequence[Sequence], b: Sequence):
-    """min c.x  s.t.  A x = b, x >= 0.  Returns (status, x, value)."""
+    """min c.x  s.t.  A x = b, x >= 0.  Returns (status, x, value).
+
+    Entries are ints or Fractions, read through ``numerator`` and
+    ``denominator`` as they are; any other type (a float, say) raises
+    TypeError.  ``x`` and ``value`` are Fractions.
+    """
     m, n = len(A), len(c)
-    rows = [[Fraction(v) for v in row] + [Fraction(bi)] for row, bi in zip(A, b)]
-    scale = lcm(*(v.denominator for row in rows for v in row))
+    rows = [[*row, bi] for row, bi in zip(A, b)]
+    scale = _common_denominator(v for row in rows for v in row)
     tab = []
     for i, row in enumerate(rows):
         sign = -1 if row[-1] < 0 else 1
@@ -60,9 +79,8 @@ def simplex_min(c: Sequence, A: Sequence[Sequence], b: Sequence):
     # Phase-1 costs priced out against the artificial basis, then phase 2.
     phase1 = [-sum(col) for col in zip(*tab, [0] * (n + m + 1))]
     phase1[n:n + m] = [0] * m
-    cost = [Fraction(v) for v in c]
-    cscale = lcm(*(v.denominator for v in cost))
-    phase2 = [v.numerator * (cscale // v.denominator) for v in cost] + [0] * (m + 1)
+    cscale = _common_denominator(c)
+    phase2 = [v.numerator * (cscale // v.denominator) for v in c] + [0] * (m + 1)
     tab += [phase1, phase2]
     basis = list(range(n, n + m))
 
@@ -81,7 +99,7 @@ def simplex_min(c: Sequence, A: Sequence[Sequence], b: Sequence):
     for i in range(m):
         if basis[i] < n:
             x[basis[i]] = Fraction(tab[i][-1], tab[i][basis[i]])
-    return "optimal", x, sum(Fraction(v) * xv for v, xv in zip(c, x))
+    return "optimal", x, sum((v * x[j] for j, v in enumerate(c) if v), Fraction(0))
 
 
 def dominating_combination(
@@ -101,14 +119,11 @@ def dominating_combination(
     b = []
     for l in range(dims):
         # sum_i lambda_i g_i(l) - s_l = target(l)
-        row = [g[l] for g in generators] + [
-            Fraction(-1) if j == l else Fraction(0) for j in range(dims)
-        ]
-        A.append(row)
+        A.append([g[l] for g in generators] + [-int(j == l) for j in range(dims)])
         b.append(target[l])
-    A.append([Fraction(1)] * n + [Fraction(0)] * dims)
-    b.append(Fraction(1))
-    status, x, _ = simplex_min([Fraction(0)] * (n + dims), A, b)
+    A.append([1] * n + [0] * dims)
+    b.append(1)
+    status, x, _ = simplex_min([0] * (n + dims), A, b)
     if status != "optimal":
         return None
     return x[:n]
@@ -128,13 +143,13 @@ def max_symmetric_scale(
     b = []
     for l in range(dims):
         row = [factor * v[l] for v in vectors]
-        row.append(Fraction(-1))
-        row.extend(Fraction(-1) if j == l else Fraction(0) for j in range(dims))
+        row.append(-1)
+        row.extend(-int(j == l) for j in range(dims))
         A.append(row)
-        b.append(Fraction(0))
-    A.append([Fraction(1)] * n + [Fraction(0)] * (dims + 1))
-    b.append(Fraction(1))
-    c = [Fraction(0)] * n + [Fraction(-1)] + [Fraction(0)] * dims
+        b.append(0)
+    A.append([1] * n + [0] * (dims + 1))
+    b.append(1)
+    c = [0] * n + [-1] + [0] * dims
     status, x, _ = simplex_min(c, A, b)
     if status != "optimal":
         raise AssertionError(f"symmetric-rate LP came back {status}")

@@ -74,8 +74,10 @@ def test_schedgraph_dump_roundtrip(capsys, monkeypatch):
 # boundary-crossing masks (their row order feeds Johnson's output), and the
 # ``schedgraph --maximal`` hyperedge-chain and ``window-rate`` outputs
 # recorded before the hyperedge maximal-set walk was pruned and window-rate
-# moved to maximal sets; every later change must reproduce them
-# (``wall_time_ms`` aside).
+# moved to maximal sets, and the ``rate-region`` L4 T3 incremental and
+# L4 T2 johnson outputs recorded before the layer step, the path walk and
+# the Johnson search were rewritten; every later change must reproduce
+# them (``wall_time_ms`` aside).
 LADDER_OUTPUTS = json.loads(
     (Path(__file__).parent / "data" / "ladder_outputs.json").read_text()
 )

@@ -26,7 +26,11 @@ from delaysched import (
 )
 from delaysched import cycles as cycles_mod
 from delaysched.cycles import (
+    _adjacency,
+    _distinct,
+    _iter_edge_paths,
     _layer_chain,
+    _next_layer,
     _pareto_front,
     _retain_maximal,
     closed_path_rate,
@@ -184,6 +188,44 @@ def test_johnson_budget_truncation(line41):
     assert not res.complete
 
 
+def assert_elementary_canonical(graph, cycles):
+    for c in cycles:
+        interior = c[:-1]
+        assert c[-1] == c[0] == min(interior)
+        assert len(set(interior)) == len(interior)
+        assert all(b in graph.adjacency[a] for a, b in zip(c, c[1:]))
+
+
+def test_johnson_budget_cut_is_sorted_subset(monkeypatch, line51):
+    # Unbounded cycles of line51 T2 are far too many to enumerate.  A cut
+    # search returns a sorted set of its elementary canonical cycles, and
+    # those short enough for a complete bounded search are in its result.
+    g = build(line51, 2)
+    res = johnson_cycles(g, budget=0)
+    assert not res.complete
+    assert list(res.cycles) == sorted(res.cycles)
+    assert_elementary_canonical(g, res.cycles)
+
+    class StepDeadline:
+        """Expires after a fixed number of steps, so the cut is reproducible."""
+
+        def __init__(self, budget):
+            self.steps = 0
+
+        def expired(self):
+            self.steps += 1
+            return self.steps > 3000
+
+    monkeypatch.setattr(cycles_mod, "_Deadline", StepDeadline)
+    res = johnson_cycles(g, budget=1.0)
+    assert not res.complete
+    assert list(res.cycles) == sorted(res.cycles)
+    assert_elementary_canonical(g, res.cycles)
+    assert len(res.cycles) > 1000
+    short = {c for c in res.cycles if len(c) <= 4}
+    assert short and short <= set(johnson_cycles(g, max_len=3).cycles)
+
+
 # ------------------------------------------------------------- path2cycles
 
 def test_path_to_cycles_trivial_paths():
@@ -243,6 +285,27 @@ def test_path_to_cycles_finds_all_maximal_dominated(seed):
         # domination of the defining bounds, position-wise
         bounds = (path[0] & path[-1],) + tuple(path[1:-1])
         assert all(b & c == c for b, c in zip(bounds, interior))
+
+
+def _ref_path_to_cycles(path):
+    """The extraction without its distinct-block shortcut."""
+    out = set()
+    blocks = [path[0] & path[-1], *path[1:-1]]
+    _distinct(blocks, [0] * len(blocks), out)
+    return out
+
+
+@pytest.mark.parametrize("top", [7, 4095])
+def test_path_to_cycles_matches_distinct_recursion(top):
+    # Blocks below 8 repeat often; below 4096 they are almost always distinct.
+    rng = random.Random(8100 + top)
+    repeated = 0
+    for _ in range(400):
+        path = tuple(rng.randint(0, top) for _ in range(rng.randint(2, 6)))
+        blocks = [path[0] & path[-1], *path[1:-1]]
+        repeated += len(set(blocks)) < len(blocks)
+        assert path_to_cycles(path) == _ref_path_to_cycles(path), path
+    assert repeated > 100 if top == 7 else repeated == 0
 
 
 # ------------------------------------------------------------ layered graph
@@ -343,6 +406,72 @@ def test_every_maximal_path_appears_in_layered_graph_random(seed):
         layered_paths = set(iter_layered_paths(lay))
         for path in maximal_walks(g, k):
             assert path in layered_paths
+
+
+def _ref_next_layer(uprime_prev, estar):
+    """The quadratic layer step: a middle stays unless another covers it."""
+    by_outer = {}
+    for a, b in uprime_prev:
+        for bp, c in estar:
+            by_outer.setdefault((a, c), set()).add(b & bp)
+    u_new, uprime_new = set(), set()
+    for (a, c), mids in by_outer.items():
+        for m in mids:
+            if not any(m2 != m and m2 & m == m for m2 in mids):
+                u_new.add((a, m))
+                uprime_new.add((m, c))
+    return tuple(sorted(u_new)), tuple(sorted(uprime_new))
+
+
+def layer_step_cases():
+    yield line_network(4, 1), 1, 4
+    yield line_network(5, 1), 2, 3
+    for seed in range(7000, 7020):
+        for T in (1, 2):
+            yield random_network(random.Random(seed)), T, 3
+
+
+def test_antichain_layer_step_matches_quadratic_step():
+    hyper = steps = 0
+    for net, T, k in layer_step_cases():
+        hyper += not is_binary(net)
+        estar = build_maximal(net, T).edges
+        uprime = estar
+        for _ in range(k - 1):
+            step = _next_layer(uprime, estar)
+            assert step == _ref_next_layer(uprime, estar)
+            uprime = step[1]
+            steps += 1
+    assert hyper >= 10 and steps == 3 + 2 + 40 * 2
+
+
+def _ref_iter_edge_paths(layer_edges):
+    """The recursive depth-first walk the explicit stack replaced."""
+    adjs = [_adjacency(edges) for edges in layer_edges]
+
+    def walk(prefix, depth):
+        if depth == len(adjs):
+            yield prefix
+            return
+        for nxt in adjs[depth].get(prefix[-1], ()):
+            yield from walk(prefix + (nxt,), depth + 1)
+
+    for start in sorted(set(a for a, _ in layer_edges[0])):
+        yield from walk((start,), 0)
+
+
+# The line-ladder rungs of the benchmark: (L, T, k).
+LADDER_RUNGS = [(4, 1, 4), (5, 1, 4), (6, 1, 3), (4, 2, 3), (5, 2, 3)]
+
+
+@pytest.mark.parametrize("L, T, k", LADDER_RUNGS)
+def test_edge_path_walk_matches_recursive_walk(L, T, k):
+    estar = build_maximal(line_network(L, 1), T).edges
+    for _k, u_list, uprime in _layer_chain(estar, k):
+        layer_edges = tuple(u_list) + (uprime,)
+        paths = list(_iter_edge_paths(layer_edges))
+        assert paths == list(_ref_iter_edge_paths(layer_edges))
+        assert len(paths) > 0
 
 
 def test_layer_containment_bound(line41):

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from delaysched.exactlp import dominating_combination, max_symmetric_scale, simplex_min
 
 F = Fraction
@@ -191,3 +193,36 @@ def test_simplex_ratio_tie_goes_to_lowest_basis_index():
     expected = ("optimal", [F(0), F(2), F(0), F(1)], F(0))
     assert _ref_simplex_min(c, A, b) == expected
     assert simplex_min(c, A, b) == expected
+
+
+def test_int_and_fraction_entries_give_the_same_solution():
+    rng = random.Random(4711)
+    seen = set()
+    for _ in range(300):
+        m, n = rng.randint(1, 4), rng.randint(1, 6)
+        A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        b = [rng.randint(-3, 3) for _ in range(m)]
+        c = [rng.randint(-3, 3) for _ in range(n)]
+        as_int = simplex_min(c, A, b)
+        as_fraction = simplex_min(
+            [F(v) for v in c], [[F(v) for v in row] for row in A], [F(v) for v in b]
+        )
+        assert as_int == as_fraction
+        seen.add(as_int[0])
+        if as_int[0] == "optimal":
+            assert type(as_int[2]) is Fraction
+            assert all(type(x) is Fraction for x in as_int[1])
+    assert seen == {"optimal", "infeasible", "unbounded"}
+    # A zero cost vector still gives a Fraction value.
+    zero_cost = simplex_min([0, 0], [[1, 1]], [1])
+    assert zero_cost == ("optimal", [F(1), F(0)], F(0))
+    assert type(zero_cost[2]) is Fraction
+
+
+def test_float_entries_are_rejected():
+    with pytest.raises(TypeError, match="int or Fraction"):
+        simplex_min([1, 0], [[1, 0.5]], [1])
+    with pytest.raises(TypeError, match="int or Fraction"):
+        simplex_min([1, 0], [[1, 1]], [1.0])
+    with pytest.raises(TypeError, match="int or Fraction"):
+        simplex_min([0.5, 0], [[1, 1]], [1])
