@@ -56,9 +56,14 @@ def dominates(a: Sequence[int], b: Sequence[int]) -> bool:
 
 
 def canonical_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
-    """Rotate a closed block sequence so the smallest block comes first."""
+    """Rotate a closed block sequence so the smallest block comes first.
+
+    A tuple that already starts with its smallest block is returned as is.
+    """
     if cycle[0] != cycle[-1]:
         raise ValueError("cycle is not closed")
+    if type(cycle) is tuple and len(cycle) > 1 and cycle[0] == min(cycle):
+        return cycle
     interior = tuple(cycle[:-1])
     shift = interior.index(min(interior))
     rotated = interior[shift:] + interior[:shift]
@@ -172,13 +177,6 @@ def johnson_cycles(
     return CycleSearchResult(tuple(sorted(found)), True)
 
 
-def _iter_bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def path_to_cycles(path: Sequence[int]) -> set[tuple[int, ...]]:
     """All cycles dominated by a block path, duplicates resolved bit-by-bit.
 
@@ -201,25 +199,26 @@ def path_to_cycles(path: Sequence[int]) -> set[tuple[int, ...]]:
 
 
 def _distinct(blocks: list[int], flags: list[int], out: set[tuple[int, ...]]) -> None:
-    p = len(blocks) - 1
-    dup = None
-    for j in range(p + 1):
-        for i in range(j + 1, p + 1):
-            if blocks[j] == blocks[i]:
-                dup = (j, i)
+    stack = [(blocks, flags)]
+    while stack:
+        blocks, flags = stack.pop()
+        for j, b in enumerate(blocks):
+            if blocks.count(b) > 1:
                 break
-        if dup:
-            break
-    if dup is None:
-        out.add(tuple(blocks) + (blocks[0],))
-        return
-    j, i = dup
-    for h in (j, i):
-        for x in _iter_bits(blocks[h] & ~flags[h]):
-            branch = list(blocks)
-            branch[h] = blocks[h] & ~(1 << x)
-            _distinct(branch, list(flags), out)
-            flags[h] |= 1 << x
+        else:
+            out.add((*blocks, blocks[0]))
+            continue
+        # The first duplicate pair: least j, then least i.  Each branch
+        # clears one bit and sees the flags of the branches before it.
+        for h in (j, blocks.index(b, j + 1)):
+            free = blocks[h] & ~flags[h]
+            while free:
+                low = free & -free
+                branch = list(blocks)
+                branch[h] ^= low
+                stack.append((branch, list(flags)))
+                flags[h] |= low
+                free ^= low
 
 
 @dataclass(frozen=True)
@@ -348,40 +347,41 @@ def count_layered_paths(layered: LayeredGraph) -> int:
 def _retain_maximal(cycles: Iterable[tuple[int, ...]], nbits: int) -> list[tuple[int, ...]]:
     """Drop cycles dominated, up to rotation, by another of the same length.
 
-    The interior of a length-k cycle is packed into one int of ``k * nbits``
-    bits (``nbits`` bits per block), so a rotation is a shift and the
-    dominance test is one AND.  Cycles are taken by decreasing total
-    activation (a dominator never has fewer set bits), then as tuples; each
-    is kept unless a rotation of a kept one covers it.  Mutual domination
-    means rotation equality, so the first of each rotation class wins.
-    Kept rotations are indexed by their first two blocks; as they are
-    closed under rotation, a candidate is tested rotated to its fullest
-    block, against the rotations whose leading blocks cover its own.
+    Cycles are taken by decreasing total activation (a dominator never has
+    fewer set bits), then as tuples; each is kept unless a rotation of a
+    kept one covers it.  Mutual domination means rotation equality, so the
+    first of each rotation class wins.  Every rotation of a kept cycle gets
+    one bit, and the cover masks are bit-sliced (O'Neil & Quass, SIGMOD
+    1997): bit ``r`` of ``cover[i][x]`` is set when kept rotation ``r`` has
+    bit ``x`` in its block ``i``.  A candidate is covered iff the AND of the
+    masks of its set bits is nonzero, so no candidate is rotated or packed.
     """
     by_len: dict[int, set[tuple[int, ...]]] = defaultdict(set)
     for c in cycles:
         by_len[len(c)].add(c)
     out: list[tuple[int, ...]] = []
-    low = (1 << nbits) - 1
     for size, group in by_len.items():
-        width = (size - 1) * nbits
-        full = (1 << width) - 1
-        index: dict[int, dict[int, list[int]]] = defaultdict(lambda: defaultdict(list))
-        for c in sorted(group, key=lambda c: (-sum(b.bit_count() for b in c[:-1]), c)):
-            packed = sum(b << i * nbits for i, b in enumerate(c[:-1]))
-            s = max(range(size - 1), key=lambda i: c[i].bit_count()) * nbits
-            q = (packed >> s | packed << width - s) & full
-            h0, h1 = q & low, q >> nbits & low
-            if not any(
-                rot & q == q
-                for k0, heads in index.items() if k0 & h0 == h0
-                for k1, rots in heads.items() if k1 & h1 == h1
-                for rot in rots
-            ):
-                out.append(c)
-                for s in range(0, width, nbits):
-                    rot = (packed << s | packed >> width - s) & full
-                    index[rot & low][rot >> nbits & low].append(rot)
+        k = size - 1
+        bits = {
+            b: tuple(x for x in range(b.bit_length()) if b >> x & 1)
+            for b in {b for c in group for b in c}
+        }
+        cover = [[0] * nbits for _ in range(k)]
+        kept = 0  # one set bit per kept rotation
+        for c in sorted(group, key=lambda c: (c[0].bit_count() - sum(map(int.bit_count, c)), c)):
+            acc = kept
+            for row, b in zip(cover, c):
+                for x in bits[b]:
+                    acc &= row[x]
+                if not acc:
+                    out.append(c)
+                    for s in range(k):
+                        rot = kept + 1
+                        kept |= rot
+                        for i, row in enumerate(cover):
+                            for x in bits[c[(i + s) % k]]:
+                                row[x] |= rot
+                    break
     return sorted(out)
 
 
@@ -400,12 +400,12 @@ def algorithm_a(
     most ``k_max`` is dominated by some retained cycle.
     """
     maximal = maximal or build_maximal(network, T)
-    deadline = _Deadline(budget)
+    expired = None if budget is None else _Deadline(budget).expired
     found: set[tuple[int, ...]] = set()
     complete = True
     for _k, u_list, uprime in _layer_chain(maximal.edges, max(k_max, 0)):
         for path in _iter_edge_paths(tuple(u_list) + (uprime,)):
-            if deadline.expired():
+            if expired and expired():
                 complete = False
                 break
             found.update(map(canonical_cycle, path_to_cycles(path)))
@@ -424,12 +424,12 @@ def algorithm_b(
     """Cycle search over paths of the maximal-edge graph up to ``k_max``."""
     maximal = maximal or build_maximal(network, T)
     adj = _adjacency(maximal.edges)
-    deadline = _Deadline(budget)
+    expired = None if budget is None else _Deadline(budget).expired
     found: set[tuple[int, ...]] = set()
     complete = True
 
     def expand(path: tuple[int, ...]) -> bool:
-        if deadline.expired():
+        if expired and expired():
             return False
         if len(path) >= 2:
             found.update(map(canonical_cycle, path_to_cycles(path)))

@@ -76,8 +76,10 @@ def test_schedgraph_dump_roundtrip(capsys, monkeypatch):
 # recorded before the hyperedge maximal-set walk was pruned and window-rate
 # moved to maximal sets, and the ``rate-region`` L4 T3 incremental and
 # L4 T2 johnson outputs recorded before the layer step, the path walk and
-# the Johnson search were rewritten; every later change must reproduce
-# them (``wall_time_ms`` aside).
+# the Johnson search were rewritten, and the ``cycles`` L5 T2 incremental
+# output (the retained list of the ladder's heaviest rung) recorded before
+# cycle retention moved to bit-sliced cover masks; every later change must
+# reproduce them (``wall_time_ms`` aside).
 LADDER_OUTPUTS = json.loads(
     (Path(__file__).parent / "data" / "ladder_outputs.json").read_text()
 )

@@ -1,4 +1,5 @@
 import random
+from collections import defaultdict
 from fractions import Fraction
 from itertools import product
 
@@ -69,6 +70,30 @@ def test_canonical_cycle_rotation():
         interior = cyc[:-1]
         rotated = interior[r:] + interior[:r]
         assert canonical_cycle(rotated + (rotated[0],)) == canon
+
+
+def _ref_canonical_cycle(cycle):
+    """The rotation without the shortcut for already canonical tuples."""
+    interior = tuple(cycle[:-1])
+    shift = interior.index(min(interior))
+    rotated = interior[shift:] + interior[:shift]
+    return rotated + (rotated[0],)
+
+
+def test_canonical_cycle_returns_canonical_tuples_as_is():
+    cyc = (1, 4, 2, 1)
+    assert canonical_cycle(cyc) is cyc
+    from_list = canonical_cycle(list(cyc))
+    assert type(from_list) is tuple and from_list == cyc
+    rng = random.Random(8200)
+    kept = 0
+    for _ in range(500):
+        interior = [rng.randint(0, 7) for _ in range(rng.randint(1, 5))]
+        cyc = (*interior, interior[0])
+        out = canonical_cycle(cyc)
+        assert out == canonical_cycle(list(cyc)) == _ref_canonical_cycle(cyc), cyc
+        kept += out is cyc
+    assert 100 < kept < 400
 
 
 def test_cycle_dominates_alignment():
@@ -293,6 +318,45 @@ def _ref_path_to_cycles(path):
     blocks = [path[0] & path[-1], *path[1:-1]]
     _distinct(blocks, [0] * len(blocks), out)
     return out
+
+
+def _ref_distinct(blocks, flags, out):
+    """The recursion the explicit stack of ``_distinct`` replaced."""
+    p = len(blocks) - 1
+    dup = None
+    for j in range(p + 1):
+        for i in range(j + 1, p + 1):
+            if blocks[j] == blocks[i]:
+                dup = (j, i)
+                break
+        if dup:
+            break
+    if dup is None:
+        out.add(tuple(blocks) + (blocks[0],))
+        return
+    j, i = dup
+    for h in (j, i):
+        free = blocks[h] & ~flags[h]
+        for x in range(free.bit_length()):
+            if free >> x & 1:
+                branch = list(blocks)
+                branch[h] = blocks[h] & ~(1 << x)
+                _ref_distinct(branch, list(flags), out)
+                flags[h] |= 1 << x
+
+
+def test_distinct_stack_matches_recursion():
+    rng = random.Random(8300)
+    repeated = zeros = 0
+    for _ in range(600):
+        blocks = [rng.randint(0, 7) for _ in range(rng.randint(1, 6))]
+        repeated += len(set(blocks)) < len(blocks)
+        zeros += 0 in blocks
+        got, want = set(), set()
+        _distinct(list(blocks), [0] * len(blocks), got)
+        _ref_distinct(list(blocks), [0] * len(blocks), want)
+        assert got == want, blocks
+    assert repeated > 200 and zeros > 100
 
 
 @pytest.mark.parametrize("top", [7, 4095])
@@ -652,6 +716,69 @@ def test_retain_maximal_rotations_and_mixed_lengths():
     expected = [(1, 2, 1), (1, 2, 1, 3, 1), (1, 2, 3, 1), (3, 3)]
     assert _retain_maximal(cands, 2) == expected
     assert retain_oracle(set(cands)) == expected
+
+
+def _ref_retain_maximal(cycles, nbits):
+    """The retention the bit-sliced cover masks replaced: cycles packed into
+    one int each, candidates rotated to their fullest block and tested
+    against the kept rotations indexed by their first two blocks."""
+    by_len = defaultdict(set)
+    for c in cycles:
+        by_len[len(c)].add(c)
+    out = []
+    low = (1 << nbits) - 1
+    for size, group in by_len.items():
+        width = (size - 1) * nbits
+        full = (1 << width) - 1
+        index = defaultdict(lambda: defaultdict(list))
+        for c in sorted(group, key=lambda c: (-sum(b.bit_count() for b in c[:-1]), c)):
+            packed = sum(b << i * nbits for i, b in enumerate(c[:-1]))
+            s = max(range(size - 1), key=lambda i: c[i].bit_count()) * nbits
+            q = (packed >> s | packed << width - s) & full
+            h0, h1 = q & low, q >> nbits & low
+            if not any(
+                rot & q == q
+                for k0, heads in index.items() if k0 & h0 == h0
+                for k1, rots in heads.items() if k1 & h1 == h1
+                for rot in rots
+            ):
+                out.append(c)
+                for s in range(0, width, nbits):
+                    rot = (packed << s | packed >> width - s) & full
+                    index[rot & low][rot >> nbits & low].append(rot)
+    return sorted(out)
+
+
+def retention_input(monkeypatch, search, net, T, k):
+    """The candidate set and bits per block a search hands to retention."""
+    seen = []
+    monkeypatch.setattr(cycles_mod, "_retain_maximal", lambda f, n: seen.append((set(f), n)) or [])
+    search(net, T, k)
+    (cands_nbits,) = seen
+    return cands_nbits
+
+
+@pytest.mark.parametrize("search, L, T, k", [
+    *((algorithm_a, *rung) for rung in LADDER_RUNGS),
+    (algorithm_b, 4, 1, 4),
+    (algorithm_b, 5, 2, 3),
+])
+def test_retain_maximal_matches_head_index_on_ladder(monkeypatch, search, L, T, k):
+    cands, nbits = retention_input(monkeypatch, search, line_network(L, 1), T, k)
+    kept = _retain_maximal(cands, nbits)
+    assert kept == _ref_retain_maximal(cands, nbits)
+    assert 0 < len(kept) < len(cands)
+
+
+def test_retain_maximal_matches_head_index_on_random_networks(monkeypatch):
+    hyper = 0
+    for seed in range(7000, 7040):
+        net = random_network(random.Random(seed))
+        hyper += not is_binary(net)
+        for T in (1, 2):
+            cands, nbits = retention_input(monkeypatch, algorithm_a, net, T, 3)
+            assert _retain_maximal(cands, nbits) == _ref_retain_maximal(cands, nbits)
+    assert hyper >= 10
 
 
 # -------------------------------------------------------------- pareto filter
