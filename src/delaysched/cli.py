@@ -45,6 +45,10 @@ class _InputError(Exception):
     pass
 
 
+# What a subcommand hands to ``_emit``: payload, input fingerprint, complete.
+_Result = tuple[dict, str, bool]
+
+
 def _read_json(path: str | None):
     try:
         if path is None or path == "-":
@@ -65,14 +69,14 @@ def _doc_hash(doc) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _emit(args, command: str, payload: dict, *, fingerprint: str, complete: bool, t0: float) -> int:
+def _emit(args, payload: dict, fingerprint: str, complete: bool, t0: float) -> int:
     params = {
         k: v
         for k, v in vars(args).items()
         if k not in ("func", "network", "command") and v is not None
     }
     payload["manifest"] = {
-        "command": command,
+        "command": args.command,
         "parameters": params,
         "network_sha256": fingerprint,
         "complete": complete,
@@ -89,23 +93,18 @@ def _blocks_json(blocks, num_links: int, T: int) -> list:
     return [block_to_rows(b, num_links, T) for b in blocks]
 
 
-def _cmd_gen_line(args) -> int:
-    t0 = time.monotonic()
+def _cmd_gen_line(args) -> _Result:
     net = line_network(args.L, args.K)
     payload = network_to_json(net)
-    return _emit(args, "gen-line", payload, fingerprint=network_fingerprint(net),
-                 complete=True, t0=t0)
+    return payload, network_fingerprint(net), True
 
 
-def _cmd_character(args) -> int:
-    t0 = time.monotonic()
+def _cmd_character(args) -> _Result:
     net = _load_network(args)
-    return _emit(args, "character", {"character": character(net)},
-                 fingerprint=network_fingerprint(net), complete=True, t0=t0)
+    return {"character": character(net)}, network_fingerprint(net), True
 
 
-def _cmd_reduce(args) -> int:
-    t0 = time.monotonic()
+def _cmd_reduce(args) -> _Result:
     net = _load_network(args)
     assignment = None
     if args.assignment:
@@ -126,11 +125,10 @@ def _cmd_reduce(args) -> int:
         fingerprint = network_fingerprint(net_in)
     else:
         fingerprint = network_fingerprint(net)
-    return _emit(args, "reduce", payload, fingerprint=fingerprint, complete=True, t0=t0)
+    return payload, fingerprint, True
 
 
-def _cmd_schedgraph(args) -> int:
-    t0 = time.monotonic()
+def _cmd_schedgraph(args) -> _Result:
     net = _load_network(args)
     num_links = len(net.links)
     payload: dict = {}
@@ -154,27 +152,20 @@ def _cmd_schedgraph(args) -> int:
             payload["adjacency"] = [
                 [index[b] for b in graph.adjacency[a]] for a in graph.vertices
             ]
-    return _emit(args, "schedgraph", payload, fingerprint=network_fingerprint(net),
-                 complete=True, t0=t0)
+    return payload, network_fingerprint(net), True
 
 
 def _run_cycle_algorithm(net, args) -> cyc.CycleSearchResult:
     if args.algorithm == "johnson":
         graph = sg.build(net, args.T)
         return cyc.johnson_cycles(graph, max_len=args.max_length, budget=args.budget)
-    if args.algorithm == "incremental":
-        if args.max_length is None:
-            raise _InputError("--max-length is required for the incremental algorithm")
-        return cyc.algorithm_a(net, args.T, args.max_length, budget=args.budget)
-    if args.algorithm == "maximal-subgraph":
-        if args.max_length is None:
-            raise _InputError("--max-length is required for the maximal-subgraph algorithm")
-        return cyc.algorithm_b(net, args.T, args.max_length, budget=args.budget)
-    raise _InputError(f"unknown algorithm {args.algorithm!r}")
+    if args.max_length is None:
+        raise _InputError(f"--max-length is required for the {args.algorithm} algorithm")
+    search = cyc.algorithm_a if args.algorithm == "incremental" else cyc.algorithm_b
+    return search(net, args.T, args.max_length, budget=args.budget)
 
 
-def _cmd_cycles(args) -> int:
-    t0 = time.monotonic()
+def _cmd_cycles(args) -> _Result:
     net = _load_network(args)
     num_links = len(net.links)
     result = _run_cycle_algorithm(net, args)
@@ -188,12 +179,10 @@ def _cmd_cycles(args) -> int:
             for c in result.cycles
         ],
     }
-    return _emit(args, "cycles", payload, fingerprint=network_fingerprint(net),
-                 complete=result.complete, t0=t0)
+    return payload, network_fingerprint(net), result.complete
 
 
-def _cmd_rate_region(args) -> int:
-    t0 = time.monotonic()
+def _cmd_rate_region(args) -> _Result:
     net = _load_network(args)
     result = _run_cycle_algorithm(net, args)
     provenance = {
@@ -203,21 +192,17 @@ def _cmd_rate_region(args) -> int:
     }
     region = reg.region_from_cycles(net, result.cycles, args.T, provenance)
     payload = reg.region_to_json(region)
-    return _emit(args, "rate-region", payload, fingerprint=network_fingerprint(net),
-                 complete=result.complete, t0=t0)
+    return payload, network_fingerprint(net), result.complete
 
 
-def _cmd_framed_region(args) -> int:
-    t0 = time.monotonic()
+def _cmd_framed_region(args) -> _Result:
     net = _load_network(args)
     region = reg.framed_region(net)
     payload = reg.region_to_json(region)
-    return _emit(args, "framed-region", payload, fingerprint=network_fingerprint(net),
-                 complete=True, t0=t0)
+    return payload, network_fingerprint(net), True
 
 
-def _cmd_verify_schedule(args) -> int:
-    t0 = time.monotonic()
+def _cmd_verify_schedule(args) -> _Result:
     net = _load_network(args)
     sched_doc = _read_json(args.schedule)
     try:
@@ -238,12 +223,10 @@ def _cmd_verify_schedule(args) -> int:
         "diagnoses": diagnoses,
         "rate": [format_rate(r) for r in rate_vector(net, sched)],
     }
-    return _emit(args, "verify-schedule", payload, fingerprint=network_fingerprint(net),
-                 complete=True, t0=t0)
+    return payload, network_fingerprint(net), True
 
 
-def _cmd_achievable(args) -> int:
-    t0 = time.monotonic()
+def _cmd_achievable(args) -> _Result:
     doc = _read_json(args.region)
     try:
         region = reg.region_from_json(doc)
@@ -262,17 +245,14 @@ def _cmd_achievable(args) -> int:
             "weights": [format_rate(w) for w in weights],
             "generators": [[format_rate(r) for r in g] for g in region.generators],
         }
-    return _emit(args, "achievable", payload, fingerprint=_doc_hash(doc),
-                 complete=True, t0=t0)
+    return payload, _doc_hash(doc), True
 
 
-def _cmd_window_rate(args) -> int:
-    t0 = time.monotonic()
+def _cmd_window_rate(args) -> _Result:
     net = _load_network(args)
     value = reg.window_symmetric_rate(net, args.T)
     payload = {"T": args.T, "character": character(net), "rate": format_rate(value)}
-    return _emit(args, "window-rate", payload, fingerprint=network_fingerprint(net),
-                 complete=True, t0=t0)
+    return payload, network_fingerprint(net), True
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -346,13 +326,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    t0 = time.monotonic()
     try:
-        return args.func(args)
+        payload, fingerprint, complete = args.func(args)
     except (_InputError, InvalidNetworkError, CapExceededError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    return _emit(args, payload, fingerprint, complete, t0)
 
 
 if __name__ == "__main__":

@@ -385,6 +385,27 @@ def _retain_maximal(cycles: Iterable[tuple[int, ...]], nbits: int) -> list[tuple
     return sorted(out)
 
 
+def _search(network: Network, T: int, layer_seqs, budget: float | None) -> CycleSearchResult:
+    """Extract cycles from every path of each chain of edge sets, then retain.
+
+    ``layer_seqs`` yields one chain per cycle length, shortest first, and
+    the budget is checked before each path, so a cut run holds every
+    shorter length in full.
+    """
+    expired = None if budget is None else _Deadline(budget).expired
+    found: set[tuple[int, ...]] = set()
+    complete = True
+    for layer_edges in layer_seqs:
+        for path in _iter_edge_paths(layer_edges):
+            if expired and expired():
+                complete = False
+                break
+            found.update(map(canonical_cycle, path_to_cycles(path)))
+        if not complete:
+            break
+    return CycleSearchResult(tuple(_retain_maximal(found, len(network.links) * T)), complete)
+
+
 def algorithm_a(
     network: Network,
     T: int,
@@ -399,19 +420,11 @@ def algorithm_a(
     dominance-maximal ones per length.  Every maximal cycle of length at
     most ``k_max`` is dominated by some retained cycle.
     """
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
     maximal = maximal or build_maximal(network, T)
-    expired = None if budget is None else _Deadline(budget).expired
-    found: set[tuple[int, ...]] = set()
-    complete = True
-    for _k, u_list, uprime in _layer_chain(maximal.edges, max(k_max, 0)):
-        for path in _iter_edge_paths(tuple(u_list) + (uprime,)):
-            if expired and expired():
-                complete = False
-                break
-            found.update(map(canonical_cycle, path_to_cycles(path)))
-        if not complete:
-            break
-    return CycleSearchResult(tuple(_retain_maximal(found, len(network.links) * T)), complete)
+    chain = (u_list + (uprime,) for _k, u_list, uprime in _layer_chain(maximal.edges, k_max))
+    return _search(network, T, chain, budget)
 
 
 def algorithm_b(
@@ -421,30 +434,15 @@ def algorithm_b(
     budget: float | None = None,
     maximal: MaximalEdgeGraph | None = None,
 ) -> CycleSearchResult:
-    """Cycle search over paths of the maximal-edge graph up to ``k_max``."""
+    """Cycle search over every path of the maximal-edge graph.
+
+    The paths of 1 to ``k_max`` edges feed the cycle extraction, shortest
+    length first; retained cycles are the dominance-maximal ones per length.
+    """
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
     maximal = maximal or build_maximal(network, T)
-    adj = _adjacency(maximal.edges)
-    expired = None if budget is None else _Deadline(budget).expired
-    found: set[tuple[int, ...]] = set()
-    complete = True
-
-    def expand(path: tuple[int, ...]) -> bool:
-        if expired and expired():
-            return False
-        if len(path) >= 2:
-            found.update(map(canonical_cycle, path_to_cycles(path)))
-        if len(path) - 1 >= k_max:
-            return True
-        for nxt in adj.get(path[-1], ()):
-            if not expand(path + (nxt,)):
-                return False
-        return True
-
-    for start in sorted(adj):
-        if not expand((start,)):
-            complete = False
-            break
-    return CycleSearchResult(tuple(_retain_maximal(found, len(network.links) * T)), complete)
+    return _search(network, T, ((maximal.edges,) * k for k in range(1, k_max + 1)), budget)
 
 
 def pareto_filter(

@@ -298,6 +298,63 @@ def test_cap_override_via_environment(capsys, monkeypatch):
     assert code == 2  # line network L4 T4: 16 bits over the tightened cap
 
 
+def _subcommand_argv(capsys, monkeypatch, tmp_path, command):
+    """Arguments and standard input for a small run of one subcommand."""
+    net_doc = gen_line(capsys, monkeypatch, 4, 1)
+    if command == "gen-line":
+        return ["gen-line", "--L", "4", "--K", "1"], None
+    if command in ("schedgraph", "window-rate"):
+        return [command, "--T", "1"], net_doc
+    if command in ("cycles", "rate-region"):
+        return [command, "--T", "1", "--algorithm", "incremental", "--max-length", "2"], net_doc
+    if command == "verify-schedule":
+        spath = tmp_path / "s.json"
+        spath.write_text(json.dumps({"period": 1, "active": {"l1": [0]}}))
+        return [command, "--schedule", str(spath)], net_doc
+    if command == "achievable":
+        code, region_doc = run_cli(capsys, monkeypatch, ["framed-region"], stdin_doc=net_doc)
+        assert code == 0
+        rpath = tmp_path / "region.json"
+        rpath.write_text(json.dumps(region_doc))
+        return [command, "--region", str(rpath), "--rate", "0,0,0,0"], None
+    return [command], net_doc
+
+
+@pytest.mark.parametrize("command", [
+    "gen-line", "character", "reduce", "schedgraph", "cycles", "rate-region",
+    "framed-region", "verify-schedule", "achievable", "window-rate",
+])
+def test_manifest_names_the_subcommand(capsys, monkeypatch, tmp_path, command):
+    argv, stdin_doc = _subcommand_argv(capsys, monkeypatch, tmp_path, command)
+    code, doc = run_cli(capsys, monkeypatch, argv, stdin_doc=stdin_doc)
+    assert code == 0
+    assert doc["manifest"]["command"] == command
+    assert "command" not in doc["manifest"]["parameters"]
+
+
+@pytest.mark.parametrize("command", ["cycles", "rate-region"])
+@pytest.mark.parametrize("algorithm", ["incremental", "maximal-subgraph"])
+def test_layered_algorithm_requires_max_length(capsys, monkeypatch, command, algorithm):
+    net_doc = gen_line(capsys, monkeypatch, 4, 1)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(net_doc)))
+    assert main([command, "--T", "1", "--algorithm", algorithm]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"--max-length is required for the {algorithm} algorithm" in err
+
+
+@pytest.mark.parametrize("command", ["cycles", "rate-region"])
+@pytest.mark.parametrize("algorithm", ["johnson", "incremental", "maximal-subgraph"])
+def test_negative_max_length_exits_2(capsys, monkeypatch, command, algorithm):
+    net_doc = gen_line(capsys, monkeypatch, 4, 1)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(net_doc)))
+    argv = [command, "--T", "1", "--algorithm", algorithm, "--max-length", "-1"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "must be >= 0" in err
+
+
 def test_unknown_flag_exits_2(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["character", "--bogus"])

@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 from collections import defaultdict
 from fractions import Fraction
 from itertools import product
@@ -27,6 +29,7 @@ from delaysched import (
 )
 from delaysched import cycles as cycles_mod
 from delaysched.cycles import (
+    CycleSearchResult,
     _adjacency,
     _distinct,
     _iter_edge_paths,
@@ -221,6 +224,20 @@ def assert_elementary_canonical(graph, cycles):
         assert all(b in graph.adjacency[a] for a, b in zip(c, c[1:]))
 
 
+def step_deadline(limit):
+    """A ``_Deadline`` that expires after ``limit`` checks, so a cut is reproducible."""
+
+    class StepDeadline:
+        def __init__(self, budget):
+            self.steps = 0
+
+        def expired(self):
+            self.steps += 1
+            return self.steps > limit
+
+    return StepDeadline
+
+
 def test_johnson_budget_cut_is_sorted_subset(monkeypatch, line51):
     # Unbounded cycles of line51 T2 are far too many to enumerate.  A cut
     # search returns a sorted set of its elementary canonical cycles, and
@@ -231,17 +248,7 @@ def test_johnson_budget_cut_is_sorted_subset(monkeypatch, line51):
     assert list(res.cycles) == sorted(res.cycles)
     assert_elementary_canonical(g, res.cycles)
 
-    class StepDeadline:
-        """Expires after a fixed number of steps, so the cut is reproducible."""
-
-        def __init__(self, budget):
-            self.steps = 0
-
-        def expired(self):
-            self.steps += 1
-            return self.steps > 3000
-
-    monkeypatch.setattr(cycles_mod, "_Deadline", StepDeadline)
+    monkeypatch.setattr(cycles_mod, "_Deadline", step_deadline(3000))
     res = johnson_cycles(g, budget=1.0)
     assert not res.complete
     assert list(res.cycles) == sorted(res.cycles)
@@ -666,6 +673,43 @@ def test_algorithm_a_budget_truncation(line41):
 def test_algorithm_b_budget_truncation(line41):
     res = algorithm_b(line41, 1, 4, budget=0.0)
     assert not res.complete
+
+
+@pytest.mark.parametrize("search", [algorithm_a, algorithm_b])
+@pytest.mark.parametrize("steps", [10, 100, 400, 900])
+def test_budget_cut_layered_search_holds_every_shorter_length(monkeypatch, search, steps):
+    # Both searches walk the lengths shortest first, so a cut run holds the
+    # full run's retained cycles at every length below the one it was cut in.
+    net = line_network(5, 1)
+    full = search(net, 2, 3)
+    monkeypatch.setattr(cycles_mod, "_Deadline", step_deadline(steps))
+    cut = search(net, 2, 3, budget=1.0)
+    assert not cut.complete and cut.cycles
+    for size in range(2, max(map(len, cut.cycles))):
+        assert [c for c in cut.cycles if len(c) == size] == [
+            c for c in full.cycles if len(c) == size
+        ]
+
+
+@pytest.mark.parametrize("search", [algorithm_a, algorithm_b])
+def test_layered_search_walks_paths_deeper_than_the_recursion_limit(search):
+    # One link and no collisions: one path per length, every block the
+    # link's bit.  No frame may be spent per path step.
+    net = make_network(["a"], {}, {})
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        res = search(net, 1, 200)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res == CycleSearchResult(((0, 1, 0), (1, 1)), True)
+
+
+@pytest.mark.parametrize("search", [algorithm_a, algorithm_b])
+def test_layered_search_rejects_negative_k_max(line41, search):
+    with pytest.raises(ValueError, match="k_max must be >= 0"):
+        search(line41, 1, -1)
+    assert search(line41, 1, 0) == CycleSearchResult((), True)
 
 
 # ------------------------------------------------------------------ retention
