@@ -138,10 +138,7 @@ def _cmd_schedgraph(args) -> _Result:
         payload["right"] = len(mx.right)
         payload["maximal_edges"] = len(mx.edges)
         if args.dump:
-            payload["edges"] = [
-                [block_to_rows(a, num_links, args.T), block_to_rows(b, num_links, args.T)]
-                for a, b in mx.edges
-            ]
+            payload["edges"] = [_blocks_json(edge, num_links, args.T) for edge in mx.edges]
     else:
         graph = sg.build(net, args.T)
         payload["vertices"] = len(graph.vertices)

@@ -185,7 +185,8 @@ def path_to_cycles(path: Sequence[int]) -> set[tuple[int, ...]]:
     keep later branches from re-clearing a bit already explored.  Every
     maximal cycle of the path's length that the path dominates appears in
     the output (dominated cycles may appear alongside).  Pairwise distinct
-    blocks are already the one cycle.
+    blocks are already the one cycle; more blocks than the submasks of
+    their OR can hold no pairwise distinct sub-blocks, so no cycle.
     """
     if len(path) < 2:
         raise ValueError("path must have length >= 1")
@@ -193,6 +194,11 @@ def path_to_cycles(path: Sequence[int]) -> set[tuple[int, ...]]:
     blocks = [first, *path[1:-1]]
     if len(set(blocks)) == len(blocks):
         return {(*blocks, first)}
+    union = 0
+    for b in blocks:
+        union |= b
+    if len(blocks) > 1 << union.bit_count():
+        return set()
     out: set[tuple[int, ...]] = set()
     _distinct(blocks, [0] * len(blocks), out)
     return out
@@ -202,15 +208,18 @@ def _distinct(blocks: list[int], flags: list[int], out: set[tuple[int, ...]]) ->
     stack = [(blocks, flags)]
     while stack:
         blocks, flags = stack.pop()
-        for j, b in enumerate(blocks):
-            if blocks.count(b) > 1:
-                break
-        else:
+        # The first duplicate pair: least j, then its next occurrence i.
+        # Each branch clears one bit and sees the flags of the branches before it.
+        first: dict[int, int] = {}
+        pair = None
+        for i, b in enumerate(blocks):
+            j = first.setdefault(b, i)
+            if j != i and (pair is None or j < pair[0]):
+                pair = (j, i)
+        if pair is None:
             out.add((*blocks, blocks[0]))
             continue
-        # The first duplicate pair: least j, then least i.  Each branch
-        # clears one bit and sees the flags of the branches before it.
-        for h in (j, blocks.index(b, j + 1)):
+        for h in pair:
             free = blocks[h] & ~flags[h]
             while free:
                 low = free & -free
@@ -307,13 +316,12 @@ def _adjacency(edges: Iterable[tuple[int, int]]) -> dict[int, tuple[int, ...]]:
     return {a: tuple(sorted(bs)) for a, bs in adj.items()}
 
 
-def _iter_edge_paths(layer_edges) -> Iterator[tuple[int, ...]]:
-    """Paths through consecutive edge sets, depth first, successors ascending."""
-    adjs = [_adjacency(edges) for edges in layer_edges]
+def _iter_edge_paths(adjs: Sequence[dict[int, tuple[int, ...]]]) -> Iterator[tuple[int, ...]]:
+    """Paths through consecutive adjacencies, depth first, successors ascending."""
     last = len(adjs)
-    for start in sorted({a for a, _ in layer_edges[0]}):
+    for start in sorted(adjs[0]):
         path = [start]
-        stack = [iter(adjs[0].get(start, ()))]
+        stack = [iter(adjs[0][start])]
         while stack:
             if len(stack) == last:
                 for nxt in stack.pop():
@@ -331,7 +339,7 @@ def _iter_edge_paths(layer_edges) -> Iterator[tuple[int, ...]]:
 
 def iter_layered_paths(layered: LayeredGraph) -> Iterator[tuple[int, ...]]:
     """All length-k paths through the layer edge sets, depth first."""
-    yield from _iter_edge_paths(layered.layer_edges)
+    yield from _iter_edge_paths([_adjacency(edges) for edges in layered.layer_edges])
 
 
 def count_layered_paths(layered: LayeredGraph) -> int:
@@ -386,7 +394,7 @@ def _retain_maximal(cycles: Iterable[tuple[int, ...]], nbits: int) -> list[tuple
 
 
 def _search(network: Network, T: int, layer_seqs, budget: float | None) -> CycleSearchResult:
-    """Extract cycles from every path of each chain of edge sets, then retain.
+    """Extract cycles from every path of each chain of adjacencies, then retain.
 
     ``layer_seqs`` yields one chain per cycle length, shortest first, and
     the budget is checked before each path, so a cut run holds every
@@ -395,8 +403,8 @@ def _search(network: Network, T: int, layer_seqs, budget: float | None) -> Cycle
     expired = None if budget is None else _Deadline(budget).expired
     found: set[tuple[int, ...]] = set()
     complete = True
-    for layer_edges in layer_seqs:
-        for path in _iter_edge_paths(layer_edges):
+    for adjs in layer_seqs:
+        for path in _iter_edge_paths(adjs):
             if expired and expired():
                 complete = False
                 break
@@ -411,7 +419,6 @@ def algorithm_a(
     T: int,
     k_max: int,
     budget: float | None = None,
-    maximal: MaximalEdgeGraph | None = None,
 ) -> CycleSearchResult:
     """Incremental maximal-cycle search, one cycle length at a time.
 
@@ -422,9 +429,17 @@ def algorithm_a(
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    maximal = maximal or build_maximal(network, T)
-    chain = (u_list + (uprime,) for _k, u_list, uprime in _layer_chain(maximal.edges, k_max))
-    return _search(network, T, chain, budget)
+    estar = build_maximal(network, T).edges
+
+    def chain():
+        # Each length adds U_{k-2} and U'_{k-1}; earlier rows are reused.
+        u_rows = []
+        for k, u_list, uprime in _layer_chain(estar, k_max):
+            if k > 1:
+                u_rows.append(_adjacency(u_list[-1]))
+            yield u_rows + [_adjacency(uprime)]
+
+    return _search(network, T, chain(), budget)
 
 
 def algorithm_b(
@@ -432,7 +447,6 @@ def algorithm_b(
     T: int,
     k_max: int,
     budget: float | None = None,
-    maximal: MaximalEdgeGraph | None = None,
 ) -> CycleSearchResult:
     """Cycle search over every path of the maximal-edge graph.
 
@@ -441,8 +455,8 @@ def algorithm_b(
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    maximal = maximal or build_maximal(network, T)
-    return _search(network, T, ((maximal.edges,) * k for k in range(1, k_max + 1)), budget)
+    rows = _adjacency(build_maximal(network, T).edges)
+    return _search(network, T, ([rows] * k for k in range(1, k_max + 1)), budget)
 
 
 def pareto_filter(

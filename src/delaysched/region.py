@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 from .cycles import _pareto_front, pareto_filter, rate_numerators
 from .exactlp import dominating_combination, max_symmetric_scale
 from .network import Network, character, format_rate, is_binary, parse_rate
-from .window import block_from_rows, block_to_rows, build_window, link_row_masks
+from .window import block_from_rows, block_to_rows, build_window
 
 __all__ = [
     "RegionDescription",
@@ -113,14 +113,11 @@ def framed_region(network: Network) -> RegionDescription:
     """
     zero_delays = {pair: 0 for pair in network.delays}
     static = Network(network.links, network.collisions, zero_delays)
-    window = build_window(static, 1)
     # Sorted indicators give sorted 0/1 rate tuples: link 0 is the top bit.
-    indicators = window.maximal_independent_sets()
-    generators = tuple(
-        tuple(Fraction(int(row)) for row in block_to_rows(bits, len(network.links), 1))
-        for bits in indicators
-    )
+    indicators = build_window(static, 1).maximal_independent_sets()
     witnesses = tuple((bits, bits) for bits in indicators)
+    counts, _ = rate_numerators(witnesses, 1, len(network.links))
+    generators = tuple(tuple(map(Fraction, c)) for c in counts)
     return RegionDescription(
         network.links, 1, generators, witnesses,
         {"algorithm": "framed", "regime": "exact"},
@@ -146,16 +143,12 @@ def window_symmetric_rate(network: Network, T: int) -> Fraction:
     """
     window = build_window(network, T)
     window.check_cap()
-    row_masks = link_row_masks(len(network.links), T)
-    sums = {
-        tuple((bits & m).bit_count() for m in row_masks)
-        for bits in window.maximal_independent_sets()
-    }
+    sums, _ = rate_numerators(
+        [(bits, bits) for bits in window.maximal_independent_sets()], T, len(network.links)
+    )
     # Dominated count vectors never help a >=-feasibility problem.
-    loose = _pareto_front(sums)
-    vectors = [tuple(Fraction(v, T) for v in s) for s in sorted(loose)]
-    dstar = character(network)
-    return max_symmetric_scale(vectors, Fraction(T, T + dstar))
+    loose = sorted(_pareto_front(sums))
+    return max_symmetric_scale(loose, Fraction(1, T + character(network)))
 
 
 def region_to_json(region: RegionDescription) -> dict:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .network import Network, character, is_binary
-from .window import bit_position
+from .window import block_from_rows, block_to_rows
 
 __all__ = [
     "PeriodicSchedule",
@@ -47,12 +47,11 @@ class PeriodicSchedule:
 
     def slab(self, T: int, k: int, num_links: int) -> int:
         """Pack columns ``kT .. (k+1)T - 1`` into a block int."""
-        bits = 0
-        for l in range(num_links):
-            for j in range(T):
-                if self.active(l, k * T + j):
-                    bits |= 1 << bit_position(l, j, num_links, T)
-        return bits
+        return block_from_rows(
+            ["".join("1" if self.active(l, k * T + j) else "0" for j in range(T))
+             for l in range(num_links)],
+            T,
+        )
 
 
 def is_collision_free_at(network: Network, s: PeriodicSchedule, link: str, t: int) -> bool:
@@ -144,15 +143,9 @@ def schedule_from_closed_path(path: Sequence[int], T: int, num_links: int) -> Pe
         raise ValueError("closed path needs at least two entries")
     if path[0] != path[-1]:
         raise ValueError("path is not closed")
-    k = len(path) - 1
-    period = k * T
-    rows = [[0] * period for _ in range(num_links)]
-    for i, block in enumerate(path[:-1]):
-        for l in range(num_links):
-            for j in range(T):
-                if block >> bit_position(l, j, num_links, T) & 1:
-                    rows[l][i * T + j] = 1
-    return PeriodicSchedule(period, tuple(tuple(r) for r in rows))
+    slabs = [block_to_rows(block, num_links, T) for block in path[:-1]]
+    rows = ["".join(slab[l] for slab in slabs) for l in range(num_links)]
+    return PeriodicSchedule(len(slabs) * T, tuple(tuple(map(int, r)) for r in rows))
 
 
 def schedule_to_json(network: Network, s: PeriodicSchedule) -> dict:

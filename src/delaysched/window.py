@@ -77,7 +77,6 @@ class WindowGraph:
 
     network: Network
     T: int
-    hyperedges: tuple[tuple[tuple[str, int], frozenset[tuple[str, int]]], ...]
     masks: tuple[int, ...] = field(repr=False)
 
     @property
@@ -228,24 +227,27 @@ def build_window(network: Network, T: int) -> WindowGraph:
 
     A hyperedge is kept only if its source and every target fall inside
     the window; edges reaching outside are dropped entirely, matching the
-    induced-subgraph definition.
+    induced-subgraph definition.  Masks are listed once each, by link name,
+    then slot, then collision set in profile order.
     """
     if T < 1:
         raise ValueError("window length must be >= 1")
     L = len(network.links)
-    edges = set()
-    for link in network.links:
-        for phi in network.profile(link):
-            offsets = {lp: network.delay(link, lp) for lp in phi}
-            for t in range(T):
-                targets = frozenset((lp, t + d) for lp, d in offsets.items())
-                if all(0 <= tt < T for _, tt in targets):
-                    edges.add(((link, t), targets))
-    ordered = tuple(sorted(edges, key=lambda e: (e[0], sorted(e[1]))))
     masks = []
-    for (src, targets) in ordered:
-        m = 1 << bit_position(network.link_index(src[0]), src[1], L, T)
-        for (lp, tt) in targets:
-            m |= 1 << bit_position(network.link_index(lp), tt, L, T)
-        masks.append(m)
-    return WindowGraph(network, T, ordered, tuple(dict.fromkeys(masks)))
+    for link in sorted(network.links):
+        # Per collision set: the slot it starts at relative to the source,
+        # the slots it spans, and its mask in a window of exactly those slots.
+        shapes = []
+        for phi in network.profile(link):
+            members = [(link, 0)] + [(lp, network.delay(link, lp)) for lp in phi]
+            lo = min(d for _, d in members)
+            span = max(d for _, d in members) - lo + 1
+            template = 0
+            for lp, d in members:
+                template |= 1 << bit_position(network.link_index(lp), d - lo, L, span)
+            shapes.append((lo, span, template))
+        for t in range(T):
+            for lo, span, template in shapes:
+                if 0 <= t + lo <= T - span:
+                    masks.append(template << (T - span - t - lo) * L)
+    return WindowGraph(network, T, tuple(dict.fromkeys(masks)))

@@ -366,6 +366,35 @@ def test_distinct_stack_matches_recursion():
     assert repeated > 200 and zeros > 100
 
 
+def test_distinct_matches_recursion_on_long_paths():
+    # Seven to twelve blocks below 8: some fit in the eight submasks of
+    # their OR, the rest cannot be made pairwise distinct.
+    rng = random.Random(8407)
+    within = past = found = 0
+    for _ in range(100):
+        path = tuple(rng.randint(0, 7) for _ in range(rng.randint(8, 13)))
+        blocks = [path[0] & path[-1], *path[1:-1]]
+        union = 0
+        for b in blocks:
+            union |= b
+        if len(blocks) > 1 << union.bit_count():
+            past += 1
+        else:
+            within += 1
+        got, want = set(), set()
+        _distinct(list(blocks), [0] * len(blocks), got)
+        _ref_distinct(list(blocks), [0] * len(blocks), want)
+        assert got == want, blocks
+        assert path_to_cycles(path) == want, path
+        found += bool(want)
+    assert within >= 20 and past >= 50 and found >= 5
+
+
+def test_path_to_cycles_past_the_submask_bound_is_empty():
+    assert path_to_cycles((1,) * 401) == set()
+    assert path_to_cycles((3, 1, 2) * 14 + (3,)) == set()
+
+
 @pytest.mark.parametrize("top", [7, 4095])
 def test_path_to_cycles_matches_distinct_recursion(top):
     # Blocks below 8 repeat often; below 4096 they are almost always distinct.
@@ -540,7 +569,7 @@ def test_edge_path_walk_matches_recursive_walk(L, T, k):
     estar = build_maximal(line_network(L, 1), T).edges
     for _k, u_list, uprime in _layer_chain(estar, k):
         layer_edges = tuple(u_list) + (uprime,)
-        paths = list(_iter_edge_paths(layer_edges))
+        paths = list(_iter_edge_paths([_adjacency(e) for e in layer_edges]))
         assert paths == list(_ref_iter_edge_paths(layer_edges))
         assert len(paths) > 0
 
@@ -703,6 +732,35 @@ def test_layered_search_walks_paths_deeper_than_the_recursion_limit(search):
     finally:
         sys.setrecursionlimit(limit)
     assert res == CycleSearchResult(((0, 1, 0), (1, 1)), True)
+
+
+def _ref_search(net, T, chains):
+    """Extraction and retention over each chain of edge sets, as walked by
+    the recursive walker."""
+    found = set()
+    for layer_edges in chains:
+        for path in _ref_iter_edge_paths(layer_edges):
+            found.update(map(canonical_cycle, path_to_cycles(path)))
+    return CycleSearchResult(tuple(_retain_maximal(found, len(net.links) * T)), True)
+
+
+def test_layered_searches_build_each_adjacency_once(monkeypatch, line41):
+    # Each length adds two edge sets to algorithm A's chain; algorithm B
+    # walks the one maximal-edge set at every length.
+    estar = build_maximal(line41, 1).edges
+    chains_a = [u_list + (uprime,) for _k, u_list, uprime in _layer_chain(estar, 5)]
+    chains_b = [(estar,) * k for k in range(1, 6)]
+    calls = []
+
+    def counting(edges):
+        calls.append(1)
+        return _adjacency(edges)
+
+    monkeypatch.setattr(cycles_mod, "_adjacency", counting)
+    for search, chains, expected in ((algorithm_a, chains_a, 9), (algorithm_b, chains_b, 1)):
+        calls.clear()
+        assert search(line41, 1, 5) == _ref_search(line41, 1, chains)
+        assert len(calls) == expected
 
 
 @pytest.mark.parametrize("search", [algorithm_a, algorithm_b])

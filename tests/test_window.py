@@ -2,23 +2,74 @@ import random
 
 import pytest
 
-from delaysched import CapExceededError, build_window, make_network, validate
-from delaysched.window import block_from_rows, block_to_rows
+from delaysched import (
+    CapExceededError,
+    InvalidNetworkError,
+    build_window,
+    line_network,
+    make_network,
+    validate,
+)
+from delaysched.window import bit_position, block_from_rows, block_to_rows
 
 from delaysched.network import is_binary
 
 from conftest import hyper_chain, random_network
 
 
-def edge_set(window):
-    return {(src, targets) for src, targets in window.hyperedges}
+def _ref_window_masks(network, T):
+    """Masks from (link, slot) hyperedges, sorted by source then targets."""
+    L = len(network.links)
+    edges = set()
+    for link in network.links:
+        for phi in network.profile(link):
+            offsets = {lp: network.delay(link, lp) for lp in phi}
+            for t in range(T):
+                targets = frozenset((lp, t + d) for lp, d in offsets.items())
+                if all(0 <= tt < T for _, tt in targets):
+                    edges.add(((link, t), targets))
+    ordered = sorted(edges, key=lambda e: (e[0], sorted(e[1])))
+    masks = []
+    for (src, targets) in ordered:
+        m = 1 << bit_position(network.link_index(src[0]), src[1], L, T)
+        for (lp, tt) in targets:
+            m |= 1 << bit_position(network.link_index(lp), tt, L, T)
+        masks.append(m)
+    return tuple(dict.fromkeys(masks))
+
+
+WINDOW_MASK_CASES = (
+    [(f"L{L}-T{T}", line_network(L, 1), T) for L in range(3, 7) for T in range(1, 5)]
+    + [(f"chain{n}-T{T}", hyper_chain(n), T) for n in (4, 5, 6) for T in (1, 2, 3)]
+    + [
+        (f"random{seed}-T{T}", random_network(random.Random(seed)), T)
+        for seed in range(7000, 7200)
+        for T in (1, 2, 3)
+    ]
+)
+
+
+def test_window_masks_match_hyperedge_build_in_order():
+    assert len(WINDOW_MASK_CASES) == 16 + 9 + 600
+    for name, net, T in WINDOW_MASK_CASES:
+        for TT in (T, 2 * T):
+            assert build_window(net, TT).masks == _ref_window_masks(net, TT), (name, TT)
+
+
+@pytest.mark.parametrize("missing, outside", [("b", "c"), ("c", "b")])
+def test_missing_delay_raises_even_beside_an_edge_outside_the_window(missing, outside):
+    # Unvalidated: one member of a's collision set has no delay, the
+    # other's delay puts every edge of the set outside the window.
+    net = make_network(["a", "b", "c"], {"a": [["b", "c"]]}, {("a", outside): 5})
+    with pytest.raises(InvalidNetworkError, match="unspecified"):
+        build_window(net, 2)
 
 
 def test_line41_single_slot_window(line41):
     w = build_window(line41, 1)
-    assert edge_set(w) == {
-        (("l1", 0), frozenset({("l3", 0)})),
-        (("l2", 0), frozenset({("l4", 0)})),
+    assert set(w.masks) == {
+        block_from_rows(["1", "0", "1", "0"], 1),
+        block_from_rows(["0", "1", "0", "1"], 1),
     }
 
 
@@ -28,18 +79,18 @@ def test_all_nonzero_delays_give_empty_single_slot_window():
         {("a", "b"): 1, ("b", "a"): -1},
     )
     validate(net)
-    assert build_window(net, 1).hyperedges == ()
+    assert build_window(net, 1).masks == ()
 
 
 def test_hyper_window_contains_straddling_edge(hyper_n4):
     w = build_window(hyper_n4, 3)
-    assert (("l2", 1), frozenset({("l1", 0), ("l3", 2)})) in edge_set(w)
+    assert block_from_rows(["100", "010", "001", "000"], 3) in w.masks
 
 
 def test_edges_reaching_outside_are_dropped_not_truncated(hyper_n4):
     w = build_window(hyper_n4, 2)
     # Both straddling edges need three consecutive slots; none fit in two.
-    assert w.hyperedges == ()
+    assert w.masks == ()
 
 
 def test_is_independent_reference_cases(hyper_n4):
