@@ -105,7 +105,7 @@ def _cmd_character(args) -> _Result:
 
 
 def _cmd_reduce(args) -> _Result:
-    net = _load_network(args)
+    source = net = _load_network(args)
     assignment = None
     if args.assignment:
         try:
@@ -115,17 +115,14 @@ def _cmd_reduce(args) -> _Result:
         if len(shifts) != len(net.links):
             raise _InputError("assignment length does not match link count")
         assignment = dict(zip(net.links, shifts))
-        net_in, net = net, apply_vertex_assignment(net, assignment)
+        net = apply_vertex_assignment(net, assignment)
     reduced, g = gcd_reduce(net)
     payload = network_to_json(reduced)
     payload["g"] = g
     payload["character"] = character(reduced)
     if assignment is not None:
         payload["assignment"] = [assignment[l] for l in reduced.links]
-        fingerprint = network_fingerprint(net_in)
-    else:
-        fingerprint = network_fingerprint(net)
-    return payload, fingerprint, True
+    return payload, network_fingerprint(source), True
 
 
 def _cmd_schedgraph(args) -> _Result:
@@ -233,8 +230,6 @@ def _cmd_achievable(args) -> _Result:
         rate = tuple(parse_rate(x) for x in args.rate.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise _InputError(f"bad rate {args.rate!r}") from exc
-    if len(rate) != len(region.links):
-        raise _InputError("rate dimension does not match region links")
     weights = reg.achievability_certificate(region, rate)
     payload: dict = {"achievable": weights is not None}
     if weights is not None:

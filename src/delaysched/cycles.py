@@ -238,9 +238,6 @@ class LayeredGraph:
     k = 1 this is just the maximal edge set itself.
     """
 
-    network: Network
-    T: int
-    k: int
     left: tuple[int, ...]
     mids: tuple[int, ...]
     right: tuple[int, ...]
@@ -304,9 +301,7 @@ def build_layered(
     maximal = maximal or build_maximal(network, T)
     mids = tuple(sorted({b & bp for b in maximal.right for bp in maximal.left}))
     *_, (_k, u_list, uprime) = _layer_chain(maximal.edges, k)
-    return LayeredGraph(
-        network, T, k, maximal.left, mids, maximal.right, u_list + (uprime,)
-    )
+    return LayeredGraph(maximal.left, mids, maximal.right, u_list + (uprime,))
 
 
 def _adjacency(edges: Iterable[tuple[int, int]]) -> dict[int, tuple[int, ...]]:

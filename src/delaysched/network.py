@@ -52,7 +52,10 @@ class Network:
         object.__setattr__(self, "_index", {l: i for i, l in enumerate(self.links)})
 
     def link_index(self, link: str) -> int:
-        return self._index[link]
+        try:
+            return self._index[link]
+        except KeyError:
+            raise InvalidNetworkError(f"unknown link {link!r}") from None
 
     def profile(self, link: str) -> tuple[frozenset[str], ...]:
         return self.collisions.get(link, ())
@@ -90,10 +93,10 @@ def validate(network: Network) -> None:
     for link in network.collisions:
         if link not in seen:
             raise InvalidNetworkError(f"collision profile names unknown link {link!r}")
-    for (l, lp) in network.delays:
+    for (l, lp), d in network.delays.items():
         if l not in seen or lp not in seen:
             raise InvalidNetworkError(f"delay entry ({l!r}, {lp!r}) names an unknown link")
-        if not isinstance(network.delays[(l, lp)], int):
+        if isinstance(d, bool) or not isinstance(d, int):
             raise InvalidNetworkError(f"delay entry ({l!r}, {lp!r}) is not an integer")
     for link in network.links:
         for phi in network.profile(link):
@@ -230,8 +233,6 @@ def network_from_json(doc: Mapping) -> Network:
                 l, lp, d = triple
             except (TypeError, ValueError) as exc:
                 raise InvalidNetworkError(f"malformed delay triple {triple!r}") from exc
-            if not isinstance(d, int) or isinstance(d, bool):
-                raise InvalidNetworkError(f"delay {d!r} for ({l!r}, {lp!r}) is not an integer")
             delays[(str(l), str(lp))] = d
     elif "node_delays" in doc:
         matrix = doc["node_delays"]

@@ -17,7 +17,7 @@ from typing import Mapping
 
 from .network import Network
 from .schedule import PeriodicSchedule
-from .window import WindowGraph, build_window
+from .window import build_window, join_pair, split_pair
 
 __all__ = [
     "SchedulingGraph",
@@ -27,26 +27,13 @@ __all__ = [
     "build",
     "build_maximal",
     "schedule_is_path",
-    "split_pair",
-    "join_pair",
 ]
-
-
-def split_pair(pair_bits: int, nbits: int) -> tuple[int, int]:
-    """Split a juxtaposed 2T-window int into (left, right) T-blocks."""
-    return pair_bits >> nbits, pair_bits & ((1 << nbits) - 1)
-
-
-def join_pair(a: int, b: int, nbits: int) -> int:
-    return (a << nbits) | b
 
 
 @dataclass(frozen=True)
 class SchedulingGraph:
     """Explicit vertex and adjacency representation for one window length."""
 
-    network: Network
-    T: int
     vertices: tuple[int, ...]
     adjacency: Mapping[int, tuple[int, ...]]
 
@@ -63,28 +50,18 @@ class MaximalEdgeGraph:
     doubled window, split into left/right halves.
     """
 
-    network: Network
-    T: int
     left: tuple[int, ...]
     right: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
 
 
-def is_vertex(network: Network, block: int, T: int, window: WindowGraph | None = None) -> bool:
-    window = window or build_window(network, T)
-    return window.is_independent(block)
+def is_vertex(network: Network, block: int, T: int) -> bool:
+    return build_window(network, T).is_independent(block)
 
 
-def has_edge(
-    network: Network,
-    a: int,
-    b: int,
-    T: int,
-    double_window: WindowGraph | None = None,
-) -> bool:
-    double_window = double_window or build_window(network, 2 * T)
-    nbits = len(network.links) * T
-    return double_window.is_independent(join_pair(a, b, nbits))
+def has_edge(network: Network, a: int, b: int, T: int) -> bool:
+    pair = join_pair(a, b, len(network.links) * T)
+    return build_window(network, 2 * T).is_independent(pair)
 
 
 def build(network: Network, T: int) -> SchedulingGraph:
@@ -124,7 +101,7 @@ def build(network: Network, T: int) -> SchedulingGraph:
                 if not b & forbidden and all(b & r != r for r in key[1])
             )
         adjacency[a] = row
-    return SchedulingGraph(network, T, vertices, adjacency)
+    return SchedulingGraph(vertices, adjacency)
 
 
 def build_maximal(network: Network, T: int) -> MaximalEdgeGraph:
@@ -134,7 +111,7 @@ def build_maximal(network: Network, T: int) -> MaximalEdgeGraph:
     pairs = sorted(split_pair(m, nbits) for m in double.maximal_independent_sets())
     left = tuple(sorted({a for a, _ in pairs}))
     right = tuple(sorted({b for _, b in pairs}))
-    return MaximalEdgeGraph(network, T, left, right, tuple(pairs))
+    return MaximalEdgeGraph(left, right, tuple(pairs))
 
 
 def schedule_is_path(network: Network, s: PeriodicSchedule, T: int) -> bool:

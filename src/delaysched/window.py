@@ -24,7 +24,9 @@ __all__ = [
     "block_from_rows",
     "block_to_rows",
     "brute_force_cap",
+    "join_pair",
     "link_row_masks",
+    "split_pair",
 ]
 
 DEFAULT_CAP_BITS = 24
@@ -69,6 +71,19 @@ def block_to_rows(bits: int, num_links: int, T: int) -> list[str]:
         )
         for l in range(num_links)
     ]
+
+
+def join_pair(a: int, b: int, nbits: int) -> int:
+    """Juxtapose two T-blocks of ``nbits`` bits into one 2T-window block.
+
+    Column 0 is the most significant, so ``a`` takes the high half.
+    """
+    return (a << nbits) | b
+
+
+def split_pair(pair_bits: int, nbits: int) -> tuple[int, int]:
+    """Split a juxtaposed 2T-window block into its (left, right) T-blocks."""
+    return pair_bits >> nbits, pair_bits & ((1 << nbits) - 1)
 
 
 @dataclass(frozen=True)

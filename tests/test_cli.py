@@ -10,7 +10,7 @@ import pytest
 
 import delaysched
 from delaysched.cli import main
-from delaysched.network import network_to_json
+from delaysched.network import network_fingerprint, network_from_json, network_to_json
 
 from conftest import hyper_chain
 
@@ -225,6 +225,33 @@ def test_reduce_pipeline(capsys, monkeypatch):
     assert code == 0 and char_doc["character"] == 1
 
 
+@pytest.mark.parametrize("assignment", [None, "0,1"])
+def test_reduce_records_the_input_fingerprint(capsys, monkeypatch, assignment):
+    doc = {
+        "links": ["a", "b"],
+        "collisions": {"a": [["b"]], "b": [["a"]]},
+        "delays": [["a", "b", 2], ["b", "a", -4]],
+    }
+    argv = ["reduce"] + (["--assignment", assignment] if assignment else [])
+    code, out = run_cli(capsys, monkeypatch, argv, stdin_doc=doc)
+    assert code == 0
+    source = network_fingerprint(network_from_json(doc))
+    assert out["manifest"]["network_sha256"] == source
+    # Both runs change the network, so the output's own hash differs.
+    assert network_fingerprint(network_from_json(out)) != source
+
+
+def test_verify_schedule_unknown_link_exits_2(capsys, monkeypatch, tmp_path):
+    net_doc = gen_line(capsys, monkeypatch, 4, 1)
+    spath = tmp_path / "s.json"
+    spath.write_text(json.dumps({"period": 1, "active": {"zz": [0]}}))
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(net_doc)))
+    assert main(["verify-schedule", "--schedule", str(spath)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "bad schedule document: unknown link 'zz'" in err
+
+
 def test_determinism_modulo_wall_time(capsys, monkeypatch):
     net_doc = gen_line(capsys, monkeypatch, 4, 1)
     outputs = []
@@ -330,6 +357,14 @@ def test_manifest_names_the_subcommand(capsys, monkeypatch, tmp_path, command):
     assert code == 0
     assert doc["manifest"]["command"] == command
     assert "command" not in doc["manifest"]["parameters"]
+
+
+def test_achievable_rejects_wrong_rate_dimension(capsys, monkeypatch, tmp_path):
+    argv, _ = _subcommand_argv(capsys, monkeypatch, tmp_path, "achievable")
+    assert main(argv[:-1] + ["0,0,0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "rate dimension does not match region links" in err
 
 
 @pytest.mark.parametrize("command", ["cycles", "rate-region"])

@@ -56,6 +56,19 @@ def test_validate_rejects_missing_support_delay():
         validate(net)
 
 
+def test_validate_rejects_bool_delay():
+    net = make_network(["a", "b"], {"a": [["b"]]}, {("a", "b"): True})
+    with pytest.raises(InvalidNetworkError, match="not an integer"):
+        validate(net)
+
+
+@pytest.mark.parametrize("d", [1.5, "1", True])
+def test_network_from_json_rejects_non_integer_delay(d):
+    doc = {"links": ["a", "b"], "collisions": {"a": [["b"]]}, "delays": [["a", "b", d]]}
+    with pytest.raises(InvalidNetworkError, match="not an integer"):
+        network_from_json(doc)
+
+
 def test_reading_unspecified_delay_is_an_error(line41):
     with pytest.raises(InvalidNetworkError, match="unspecified"):
         line41.delay("l4", "l1")

@@ -10,7 +10,13 @@ from delaysched import (
     make_network,
     validate,
 )
-from delaysched.window import bit_position, block_from_rows, block_to_rows
+from delaysched.window import (
+    bit_position,
+    block_from_rows,
+    block_to_rows,
+    join_pair,
+    split_pair,
+)
 
 from delaysched.network import is_binary
 
@@ -63,6 +69,30 @@ def test_missing_delay_raises_even_beside_an_edge_outside_the_window(missing, ou
     net = make_network(["a", "b", "c"], {"a": [["b", "c"]]}, {("a", outside): 5})
     with pytest.raises(InvalidNetworkError, match="unspecified"):
         build_window(net, 2)
+
+
+@pytest.mark.parametrize("d", [5, 0])
+def test_unknown_link_in_collision_set_raises_invalid_network(d):
+    # Unvalidated: the delay puts the edge outside the window (5) or in it (0).
+    net = make_network(["a"], {"a": [["zz"]]}, {("a", "zz"): d})
+    with pytest.raises(InvalidNetworkError, match="unknown link 'zz'"):
+        build_window(net, 2)
+
+
+@pytest.mark.parametrize(
+    "net", [line_network(4, 1), line_network(6, 1), hyper_chain(4), hyper_chain(5)]
+)
+@pytest.mark.parametrize("T", [1, 2, 3])
+def test_pair_juxtaposes_the_rows_of_its_blocks(net, T):
+    rng = random.Random(1100 + T)
+    L = len(net.links)
+    nbits = L * T
+    for _ in range(50):
+        a, b = rng.getrandbits(nbits), rng.getrandbits(nbits)
+        rows = [ra + rb for ra, rb in zip(block_to_rows(a, L, T), block_to_rows(b, L, T))]
+        pair = join_pair(a, b, nbits)
+        assert pair == block_from_rows(rows, 2 * T)
+        assert split_pair(pair, nbits) == (a, b)
 
 
 def test_line41_single_slot_window(line41):
