@@ -18,7 +18,7 @@ from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from .network import Network
-from .schedgraph import MaximalEdgeGraph, SchedulingGraph, build_maximal
+from .schedgraph import SchedulingGraph, build_maximal
 from .window import link_row_masks
 
 __all__ = [
@@ -290,15 +290,10 @@ def _layer_chain(estar: tuple[tuple[int, int], ...], k_max: int):
         yield k, tuple(u_list), uprime
 
 
-def build_layered(
-    network: Network,
-    T: int,
-    k: int,
-    maximal: MaximalEdgeGraph | None = None,
-) -> LayeredGraph:
+def build_layered(network: Network, T: int, k: int) -> LayeredGraph:
     if k < 1:
         raise ValueError("k must be >= 1")
-    maximal = maximal or build_maximal(network, T)
+    maximal = build_maximal(network, T)
     mids = tuple(sorted({b & bp for b in maximal.right for bp in maximal.left}))
     *_, (_k, u_list, uprime) = _layer_chain(maximal.edges, k)
     return LayeredGraph(maximal.left, mids, maximal.right, u_list + (uprime,))

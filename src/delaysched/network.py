@@ -233,7 +233,10 @@ def network_from_json(doc: Mapping) -> Network:
                 l, lp, d = triple
             except (TypeError, ValueError) as exc:
                 raise InvalidNetworkError(f"malformed delay triple {triple!r}") from exc
-            delays[(str(l), str(lp))] = d
+            pair = (str(l), str(lp))
+            if pair in delays:
+                raise InvalidNetworkError(f"repeated delay for pair {pair!r}")
+            delays[pair] = d
     elif "node_delays" in doc:
         matrix = doc["node_delays"]
         endpoints = doc.get("link_endpoints")

@@ -23,18 +23,12 @@ __all__ = [
     "bit_position",
     "block_from_rows",
     "block_to_rows",
-    "brute_force_cap",
     "join_pair",
     "link_row_masks",
     "split_pair",
 ]
 
 DEFAULT_CAP_BITS = 24
-
-
-def brute_force_cap() -> int:
-    env = os.environ.get("DELAYSCHED_CAP_BITS")
-    return int(env) if env else DEFAULT_CAP_BITS
 
 
 def bit_position(link_index: int, t: int, num_links: int, T: int) -> int:
@@ -104,50 +98,55 @@ class WindowGraph:
 
     def check_cap(self) -> None:
         """Raise ``CapExceededError`` if the window is past the brute-force cap."""
-        if self.nbits > brute_force_cap():
-            raise CapExceededError(
-                f"{self.nbits} bits exceeds brute-force cap {brute_force_cap()}"
-            )
+        env = os.environ.get("DELAYSCHED_CAP_BITS")
+        cap = int(env) if env else DEFAULT_CAP_BITS
+        if self.nbits > cap:
+            raise CapExceededError(f"{self.nbits} bits exceeds brute-force cap {cap}")
 
     def independent_sets(self) -> Iterator[int]:
         """Yield every independent assignment once, in ascending bit order."""
+        yield from self._walk([()] * self.nbits)
+
+    def _walk(self, due) -> Iterator[int]:
+        """Branch over bits from the top down, excluding before including, so
+        independent sets come out ascending; the one capped enumeration.
+
+        ``due[p]`` lists ``(vbit, rests)`` certificates checked once bit p is
+        decided: the set holds ``vbit`` or some ``rest`` whole, else the
+        branch is cut.
+        """
         self.check_cap()
-        yield from self._independent_rec(self.nbits - 1, 0, self._masks_by_min())
-
-    def _masks_by_min(self) -> list[list[int]]:
-        by_min: list[list[int]] = [[] for _ in range(self.nbits)]
+        n = self.nbits
+        by_min: list[list[int]] = [[] for _ in range(n)]
         for m in self.masks:
-            low = (m & -m).bit_length() - 1
-            by_min[low].append(m)
-        return by_min
-
-    def _independent_rec(self, p, cur, by_min) -> Iterator[int]:
-        if p < 0:
-            yield cur
-            return
-        yield from self._independent_rec(p - 1, cur, by_min)
-        nxt = cur | (1 << p)
-        # A constraint whose lowest bit is p is fully decided here.
-        if all(nxt & m != m for m in by_min[p]):
-            yield from self._independent_rec(p - 1, nxt, by_min)
+            by_min[(m & -m).bit_length() - 1].append(m)
+        stack = [(n - 1, 0)]
+        while stack:
+            p, cur = stack.pop()
+            if p < 0:
+                yield cur
+                continue
+            nxt = cur | 1 << p
+            # A constraint whose lowest bit is p is fully decided here.
+            # Include goes on the stack first, so exclude comes off first.
+            if all(nxt & m != m for m in by_min[p]) and _certified(nxt, due[p]):
+                stack.append((p - 1, nxt))
+            if _certified(cur, due[p]):
+                stack.append((p - 1, cur))
 
     def maximal_independent_sets(self) -> list[int]:
         """All inclusion-maximal independent assignments, sorted.
 
         Binary profiles reduce to maximal cliques of the complement of the
         pairwise conflict graph (pivoted Bron-Kerbosch, uncapped); general
-        profiles use a branch-and-bound walk that checks each left-out
-        vertex's maximality certificate at that vertex's deadline, the
-        lowest bit of its masks, and cuts the branch there if it fails.
-        The walk is still exponential in the worst case and stays held to
-        the brute-force cap.
+        profiles use the branch walk of ``independent_sets`` with each
+        vertex's maximality certificate due at its deadline, the lowest bit
+        of its masks, cutting the branch there if it fails.  That walk is
+        still exponential in the worst case and stays held to the cap.
         """
         if all(m.bit_count() <= 2 for m in self.masks):
-            out = self._maximal_binary()
-        else:
-            self.check_cap()
-            out = self._maximal_hyper()
-        return sorted(out)
+            return sorted(self._maximal_binary())
+        return sorted(self._maximal_hyper())
 
     def _maximal_binary(self) -> list[int]:
         n = self.nbits
@@ -168,36 +167,33 @@ class WindowGraph:
             for v in range(n)
         ]
         out: list[int] = []
-
-        def expand(r: int, p: int, x: int):
+        stack = [(0, universe, 0)]
+        while stack:
+            r, p, x = stack.pop()
             if p == 0 and x == 0:
                 out.append(r)
-                return
-            pivot_pool = p | x
+                continue
             pivot = -1
             best = -1
-            pool = pivot_pool
+            pool = p | x
             while pool:
                 u = (pool & -pool).bit_length() - 1
                 pool &= pool - 1
                 score = (p & comp[u]).bit_count()
                 if score > best:
                     best, pivot = score, u
+            # Branch on each candidate v in ascending order, the ones before
+            # it moved from p to x; pushed from the top so the least pops first.
             cand = p & ~comp[pivot]
             while cand:
-                v = (cand & -cand).bit_length() - 1
-                vbit = cand & -cand
-                cand &= cand - 1
-                expand(r | vbit, p & comp[v], x & comp[v])
-                p &= ~vbit
-                x |= vbit
-
-        expand(0, universe, 0)
+                v = cand.bit_length() - 1
+                vbit = 1 << v
+                cand ^= vbit
+                stack.append((r | vbit, p & ~cand & comp[v], (x | cand) & comp[v]))
         return out
 
     def _maximal_hyper(self) -> list[int]:
         n = self.nbits
-        by_min = self._masks_by_min()
         # A vertex's deadline is the lowest bit of any mask holding it (itself
         # if none does): once that bit is decided, so is every such mask.
         rests: list[list[int]] = [[] for _ in range(n)]
@@ -214,27 +210,15 @@ class WindowGraph:
         due: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
         for v in range(n):
             due[deadline[v]].append((1 << v, rests[v]))
-        out: list[int] = []
+        return list(self._walk(due))
 
-        def certified(bits: int, p: int) -> bool:
-            # A left-out vertex due at p must complete one of its masks.
-            return all(
-                bits & vbit or any(bits & r == r for r in vrests)
-                for vbit, vrests in due[p]
-            )
 
-        def walk(p: int, cur: int):
-            if p < 0:
-                out.append(cur)
-                return
-            if certified(cur, p):
-                walk(p - 1, cur)
-            nxt = cur | (1 << p)
-            if all(nxt & m != m for m in by_min[p]) and certified(nxt, p):
-                walk(p - 1, nxt)
-
-        walk(n - 1, 0)
-        return out
+def _certified(bits: int, certificates) -> bool:
+    # A left-out vertex whose certificate is due must complete one of its masks.
+    return all(
+        bits & vbit or any(bits & r == r for r in rests)
+        for vbit, rests in certificates
+    )
 
 
 def build_window(network: Network, T: int) -> WindowGraph:

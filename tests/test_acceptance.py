@@ -92,7 +92,7 @@ def test_criterion_3_path_counts():
         mx = build_maximal(net, 1)
 
         layered_counts = {
-            k: count_layered_paths(build_layered(net, 1, k, maximal=mx))
+            k: count_layered_paths(build_layered(net, 1, k))
             for k in (1, 2, 3, 4)
         }
 

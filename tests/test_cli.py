@@ -271,6 +271,10 @@ def test_exit_code_on_malformed_input(capsys, monkeypatch):
     assert main(["character"]) == 2
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"links": ["a"]})))
     assert main(["character"]) == 2
+    repeated = {"links": ["a", "b"], "collisions": {"a": [["b"]]},
+                "delays": [["a", "b", 1], ["a", "b", 2]]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(repeated)))
+    assert main(["character"]) == 2
 
 
 def test_exit_code_on_budget_truncation_strict(capsys, monkeypatch):
@@ -323,6 +327,15 @@ def test_cap_override_via_environment(capsys, monkeypatch):
     assert code == 2  # 13 bits over the tightened cap
     code, _ = run_cli(capsys, monkeypatch, ["window-rate", "--T", "4"], stdin_doc=line_doc)
     assert code == 2  # line network L4 T4: 16 bits over the tightened cap
+
+
+def test_maximal_window_past_the_recursion_limit(capsys, monkeypatch):
+    # One free link at T 600: a 1,200-bit doubled window, one maximal edge.
+    free_doc = {"links": ["a"], "collisions": {}, "delays": []}
+    code, doc = run_cli(
+        capsys, monkeypatch, ["schedgraph", "--maximal", "--T", "600"], stdin_doc=free_doc
+    )
+    assert code == 0 and doc["maximal_edges"] == 1
 
 
 def _subcommand_argv(capsys, monkeypatch, tmp_path, command):

@@ -442,10 +442,9 @@ def test_layered_mid_layer_is_pairwise_and_of_extremes(line41):
 
 
 def test_layered_path_counts(line41):
-    mx = build_maximal(line41, 1)
     counts = {}
     for k in (1, 2, 3, 4):
-        lay = build_layered(line41, 1, k, maximal=mx)
+        lay = build_layered(line41, 1, k)
         counts[k] = count_layered_paths(lay)
         assert counts[k] == sum(1 for _ in iter_layered_paths(lay))
     assert counts[1] == 6
@@ -485,8 +484,7 @@ def maximal_walks(graph, k):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_every_maximal_path_appears_in_layered_graph(line41, k):
     g = build(line41, 1)
-    mx = build_maximal(line41, 1)
-    lay = build_layered(line41, 1, k, maximal=mx)
+    lay = build_layered(line41, 1, k)
     layered_paths = set(iter_layered_paths(lay))
     for path in maximal_walks(g, k):
         assert path in layered_paths
@@ -500,9 +498,8 @@ def test_every_maximal_path_appears_in_layered_graph_random(seed):
     if len(net.links) > 8:
         pytest.skip("window too large")
     g = build(net, T)
-    mx = build_maximal(net, T)
     for k in (1, 2, 3):
-        lay = build_layered(net, T, k, maximal=mx)
+        lay = build_layered(net, T, k)
         layered_paths = set(iter_layered_paths(lay))
         for path in maximal_walks(g, k):
             assert path in layered_paths
@@ -590,9 +587,8 @@ def test_layer_containment_bound(line41):
 
 
 def test_layered_endpoints_lie_in_their_layers(line41):
-    mx = build_maximal(line41, 1)
     for k in (2, 3, 4):
-        lay = build_layered(line41, 1, k, maximal=mx)
+        lay = build_layered(line41, 1, k)
         mids = set(lay.mids)
         first, *inner, last = lay.layer_edges
         assert {a for a, _ in first} <= set(lay.left)

@@ -69,6 +69,18 @@ def test_network_from_json_rejects_non_integer_delay(d):
         network_from_json(doc)
 
 
+@pytest.mark.parametrize("first, second", [(1, 2), (1.5, 1)])
+def test_network_from_json_rejects_repeated_delay_pair(first, second):
+    # Neither triple may silently win, and an earlier float must not hide.
+    doc = {
+        "links": ["a", "b"],
+        "collisions": {"a": [["b"]]},
+        "delays": [["a", "b", first], ["a", "b", second]],
+    }
+    with pytest.raises(InvalidNetworkError, match=r"repeated delay for pair \('a', 'b'\)"):
+        network_from_json(doc)
+
+
 def test_reading_unspecified_delay_is_an_error(line41):
     with pytest.raises(InvalidNetworkError, match="unspecified"):
         line41.delay("l4", "l1")

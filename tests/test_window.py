@@ -19,6 +19,7 @@ from delaysched.window import (
 )
 
 from delaysched.network import is_binary
+from delaysched.schedgraph import build_maximal
 
 from conftest import hyper_chain, random_network
 
@@ -164,6 +165,40 @@ def test_enumeration_cap(monkeypatch, hyper_n4):
     monkeypatch.setenv("DELAYSCHED_CAP_BITS", "30")
     gen = build_window(free, 1).independent_sets()
     assert next(gen) == 0
+
+
+# Random draws whose window stays within 14 bits, so brute force is cheap.
+ORACLE_RANDOM_WINDOWS = [
+    (seed, T, w)
+    for seed in range(8000, 8040)
+    for net in [random_network(random.Random(seed))]
+    for T in (1, 2)
+    for w in [build_window(net, T)]
+    if w.nbits <= 14
+]
+
+
+def test_enumeration_matches_brute_force(line41, hyper_n4):
+    windows = [build_window(net, T) for net in (line41, hyper_n4) for T in (1, 2, 3)]
+    windows += [w for _, _, w in ORACLE_RANDOM_WINDOWS]
+    assert {is_binary(w.network) for _, _, w in ORACLE_RANDOM_WINDOWS} == {True, False}
+    for w in windows:
+        brute = [b for b in range(1 << w.nbits) if w.is_independent(b)]
+        assert list(w.independent_sets()) == brute
+
+
+def test_windows_past_the_recursion_limit(monkeypatch):
+    # One free link at T 600: a binary doubled window of 1,200 bits whose
+    # one maximal set takes every slot.
+    free = make_network(["a"], {}, {})
+    assert len(build_maximal(free, 600).edges) == 1
+    # One 3-bit hyperedge spanning all 400 slots: 1,200 bits under the cap.
+    monkeypatch.setenv("DELAYSCHED_CAP_BITS", "1200")
+    net = make_network(["a", "b", "c"], {"a": [["b", "c"]]}, {("a", "b"): 0, ("a", "c"): 399})
+    w = build_window(net, 400)
+    assert (w.nbits, len(w.masks)) == (1200, 1)
+    assert next(w.independent_sets()) == 0
+    assert len(w.maximal_independent_sets()) == 3
 
 
 def test_maximal_sets_line41_double_window(line41):
