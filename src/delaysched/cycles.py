@@ -472,10 +472,23 @@ def _pareto_front(vectors: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
 
     Taken by decreasing sum, a vector is dominated iff an earlier kept one
     covers it: a dominator has a larger sum, and is itself kept or covered
-    by a kept one.
+    by a kept one.  Entries are non-negative ints, packed one field each
+    with a guard bit on top (Lamport, CACM 18(8), 1975): ``f`` covers
+    ``u`` iff subtracting ``u`` from ``f`` with every guard set borrows
+    from none of them.
     """
+    ordered = sorted(set(vectors), key=sum, reverse=True)
+    if not ordered:
+        return []
+    width = max(max(r, default=0) for r in ordered).bit_length() + 1
+    guards = sum(1 << (width * j + width - 1) for j in range(len(ordered[0])))
     front: list[tuple[int, ...]] = []
-    for r in sorted(set(vectors), key=sum, reverse=True):
-        if not any(all(x >= y for x, y in zip(f, r)) for f in front):
+    kept: list[int] = []  # each kept vector packed, guards set
+    for r in ordered:
+        packed = 0
+        for x in reversed(r):
+            packed = packed << width | x
+        if not any((g - packed) & guards == guards for g in kept):
             front.append(r)
+            kept.append(packed | guards)
     return front

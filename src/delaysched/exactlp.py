@@ -5,52 +5,105 @@ through their numerator and denominator, with no conversion; ``A`` and
 ``b`` are scaled by one common denominator, and each pivot is an integer
 Edmonds/Bareiss step whose division by the previous pivot is exact.  The
 true tableau is the integer one over ``det``, which every basic column
-holds in its own row.  Both objective rows are carried in the tableau.
+holds in its own row.  Both objective rows are carried in the tableau,
+the phase-1 row until phase 1 ends.
 Bland's rule guarantees termination; :class:`fractions.Fraction` appears
 only in the solution.
+
+Each tableau row is one int, ``sum(v_j << w*j)``: the structural fields,
+then the artificial ones, then the rhs.  A Bareiss step is linear and its
+division is exact field by field, so it runs on the whole packed row at
+once; intermediate products may overflow a field, but the quotient does
+not.  Every entry a pivot produces is a minor of the start tableau
+(Cramer), so the product of the start rows' Euclidean norms (Hadamard)
+bounds it and fixes the field width ``w``.  Fields are read with a bias
+of ``2**(w-1)`` in each, which makes every biased field non-negative and
+its top bit the entry's sign.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm, prod
+from operator import mul
 from typing import Sequence
 
 __all__ = ["simplex_min", "dominating_combination", "max_symmetric_scale"]
 
 
-def _pivot(tab, basis, r, s):
-    """Integer pivot on ``tab[r][s]``, keeping ``det`` positive."""
-    det, piv, prow = tab[r][basis[r]], tab[r][s], tab[r]
-    for i, row in enumerate(tab):
-        if i == r:
-            continue
-        f = row[s]
-        if f:
-            tab[i] = [(piv * a - f * b) // det for a, b in zip(row, prow)]
-        elif piv != det:  # with f = 0 the step only scales by piv / det
-            tab[i] = [piv * a // det for a in row]
-    basis[r] = s
-    if piv < 0:
-        tab[:] = [[-a for a in row] for row in tab]
+def _spread(value: int, w: int, count: int) -> int:
+    """``value`` repeated in each of the fields ``0..count-1``."""
+    return value * (((1 << w * count) - 1) // ((1 << w) - 1))
 
 
-def _optimize(tab, basis, z, ncols) -> bool:
-    """Bland-rule sweep on objective row ``tab[z]``; False means unbounded."""
-    while True:
-        enter = next((j for j in range(ncols) if tab[z][j] < 0), None)
-        if enter is None:
-            return True
-        leave = None
-        for i in range(len(basis)):
-            a = tab[i][enter]
-            # Ratios compared by cross-multiplication; ties go to the lower basis index.
-            if a > 0 and (leave is None or (tab[i][-1] * tab[leave][enter], basis[i])
-                          < (tab[leave][-1] * a, basis[leave])):
-                leave = i
-        if leave is None:
-            return False
-        _pivot(tab, basis, leave, enter)
+class _Tableau:
+    """Packed integer rows, the basis, and the common positive ``det``."""
+
+    def __init__(self, rows: list[int], basis: list[int], w: int, nfields: int):
+        self.rows, self.basis, self.w, self.det = rows, basis, w, 1
+        self.half = 1 << (w - 1)
+        self.mask = (1 << w) - 1
+        self.bias = _spread(self.half, w, nfields)
+        self.rhs_shift = w * (nfields - 1)
+
+    def column(self, j: int) -> list[int]:
+        shift, mask, half, bias = self.w * j, self.mask, self.half, self.bias
+        return [((row + bias) >> shift & mask) - half for row in self.rows]
+
+    def rhs(self, i: int) -> int:
+        return ((self.rows[i] + self.bias) >> self.rhs_shift) - self.half
+
+    def pivot(self, r: int, s: int, col: list[int]) -> None:
+        """Integer pivot on row ``r``, column ``s``; ``col`` is column ``s``."""
+        rows, det, piv = self.rows, self.det, col[r]
+        prow = rows[r]
+        for i, f in enumerate(col):
+            if i == r:
+                continue
+            if f:
+                rows[i] = (piv * rows[i] - f * prow) // det
+            elif piv != det:  # with f = 0 the step only scales by piv / det
+                rows[i] = piv * rows[i] // det
+        self.basis[r] = s
+        if piv < 0:
+            rows[:] = [-row for row in rows]
+        self.det = abs(piv)
+
+    def optimize(self, z: int, ncols: int) -> bool:
+        """Bland-rule sweep on objective row ``z``; False means unbounded."""
+        rows, basis, w, mask, half, bias = (
+            self.rows, self.basis, self.w, self.mask, self.half, self.bias)
+        top = self.rhs_shift
+        # The sign bit of each biased field below ncols: clear iff negative.
+        signs = bias & (1 << w * ncols) - 1
+        while True:
+            negative = signs & ~(rows[z] + bias)
+            if not negative:
+                return True
+            enter = ((negative & -negative).bit_length() - 1) // w
+            biased = [row + bias for row in rows]
+            shift = w * enter
+            col = [(row >> shift & mask) - half for row in biased]
+            leave = None
+            for i in range(len(basis)):
+                a = col[i]
+                if a <= 0:
+                    continue
+                rhs = (biased[i] >> top) - half
+                # Ratios compared by cross-multiplication; ties go to the lower basis index.
+                if leave is None or (rhs * best_a, basis[i]) < (best_rhs * a, basis[leave]):
+                    leave, best_a, best_rhs = i, a, rhs
+            if leave is None:
+                return False
+            self.pivot(leave, enter, col)
+
+
+def _pack(values: Sequence[int], w: int) -> int:
+    """Signed ``values`` as fields ``0, 1, ...`` of width ``w``."""
+    packed = 0
+    for v in reversed(values):
+        packed = (packed << w) + v
+    return packed
 
 
 def _common_denominator(entries) -> int:
@@ -66,39 +119,55 @@ def simplex_min(c: Sequence, A: Sequence[Sequence], b: Sequence):
 
     Entries are ints or Fractions, read through ``numerator`` and
     ``denominator`` as they are; any other type (a float, say) raises
-    TypeError.  ``x`` and ``value`` are Fractions.
+    TypeError.  ``A`` must hold ``len(b)`` rows of ``len(c)`` entries,
+    else ValueError.  ``x`` and ``value`` are Fractions.
     """
     m, n = len(A), len(c)
+    if len(b) != m or any(len(row) != n for row in A):
+        raise ValueError(f"LP shape mismatch: A must have len(b) = {len(b)} rows "
+                         f"of len(c) = {n} entries")
     rows = [[*row, bi] for row, bi in zip(A, b)]
     scale = _common_denominator(v for row in rows for v in row)
-    tab = []
-    for i, row in enumerate(rows):
-        sign = -1 if row[-1] < 0 else 1
-        ints = [sign * v.numerator * (scale // v.denominator) for v in row]
-        tab.append(ints[:-1] + [int(j == i) for j in range(m)] + ints[-1:])
-    # Phase-1 costs priced out against the artificial basis, then phase 2.
-    phase1 = [-sum(col) for col in zip(*tab, [0] * (n + m + 1))]
-    phase1[n:n + m] = [0] * m
     cscale = _common_denominator(c)
-    phase2 = [v.numerator * (cscale // v.denominator) for v in c] + [0] * (m + 1)
-    tab += [phase1, phase2]
-    basis = list(range(n, n + m))
+    ints = []
+    for row in rows:
+        sign = -1 if row[-1] < 0 else 1
+        ints.append([sign * v.numerator * (scale // v.denominator) for v in row])
+    costs = [v.numerator * (cscale // v.denominator) for v in c]
+    # Squared row norms: each constraint row has its artificial 1, and the
+    # phase-1 row, minus their sum, is bounded by Cauchy-Schwarz.  No minor
+    # holds both objective rows, so only the larger one enters the bound.
+    norms = [sum(map(mul, row, row)) + 1 for row in ints]
+    objective = max(m * sum(norms), sum(map(mul, costs, costs)), 1)
+    w = (isqrt(prod(norms) * objective) + 1).bit_length() + 2
 
-    _optimize(tab, basis, m, n + m)
-    if tab[m][-1] != 0:
+    packed = [
+        _pack(row[:-1], w) + (1 << w * (n + i)) + (row[-1] << w * (n + m))
+        for i, row in enumerate(ints)
+    ]
+    # Phase-1 costs priced out against the artificial basis, then phase 2.
+    phase1 = (_spread(1, w, m) << w * n) - sum(packed)
+    tab = _Tableau(packed + [phase1, _pack(costs, w)], list(range(n, n + m)), w, n + m + 1)
+    basis = tab.basis
+
+    tab.optimize(m, n + m)
+    if tab.rhs(m) != 0:
         return "infeasible", None, None
+    structural = (1 << w * n) - 1
     for i in range(m):
         if basis[i] >= n:
-            s = next((j for j in range(n) if tab[i][j] != 0), None)
-            if s is not None:
-                _pivot(tab, basis, i, s)
+            low = tab.rows[i] & structural
+            if low:
+                s = ((low & -low).bit_length() - 1) // w
+                tab.pivot(i, s, tab.column(s))
+    del tab.rows[m]  # the phase-1 row is not read again
 
-    if not _optimize(tab, basis, m + 1, n):
+    if not tab.optimize(m, n):
         return "unbounded", None, None
     x = [Fraction(0)] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = Fraction(tab[i][-1], tab[i][basis[i]])
+    for i, j in enumerate(basis):
+        if j < n:
+            x[j] = Fraction(tab.rhs(i), tab.det)
     return "optimal", x, sum((v * x[j] for j, v in enumerate(c) if v), Fraction(0))
 
 

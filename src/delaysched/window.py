@@ -166,8 +166,14 @@ class WindowGraph:
             (universe & ~(adj[v] | (1 << v))) if universe >> v & 1 else 0
             for v in range(n)
         ]
+        # A usable vertex with no usable conflict is in every maximal set:
+        # it starts in R, so no level of the search is spent on it.
+        free = 0
+        for v in range(n):
+            if comp[v] == universe ^ (1 << v):
+                free |= 1 << v
         out: list[int] = []
-        stack = [(0, universe, 0)]
+        stack = [(free, universe & ~free, 0)]
         while stack:
             r, p, x = stack.pop()
             if p == 0 and x == 0:

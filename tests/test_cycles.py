@@ -38,6 +38,7 @@ from delaysched.cycles import (
     _pareto_front,
     _retain_maximal,
     closed_path_rate,
+    rate_numerators,
 )
 
 from conftest import (
@@ -913,6 +914,44 @@ def test_pareto_front_matches_quadratic_filter():
         front = _pareto_front(vectors)
         assert len(front) == len(set(front))
         assert sorted(front) == sorted(quadratic)
+
+
+def _loop_pareto_front(vectors):
+    # The tuple loop the packed guard-bit front replaced, kept as its oracle.
+    front = []
+    for r in sorted(set(vectors), key=sum, reverse=True):
+        if not any(all(x >= y for x, y in zip(f, r)) for f in front):
+            front.append(r)
+    return front
+
+
+@pytest.mark.parametrize("L, T, k, search", [
+    (4, 1, 4, algorithm_a), (5, 1, 4, algorithm_a), (6, 1, 3, algorithm_a),
+    (4, 2, 3, algorithm_a), (5, 2, 3, algorithm_a),
+    (4, 1, 4, algorithm_b), (5, 2, 3, algorithm_b),
+])
+def test_packed_pareto_front_matches_loop_on_ladder(L, T, k, search):
+    # The rate numerators pareto_filter hands the front on each benchmark rung.
+    cycles = sorted(set(search(line_network(L, 1), T, k).cycles))
+    numerators, _ = rate_numerators(cycles, T, L)
+    assert _pareto_front(numerators) == _loop_pareto_front(numerators)
+
+
+def test_packed_pareto_front_matches_loop_on_random_vectors():
+    # Zeros, equal sums and duplicates; entries wide enough to span fields
+    # of different widths, and the empty and zero-length cases.
+    rng = random.Random(1313)
+    assert _pareto_front([]) == [] and _pareto_front([(), ()]) == [()]
+    for _ in range(400):
+        dim = rng.randint(1, 7)
+        top = rng.choice((1, 2, 7, 100, 2**40))
+        vectors = [
+            tuple(rng.randint(0, top) if rng.random() < 0.7 else 0 for _ in range(dim))
+            for _ in range(rng.randint(0, 40))
+        ]
+        vectors += rng.sample(vectors, len(vectors) // 3)
+        vectors += [tuple(rng.sample(r, dim)) for r in vectors[:5]]  # ties in sum
+        assert _pareto_front(vectors) == _loop_pareto_front(vectors)
 
 
 def test_pareto_filter_drops_zero_cycle(line41):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from delaysched import algorithm_a, exactlp, line_network, region_from_cycles
 from delaysched.exactlp import dominating_combination, max_symmetric_scale, simplex_min
 
 F = Fraction
@@ -226,3 +227,80 @@ def test_float_entries_are_rejected():
         simplex_min([1, 0], [[1, 1]], [1.0])
     with pytest.raises(TypeError, match="int or Fraction"):
         simplex_min([0.5, 0], [[1, 1]], [1])
+
+
+@pytest.mark.parametrize("c, A, b", [
+    ([0, 0], [[1]], [1]),  # a row shorter than c
+    ([0, 0], [[1, 1, 5]], [1]),  # a row longer than c
+    ([0, 0], [[1, 1]], [1, 7]),  # more right-hand sides than rows
+    ([0, 0], [[1, 1], [1, 0]], [1]),  # more rows than right-hand sides
+])
+def test_ragged_input_is_rejected(c, A, b):
+    with pytest.raises(ValueError, match="LP shape"):
+        simplex_min(c, A, b)
+
+
+def _wide_row(rng, kind, n, i, dens):
+    if kind == "hilbert":
+        # Hilbert-style rows: the minors grow fastest, and so does the field width.
+        offset = rng.randint(0, 3)
+        return [F(rng.choice((1, -1)), i + j + 1 + offset) for j in range(n)]
+    row = []
+    for _ in range(n):
+        if rng.random() < 0.3:
+            row.append(0)
+        elif kind == "int":
+            row.append(rng.randint(-10**12, 10**12))
+        elif kind == "fraction":
+            row.append(F(rng.randint(-10**6, 10**6), rng.choice(dens)))
+        else:
+            row.append(rng.randint(-3, 3))
+    return row
+
+
+def test_wide_packed_rows_match_rational_reference():
+    # Up to 8 rows and 48 columns with 10**12 ints, Fractions with 10**6
+    # denominators and Hilbert rows make fields hundreds of bits wide; a
+    # copied row keeps an artificial basic after phase 1.  Each LP draws
+    # its Fractions over three denominators: with hundreds of distinct
+    # ones the common denominator alone runs to thousands of bits, and
+    # one LP takes seconds in this simplex.
+    rng = random.Random(13013)
+    statuses = {}
+    for kind in ("small", "int", "fraction", "hilbert") * 12:
+        m, n = rng.randint(1, 8), rng.randint(1, 48)
+        dens = [rng.randint(1, 10**6) for _ in range(3)]
+        A = [_wide_row(rng, kind, n, i, dens) for i in range(m)]
+        if rng.random() < 0.5:  # feasible by construction
+            x0 = [rng.randint(1, 2) if rng.random() < 0.3 else 0 for _ in range(n)]
+            b = [sum(a * x for a, x in zip(row, x0)) for row in A]
+        else:
+            b = _wide_row(rng, kind, m, 0, dens)
+        c = _wide_row(rng, kind, n, m, dens)
+        if rng.random() < 0.5:  # bounded below
+            c = [abs(v) for v in c]
+        if m >= 2 and rng.random() < 0.3:
+            A[-1], b[-1] = list(A[0]), b[0]
+        expected = _ref_simplex_min(c, A, b)
+        assert simplex_min(c, A, b) == expected, (kind, c, A, b)
+        statuses[expected[0]] = statuses.get(expected[0], 0) + 1
+    assert min(statuses.get(s, 0) for s in ("optimal", "infeasible", "unbounded")) >= 3
+
+
+@pytest.mark.parametrize("L, T, k", [(5, 2, 3), (6, 1, 3)])
+def test_region_lps_match_rational_reference(monkeypatch, L, T, k):
+    # Every LP that region_from_cycles solves on two benchmark ladder rungs.
+    calls = []
+    solve = exactlp.simplex_min
+
+    def record(c, A, b):
+        result = solve(c, A, b)
+        calls.append((c, A, b, result))
+        return result
+
+    monkeypatch.setattr(exactlp, "simplex_min", record)
+    net = line_network(L, 1)
+    region_from_cycles(net, algorithm_a(net, T, k).cycles, T)
+    assert calls
+    for c, A, b, result in calls:
+        assert result == _ref_simplex_min(c, A, b)

@@ -11,6 +11,7 @@ from delaysched import (
     validate,
 )
 from delaysched.window import (
+    WindowGraph,
     bit_position,
     block_from_rows,
     block_to_rows,
@@ -360,3 +361,85 @@ def test_pruned_hyper_walk_matches_unpruned_walk():
         assert w.nbits <= 20, name
         assert sorted(w._maximal_hyper()) == _ref_maximal_hyper(w), name
 
+
+
+def _ref_maximal_binary(window):
+    """Pivoted Bron-Kerbosch on the complement graph with every usable
+    vertex in P at the start, as before free vertices went straight to R."""
+    n = window.nbits
+    universe = (1 << n) - 1
+    adj = [0] * n
+    for m in window.masks:
+        if m & (m - 1) == 0:
+            universe &= ~m
+            continue
+        lo = (m & -m).bit_length() - 1
+        hi = m.bit_length() - 1
+        adj[lo] |= 1 << hi
+        adj[hi] |= 1 << lo
+    comp = [
+        (universe & ~(adj[v] | (1 << v))) if universe >> v & 1 else 0
+        for v in range(n)
+    ]
+    out = []
+    stack = [(0, universe, 0)]
+    while stack:
+        r, p, x = stack.pop()
+        if p == 0 and x == 0:
+            out.append(r)
+            continue
+        pivot, best = -1, -1
+        pool = p | x
+        while pool:
+            u = (pool & -pool).bit_length() - 1
+            pool &= pool - 1
+            score = (p & comp[u]).bit_count()
+            if score > best:
+                best, pivot = score, u
+        cand = p & ~comp[pivot]
+        while cand:
+            v = cand.bit_length() - 1
+            vbit = 1 << v
+            cand ^= vbit
+            stack.append((r | vbit, p & ~cand & comp[v], (x | cand) & comp[v]))
+    return sorted(out)
+
+
+def _random_binary_masks(rng, n):
+    """Pair conflicts over n bits, a few self-conflicting bits, and some
+    bits left free or conflicting only with a self-conflicting one."""
+    masks = set()
+    for _ in range(rng.randint(0, 2 * n)):
+        a, b = rng.sample(range(n), 2)
+        masks.add(1 << a | 1 << b)
+    for _ in range(rng.randint(0, 2)):
+        masks.add(1 << rng.randrange(n))
+    return tuple(masks)
+
+
+def test_free_vertices_start_in_every_maximal_set():
+    # Binary windows from random networks at T 1-3 and doubled, and random
+    # conflict graphs with free vertices, against the search that branched
+    # on every vertex.
+    windows = [
+        w
+        for seed in range(300)
+        for net in [random_network(random.Random(seed))]
+        if is_binary(net)
+        for T in (1, 2, 3, 4, 6)
+        for w in [build_window(net, T)]
+        if w.nbits <= 22
+    ]
+    rng = random.Random(1212)
+    for _ in range(300):
+        n = rng.randint(2, 20)
+        net = make_network([f"l{i}" for i in range(n)], {}, {})
+        windows.append(WindowGraph(net, 1, _random_binary_masks(rng, n)))
+    free = make_network(["a", "b", "c"], {"a": [["b"]]}, {("a", "b"): 1})
+    windows += [build_window(free, T) for T in (1, 2, 5, 8)]
+    assert len(windows) > 1000
+    for w in windows:
+        assert w.maximal_independent_sets() == _ref_maximal_binary(w), w.masks
+    # One free link over 1,200 bits: a single level, not one per bit.
+    lone = build_window(make_network(["a"], {}, {}), 1200)
+    assert lone.maximal_independent_sets() == [(1 << 1200) - 1]
