@@ -60,9 +60,9 @@ def canonical_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
 
     A tuple that already starts with its smallest block is returned as is.
     """
-    if cycle[0] != cycle[-1]:
+    if len(cycle) < 2 or cycle[0] != cycle[-1]:
         raise ValueError("cycle is not closed")
-    if type(cycle) is tuple and len(cycle) > 1 and cycle[0] == min(cycle):
+    if type(cycle) is tuple and cycle[0] == min(cycle):
         return cycle
     interior = tuple(cycle[:-1])
     shift = interior.index(min(interior))
@@ -111,6 +111,8 @@ def closed_path_rate(path: Sequence[int], T: int, num_links: int) -> tuple[Fract
 
 class _Deadline:
     def __init__(self, budget: float | None):
+        if budget is not None and not budget >= 0:
+            raise ValueError(f"budget must be a non-negative number of seconds, got {budget}")
         self.at = None if budget is None else time.monotonic() + budget
 
     def expired(self) -> bool:
@@ -177,7 +179,11 @@ def johnson_cycles(
     return CycleSearchResult(tuple(sorted(found)), True)
 
 
-def path_to_cycles(path: Sequence[int]) -> set[tuple[int, ...]]:
+def path_to_cycles(
+    path: Sequence[int],
+    *,
+    memo: dict[tuple[int, ...], frozenset[tuple[int, ...]]] | None = None,
+) -> set[tuple[int, ...]]:
     """All cycles dominated by a block path, duplicates resolved bit-by-bit.
 
     The wrap block is the AND of the path's endpoints.  Whenever two blocks
@@ -186,25 +192,48 @@ def path_to_cycles(path: Sequence[int]) -> set[tuple[int, ...]]:
     maximal cycle of the path's length that the path dominates appears in
     the output (dominated cycles may appear alongside).  Pairwise distinct
     blocks are already the one cycle; more blocks than the submasks of
-    their OR can hold no pairwise distinct sub-blocks, so no cycle.
+    their OR can hold no pairwise distinct sub-blocks, so no cycle.  With
+    ``memo``, the cycles of a block tuple that repeats a block are resolved
+    once and kept there under the tuple; every call returns a new set.
     """
-    if len(path) < 2:
+    n = len(path) - 1
+    if n < 1:
         raise ValueError("path must have length >= 1")
     first = path[0] & path[-1]
-    blocks = [first, *path[1:-1]]
-    if len(set(blocks)) == len(blocks):
+    # Up to three blocks, distinctness takes at most three comparisons.
+    if n == 1:
+        return {(first, first)}
+    if n == 2:
+        if path[1] != first:
+            return {(first, path[1], first)}
+    elif n == 3:
+        b, c = path[1], path[2]
+        if b != first and c != first and b != c:
+            return {(first, b, c, first)}
+    blocks = (first, *path[1:-1])
+    if n > 3 and len(set(blocks)) == n:
         return {(*blocks, first)}
+    if memo is None:
+        return _resolve(blocks)
+    cycles = memo.get(blocks)
+    if cycles is None:
+        cycles = memo[blocks] = frozenset(_resolve(blocks))
+    return set(cycles)
+
+
+def _resolve(blocks: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """The cycles under a block tuple that repeats a block: none when the
+    blocks outnumber the submasks of their OR."""
     union = 0
     for b in blocks:
         union |= b
-    if len(blocks) > 1 << union.bit_count():
-        return set()
     out: set[tuple[int, ...]] = set()
-    _distinct(blocks, [0] * len(blocks), out)
+    if len(blocks) <= 1 << union.bit_count():
+        _distinct(blocks, [0] * len(blocks), out)
     return out
 
 
-def _distinct(blocks: list[int], flags: list[int], out: set[tuple[int, ...]]) -> None:
+def _distinct(blocks: Sequence[int], flags: list[int], out: set[tuple[int, ...]]) -> None:
     stack = [(blocks, flags)]
     while stack:
         blocks, flags = stack.pop()
@@ -366,7 +395,11 @@ def _retain_maximal(cycles: Iterable[tuple[int, ...]], nbits: int) -> list[tuple
         }
         cover = [[0] * nbits for _ in range(k)]
         kept = 0  # one set bit per kept rotation
-        for c in sorted(group, key=lambda c: (c[0].bit_count() - sum(map(int.bit_count, c)), c)):
+        # Tuple order, then a stable sort by decreasing popcount: the same
+        # order as one sort on (popcount, tuple) keys, without key tuples.
+        ordered = sorted(group)
+        ordered.sort(key=lambda c: c[0].bit_count() - sum(map(int.bit_count, c)))
+        for c in ordered:
             acc = kept
             for row, b in zip(cover, c):
                 for x in bits[b]:
@@ -388,17 +421,23 @@ def _search(network: Network, T: int, layer_seqs, budget: float | None) -> Cycle
 
     ``layer_seqs`` yields one chain per cycle length, shortest first, and
     the budget is checked before each path, so a cut run holds every
-    shorter length in full.
+    shorter length in full.  Paths of one length share a memo of their
+    repeated-block tuples, and each distinct raw cycle of the length is
+    rotated once.
     """
     expired = None if budget is None else _Deadline(budget).expired
     found: set[tuple[int, ...]] = set()
     complete = True
     for adjs in layer_seqs:
+        raw: set[tuple[int, ...]] = set()
+        memo: dict[tuple[int, ...], frozenset[tuple[int, ...]]] = {}
         for path in _iter_edge_paths(adjs):
             if expired and expired():
                 complete = False
                 break
-            found.update(map(canonical_cycle, path_to_cycles(path)))
+            raw.update(path_to_cycles(path, memo=memo))
+        found.update(map(canonical_cycle, raw))
+        del raw, memo  # freed before the next length's layers are built
         if not complete:
             break
     return CycleSearchResult(tuple(_retain_maximal(found, len(network.links) * T)), complete)

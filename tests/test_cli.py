@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import delaysched
+from delaysched import cycles as cycles_mod
 from delaysched.cli import main
 from delaysched.network import network_fingerprint, network_from_json, network_to_json
 
@@ -105,6 +106,34 @@ def test_ladder_outputs_unchanged(capsys, monkeypatch, hyper_n4, case):
     assert code == 0
     doc["manifest"].pop("wall_time_ms")
     assert doc == LADDER_OUTPUTS[case]
+
+
+# The benchmark's line-ladder jobs with their traced counts; read, never written.
+GOLDEN_LADDER = json.loads(
+    (Path(__file__).parents[1] / "perfbench" / "golden.json").read_text()
+)["line-ladder"]["jobs"]
+
+
+@pytest.mark.parametrize("job", sorted(GOLDEN_LADDER), ids=lambda j: j.replace(" ", "-"))
+def test_ladder_extraction_calls_match_golden_counts(capsys, monkeypatch, job):
+    # One extraction call per walked path, with the cycles each returns: a
+    # change to either moves the benchmark's pinned path and candidate counts.
+    command, net, T, k, algorithm = job.split()
+    extract = cycles_mod.path_to_cycles
+    sizes = []
+
+    def spy(*args, **kwargs):
+        out = extract(*args, **kwargs)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(cycles_mod, "path_to_cycles", spy)
+    net_doc = gen_line(capsys, monkeypatch, int(net[1:]), 1)
+    argv = [command, "--T", T[1:], "--algorithm", algorithm, "--max-length", k[1:]]
+    code, _ = run_cli(capsys, monkeypatch, argv, stdin_doc=net_doc)
+    assert code == 0
+    traced = GOLDEN_LADDER[job]["traced"]
+    assert (len(sizes), sum(sizes)) == (traced["cycles.paths"], traced["cycles.candidates"])
 
 
 def test_rate_region_reference(capsys, monkeypatch):
@@ -294,6 +323,21 @@ def test_exit_code_on_budget_truncation_strict(capsys, monkeypatch):
         stdin_doc=net_doc,
     )
     assert code == 0 and doc["complete"] is False
+
+
+@pytest.mark.parametrize("budget", ["nan", "-1", "-0.001"])
+@pytest.mark.parametrize("algorithm", ["johnson", "incremental", "maximal-subgraph"])
+def test_bad_budget_exits_2(capsys, monkeypatch, budget, algorithm):
+    # NaN compares false with every time, so it would never expire; a
+    # negative budget would return an empty truncated result.
+    net_doc = gen_line(capsys, monkeypatch, 4, 1)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(net_doc)))
+    argv = ["cycles", "--T", "1", "--algorithm", algorithm, "--max-length", "2",
+            "--budget", budget]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "budget must be a non-negative number of seconds" in err
 
 
 def test_cap_override_via_environment(capsys, monkeypatch):

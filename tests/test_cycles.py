@@ -76,6 +76,12 @@ def test_canonical_cycle_rotation():
         assert canonical_cycle(rotated + (rotated[0],)) == canon
 
 
+@pytest.mark.parametrize("cycle", [(), [], (5,), (1, 2), [1, 2, 3]])
+def test_canonical_cycle_rejects_open_sequences(cycle):
+    with pytest.raises(ValueError, match="cycle is not closed"):
+        canonical_cycle(cycle)
+
+
 def _ref_canonical_cycle(cycle):
     """The rotation without the shortcut for already canonical tuples."""
     interior = tuple(cycle[:-1])
@@ -407,6 +413,56 @@ def test_path_to_cycles_matches_distinct_recursion(top):
         repeated += len(set(blocks)) < len(blocks)
         assert path_to_cycles(path) == _ref_path_to_cycles(path), path
     assert repeated > 100 if top == 7 else repeated == 0
+
+
+def test_path_to_cycles_memo_on_every_short_path():
+    # Every path of one to three edges over blocks below 16 takes one of the
+    # direct returns or resolves a repeated block, and so does every path of
+    # four edges over blocks below 8; without a memo, with a fresh one and
+    # with one reused across all paths, the sets are equal.
+    memo = {}
+    for n, top in ((2, 16), (3, 16), (4, 16), (5, 8)):
+        for path in product(range(top), repeat=n):
+            plain = path_to_cycles(path)
+            assert plain == _ref_path_to_cycles(path), path
+            assert path_to_cycles(path, memo={}) == plain, path
+            assert path_to_cycles(path, memo=memo) == plain, path
+    # The memo holds only tuples that repeat a block.
+    assert memo and all(len(set(blocks)) < len(blocks) for blocks in memo)
+
+
+def test_path_to_cycles_memo_on_walked_paths():
+    # The paths algorithm A walks on random networks, hypergraphs included,
+    # with one memo per length as the search keeps it.
+    hyper = repeated = hits = 0
+    for seed in range(7010, 7030):
+        net = random_network(random.Random(seed))
+        hyper += not is_binary(net)
+        for T in (1, 2):
+            estar = build_maximal(net, T).edges
+            for _k, u_list, uprime in _layer_chain(estar, 3):
+                memo = {}
+                for path in _iter_edge_paths([_adjacency(e) for e in (*u_list, uprime)]):
+                    blocks = (path[0] & path[-1], *path[1:-1])
+                    repeated += len(set(blocks)) < len(blocks)
+                    hits += blocks in memo
+                    plain = path_to_cycles(path)
+                    assert path_to_cycles(path, memo={}) == plain, path
+                    assert path_to_cycles(path, memo=memo) == plain, path
+    assert hyper >= 3 and repeated > 100 and hits > 50
+
+
+def test_path_to_cycles_returns_a_new_set_per_call():
+    path = (v(5), v(8), v(5), v(8), v(5))
+    want = path_to_cycles(path)
+    assert len(want) > 1
+    memo = {}
+    for _ in range(3):  # a miss, then hits
+        out = path_to_cycles(path, memo=memo)
+        assert out == want
+        out.pop()
+        out.add((0, 0))
+    assert path_to_cycles(path, memo=memo) == want
 
 
 # ------------------------------------------------------------ layered graph
