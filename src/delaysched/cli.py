@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 input error, 3 budget-truncated result under
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -27,6 +26,7 @@ from .network import (
     format_rate,
     gcd_reduce,
     apply_vertex_assignment,
+    json_sha256,
     line_network,
     network_fingerprint,
     network_from_json,
@@ -62,11 +62,6 @@ def _read_json(path: str | None):
 def _load_network(args) -> Network:
     doc = _read_json(getattr(args, "network", None))
     return network_from_json(doc)
-
-
-def _doc_hash(doc) -> str:
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def _emit(args, payload: dict, fingerprint: str, complete: bool, t0: float) -> int:
@@ -237,7 +232,7 @@ def _cmd_achievable(args) -> _Result:
             "weights": [format_rate(w) for w in weights],
             "generators": [[format_rate(r) for r in g] for g in region.generators],
         }
-    return payload, _doc_hash(doc), True
+    return payload, json_sha256(doc), True
 
 
 def _cmd_window_rate(args) -> _Result:

@@ -39,6 +39,9 @@ __all__ = [
     "pareto_filter",
 ]
 
+# Successor rows of an edge set: block -> its successors, keys and rows ascending.
+Rows = dict[int, tuple[int, ...]]
+
 
 @dataclass(frozen=True)
 class CycleSearchResult:
@@ -263,38 +266,36 @@ def _distinct(blocks: Sequence[int], flags: list[int], out: set[tuple[int, ...]]
 class LayeredGraph:
     """(k+1)-partite cover of the maximal length-k paths.
 
-    ``layer_edges`` holds the edge sets between consecutive layers; for
-    k = 1 this is just the maximal edge set itself.
+    ``layers`` holds the successor rows between consecutive layers, keys
+    and rows ascending; for k = 1 these are the maximal edge set's rows.
     """
 
     left: tuple[int, ...]
     mids: tuple[int, ...]
     right: tuple[int, ...]
-    layer_edges: tuple[tuple[tuple[int, int], ...], ...]
+    layers: tuple[Rows, ...]
 
 
-def _next_layer(
-    uprime_prev: Iterable[tuple[int, int]],
-    estar: Iterable[tuple[int, int]],
-) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+def _rows(edges: Iterable[tuple[int, int]]) -> Rows:
+    rows: dict[int, list[int]] = defaultdict(list)
+    for a, b in edges:
+        rows[a].append(b)
+    return {a: tuple(sorted(rows[a])) for a in sorted(rows)}
+
+
+def _next_layer(uprime_rows: Rows, into: Rows) -> tuple[Rows, Rows]:
     """One recursion step: AND middles, keep per-(outer, outer) maxima.
 
     The middles of an outer pair (a, c) are the ANDs b & b' of a's
-    successors b in U' and c's predecessors b' in E*.  They are taken by
-    decreasing popcount, so a strict superset of a middle comes before it;
-    a middle is kept unless a kept one covers it, which leaves exactly the
-    maximal ones.
+    successors b in U' and c's predecessors b' in E* (``into``).  They are
+    taken by decreasing popcount, so a strict superset of a middle comes
+    before it; a middle is kept unless a kept one covers it, which leaves
+    exactly the maximal ones.  Returns the rows of U and of the next U'.
     """
-    lefts: dict[int, set[int]] = defaultdict(set)
-    for a, b in uprime_prev:
-        lefts[a].add(b)
-    rights: dict[int, set[int]] = defaultdict(set)
-    for bp, c in estar:
-        rights[c].add(bp)
     u_new = set()
     uprime_new = set()
-    for a, bs in lefts.items():
-        for c, bps in rights.items():
+    for a, bs in uprime_rows.items():
+        for c, bps in into.items():
             mids = {b & bp for b in bs for bp in bps}
             kept: list[int] = []
             for m in sorted(mids, key=int.bit_count, reverse=True):
@@ -305,18 +306,20 @@ def _next_layer(
                     kept.append(m)
                     u_new.add((a, m))
                     uprime_new.add((m, c))
-    return tuple(sorted(u_new)), tuple(sorted(uprime_new))
+    return _rows(u_new), _rows(uprime_new)
 
 
-def _layer_chain(estar: tuple[tuple[int, int], ...], k_max: int):
-    """Yield (k, edge sets U_0..U_{k-2}, U'_{k-1}) for k = 1..k_max."""
-    u_list: list[tuple[tuple[int, int], ...]] = []
-    uprime = estar
+def _layer_chain(estar: Sequence[tuple[int, int]], k_max: int):
+    """Yield the rows of U_0..U_{k-2}, U'_{k-1} for k = 1..k_max.  E*'s rows
+    and predecessor rows are built once; each length adds two row sets."""
+    uprime = _rows(estar)
+    into = _rows((c, b) for b, c in estar)
+    layers: list[Rows] = []
     for k in range(1, k_max + 1):
         if k > 1:
-            u_new, uprime = _next_layer(uprime, estar)
-            u_list.append(u_new)
-        yield k, tuple(u_list), uprime
+            u_new, uprime = _next_layer(uprime, into)
+            layers.append(u_new)
+        yield layers + [uprime]
 
 
 def build_layered(network: Network, T: int, k: int) -> LayeredGraph:
@@ -324,23 +327,16 @@ def build_layered(network: Network, T: int, k: int) -> LayeredGraph:
         raise ValueError("k must be >= 1")
     maximal = build_maximal(network, T)
     mids = tuple(sorted({b & bp for b in maximal.right for bp in maximal.left}))
-    *_, (_k, u_list, uprime) = _layer_chain(maximal.edges, k)
-    return LayeredGraph(maximal.left, mids, maximal.right, u_list + (uprime,))
+    *_, layers = _layer_chain(maximal.edges, k)
+    return LayeredGraph(maximal.left, mids, maximal.right, tuple(layers))
 
 
-def _adjacency(edges: Iterable[tuple[int, int]]) -> dict[int, tuple[int, ...]]:
-    adj: dict[int, list[int]] = defaultdict(list)
-    for a, b in edges:
-        adj[a].append(b)
-    return {a: tuple(sorted(bs)) for a, bs in adj.items()}
-
-
-def _iter_edge_paths(adjs: Sequence[dict[int, tuple[int, ...]]]) -> Iterator[tuple[int, ...]]:
-    """Paths through consecutive adjacencies, depth first, successors ascending."""
+def _iter_edge_paths(adjs: Sequence[Rows]) -> Iterator[tuple[int, ...]]:
+    """Paths through consecutive successor rows, depth first, ascending."""
     last = len(adjs)
-    for start in sorted(adjs[0]):
+    for start, row in adjs[0].items():
         path = [start]
-        stack = [iter(adjs[0][start])]
+        stack = [iter(row)]
         while stack:
             if len(stack) == last:
                 for nxt in stack.pop():
@@ -357,17 +353,14 @@ def _iter_edge_paths(adjs: Sequence[dict[int, tuple[int, ...]]]) -> Iterator[tup
 
 
 def iter_layered_paths(layered: LayeredGraph) -> Iterator[tuple[int, ...]]:
-    """All length-k paths through the layer edge sets, depth first."""
-    yield from _iter_edge_paths([_adjacency(edges) for edges in layered.layer_edges])
+    """All length-k paths through the layer rows, depth first."""
+    yield from _iter_edge_paths(layered.layers)
 
 
 def count_layered_paths(layered: LayeredGraph) -> int:
     counts: dict[int, int] = defaultdict(lambda: 1)
-    for edges in reversed(layered.layer_edges):
-        nxt: dict[int, int] = defaultdict(int)
-        for a, b in edges:
-            nxt[a] += counts[b]
-        counts = defaultdict(int, nxt)
+    for rows in reversed(layered.layers):
+        counts = defaultdict(int, {a: sum(counts[b] for b in bs) for a, bs in rows.items()})
     return sum(counts.values())
 
 
@@ -417,7 +410,7 @@ def _retain_maximal(cycles: Iterable[tuple[int, ...]], nbits: int) -> list[tuple
 
 
 def _search(network: Network, T: int, layer_seqs, budget: float | None) -> CycleSearchResult:
-    """Extract cycles from every path of each chain of adjacencies, then retain.
+    """Extract cycles from every path of each chain of successor rows, then retain.
 
     ``layer_seqs`` yields one chain per cycle length, shortest first, and
     the budget is checked before each path, so a cut run holds every
@@ -458,17 +451,7 @@ def algorithm_a(
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    estar = build_maximal(network, T).edges
-
-    def chain():
-        # Each length adds U_{k-2} and U'_{k-1}; earlier rows are reused.
-        u_rows = []
-        for k, u_list, uprime in _layer_chain(estar, k_max):
-            if k > 1:
-                u_rows.append(_adjacency(u_list[-1]))
-            yield u_rows + [_adjacency(uprime)]
-
-    return _search(network, T, chain(), budget)
+    return _search(network, T, _layer_chain(build_maximal(network, T).edges, k_max), budget)
 
 
 def algorithm_b(
@@ -484,7 +467,7 @@ def algorithm_b(
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    rows = _adjacency(build_maximal(network, T).edges)
+    rows = _rows(build_maximal(network, T).edges)
     return _search(network, T, ([rows] * k for k in range(1, k_max + 1)), budget)
 
 

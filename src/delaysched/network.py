@@ -9,6 +9,7 @@ read; they are represented simply as absent keys.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -260,12 +261,15 @@ def network_from_json(doc: Mapping) -> Network:
     return network
 
 
+def json_sha256(doc) -> str:
+    """SHA-256 of a JSON document's compact, key-sorted form."""
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 def network_fingerprint(network: Network) -> str:
     """Stable content hash of the canonical JSON form."""
-    import hashlib
-
-    blob = json.dumps(network_to_json(network), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return json_sha256(network_to_json(network))
 
 
 def format_rate(value: Fraction) -> str:

@@ -44,6 +44,8 @@ class RegionDescription:
     def __post_init__(self):
         if len(self.witnesses) != len(self.generators):
             raise ValueError("one witness slot per generator required")
+        if any(len(g) != len(self.links) for g in self.generators):
+            raise ValueError("every generator needs one rate per link")
 
 
 def region_regime(network: Network, T: int) -> str:
@@ -177,6 +179,8 @@ def region_from_json(doc: Mapping) -> RegionDescription:
     for entry in doc["generators"]:
         generators.append(tuple(parse_rate(r) for r in entry["rate"]))
         witness = entry.get("witness")
+        if witness is not None and any(len(rows) != len(links) for rows in witness):
+            raise ValueError("every witness block needs one row per link")
         witnesses.append(
             tuple(block_from_rows(rows, T) for rows in witness)
             if witness is not None

@@ -161,11 +161,16 @@ def schedule_to_json(network: Network, s: PeriodicSchedule) -> dict:
 
 def schedule_from_json(network: Network, doc: Mapping) -> PeriodicSchedule:
     period = doc["period"]
-    if not isinstance(period, int) or period < 1:
+    if type(period) is not int or period < 1:
         raise ValueError(f"bad period {period!r}")
+    active = doc.get("active", {})
+    if not isinstance(active, Mapping):
+        raise ValueError(f"bad active map {active!r}")
     rows = [[0] * period for _ in network.links]
-    for link, slots in doc.get("active", {}).items():
+    for link, slots in active.items():
         li = network.link_index(link)
         for t in slots:
+            if type(t) is not int:
+                raise ValueError(f"bad slot {t!r} for link {link!r}")
             rows[li][t % period] = 1
     return PeriodicSchedule(period, tuple(tuple(r) for r in rows))

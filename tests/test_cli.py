@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -422,6 +423,45 @@ def test_achievable_rejects_wrong_rate_dimension(capsys, monkeypatch, tmp_path):
     out, err = capsys.readouterr()
     assert out == ""
     assert "rate dimension does not match region links" in err
+
+
+def test_achievable_records_the_region_document_hash(capsys, monkeypatch, tmp_path):
+    argv, _ = _subcommand_argv(capsys, monkeypatch, tmp_path, "achievable")
+    code, out = run_cli(capsys, monkeypatch, argv)
+    assert code == 0
+    region_doc = json.loads(Path(argv[2]).read_text())
+    blob = json.dumps(region_doc, sort_keys=True, separators=(",", ":"))
+    assert out["manifest"]["network_sha256"] == hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("generator", [
+    {"rate": ["1/2"]},
+    {"rate": ["1/2", "1/2"], "witness": [["1"]]},
+], ids=["rate-short", "witness-block-short"])
+def test_achievable_malformed_region_exits_2(capsys, monkeypatch, tmp_path, generator):
+    # Two links, but one generator entry or one witness row.
+    rpath = tmp_path / "region.json"
+    rpath.write_text(json.dumps({"links": ["l1", "l2"], "T": 1, "generators": [generator]}))
+    assert main(["achievable", "--region", str(rpath), "--rate", "1/2,1/2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "bad region document" in err
+
+
+@pytest.mark.parametrize("sched", [
+    {"period": 1, "active": [1]},
+    {"period": True, "active": {"l1": [0]}},
+    {"period": 2, "active": {"l1": [True]}},
+], ids=["active-list", "period-bool", "slot-bool"])
+def test_verify_schedule_malformed_document_exits_2(capsys, monkeypatch, tmp_path, sched):
+    net_doc = gen_line(capsys, monkeypatch, 4, 1)
+    spath = tmp_path / "s.json"
+    spath.write_text(json.dumps(sched))
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(net_doc)))
+    assert main(["verify-schedule", "--schedule", str(spath)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "bad schedule document" in err
 
 
 @pytest.mark.parametrize("command", ["cycles", "rate-region"])

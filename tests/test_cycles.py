@@ -30,13 +30,13 @@ from delaysched import (
 from delaysched import cycles as cycles_mod
 from delaysched.cycles import (
     CycleSearchResult,
-    _adjacency,
     _distinct,
     _iter_edge_paths,
     _layer_chain,
     _next_layer,
     _pareto_front,
     _retain_maximal,
+    _rows,
     closed_path_rate,
     rate_numerators,
 )
@@ -440,9 +440,9 @@ def test_path_to_cycles_memo_on_walked_paths():
         hyper += not is_binary(net)
         for T in (1, 2):
             estar = build_maximal(net, T).edges
-            for _k, u_list, uprime in _layer_chain(estar, 3):
+            for layers in _layer_chain(estar, 3):
                 memo = {}
-                for path in _iter_edge_paths([_adjacency(e) for e in (*u_list, uprime)]):
+                for path in _iter_edge_paths(layers):
                     blocks = (path[0] & path[-1], *path[1:-1])
                     repeated += len(set(blocks)) < len(blocks)
                     hits += blocks in memo
@@ -467,6 +467,11 @@ def test_path_to_cycles_returns_a_new_set_per_call():
 
 # ------------------------------------------------------------ layered graph
 
+def _edges(rows):
+    """The edges of successor rows, in row order."""
+    return tuple((a, b) for a, row in rows.items() for b in row)
+
+
 def edges_from_matrix(matrix, row_ids, col_ids):
     return {
         (v(row_ids[i]), v(col_ids[j]))
@@ -478,16 +483,16 @@ def edges_from_matrix(matrix, row_ids, col_ids):
 
 def test_layer_edge_sets_match_reference(line41):
     mx = build_maximal(line41, 1)
-    chain = {k: (u_list, uprime) for k, u_list, uprime in _layer_chain(mx.edges, 3)}
-    u_list2, uprime2 = chain[2]
-    assert set(u_list2[0]) == edges_from_matrix(
+    chain = dict(enumerate(_layer_chain(mx.edges, 3), 1))
+    u0, uprime2 = chain[2]
+    assert set(_edges(u0)) == edges_from_matrix(
         U0_MATRIX_41, [5, 6, 7, 8], list(range(9))
     )
-    assert set(uprime2) == edges_from_matrix(
+    assert set(_edges(uprime2)) == edges_from_matrix(
         U1P_MATRIX_41, list(range(9)), [5, 6, 7, 8]
     )
-    _, uprime3 = chain[3]
-    assert set(uprime3) == edges_from_matrix(
+    *_, uprime3 = chain[3]
+    assert set(_edges(uprime3)) == edges_from_matrix(
         U2P_MATRIX_41, list(range(9)), [5, 6, 7, 8]
     )
 
@@ -586,31 +591,34 @@ def layer_step_cases():
 
 
 def test_antichain_layer_step_matches_quadratic_step():
+    # The rows of each step, read in row order, are the sorted edge sets of
+    # the quadratic step.
     hyper = steps = 0
     for net, T, k in layer_step_cases():
         hyper += not is_binary(net)
         estar = build_maximal(net, T).edges
-        uprime = estar
+        into = _rows((c, b) for b, c in estar)
+        uprime = _rows(estar)
         for _ in range(k - 1):
-            step = _next_layer(uprime, estar)
-            assert step == _ref_next_layer(uprime, estar)
-            uprime = step[1]
+            u_new, uprime_new = _next_layer(uprime, into)
+            assert (_edges(u_new), _edges(uprime_new)) == _ref_next_layer(_edges(uprime), estar)
+            uprime = uprime_new
             steps += 1
     assert hyper >= 10 and steps == 3 + 2 + 40 * 2
 
 
-def _ref_iter_edge_paths(layer_edges):
-    """The recursive depth-first walk the explicit stack replaced."""
-    adjs = [_adjacency(edges) for edges in layer_edges]
+def _ref_iter_edge_paths(layers):
+    """The recursive depth-first walk the explicit stack replaced, starts
+    and successors sorted here rather than taken in row order."""
 
     def walk(prefix, depth):
-        if depth == len(adjs):
+        if depth == len(layers):
             yield prefix
             return
-        for nxt in adjs[depth].get(prefix[-1], ()):
+        for nxt in sorted(layers[depth].get(prefix[-1], ())):
             yield from walk(prefix + (nxt,), depth + 1)
 
-    for start in sorted(set(a for a, _ in layer_edges[0])):
+    for start in sorted(layers[0]):
         yield from walk((start,), 0)
 
 
@@ -621,10 +629,9 @@ LADDER_RUNGS = [(4, 1, 4), (5, 1, 4), (6, 1, 3), (4, 2, 3), (5, 2, 3)]
 @pytest.mark.parametrize("L, T, k", LADDER_RUNGS)
 def test_edge_path_walk_matches_recursive_walk(L, T, k):
     estar = build_maximal(line_network(L, 1), T).edges
-    for _k, u_list, uprime in _layer_chain(estar, k):
-        layer_edges = tuple(u_list) + (uprime,)
-        paths = list(_iter_edge_paths([_adjacency(e) for e in layer_edges]))
-        assert paths == list(_ref_iter_edge_paths(layer_edges))
+    for layers in _layer_chain(estar, k):
+        paths = list(_iter_edge_paths(layers))
+        assert paths == list(_ref_iter_edge_paths(layers))
         assert len(paths) > 0
 
 
@@ -637,23 +644,38 @@ def test_layer_containment_bound(line41):
     u_tilde_prime = {(b, c) for _, b, c in f2}
     f_tilde = {(a, b & bp, c) for a, b in u_tilde_prime for bp, c in estar}
     u_tilde = {(a, b) for a, b, _ in f_tilde}
-    for k, u_list, uprime in _layer_chain(estar, 5):
+    for k, layers in enumerate(_layer_chain(estar, 5), 1):
         if k >= 2:
-            assert set(uprime) <= u_tilde_prime
-            assert set(u_list[-1]) <= u_tilde
+            assert set(_edges(layers[-1])) <= u_tilde_prime
+            assert set(_edges(layers[-2])) <= u_tilde
 
 
 def test_layered_endpoints_lie_in_their_layers(line41):
     for k in (2, 3, 4):
         lay = build_layered(line41, 1, k)
         mids = set(lay.mids)
-        first, *inner, last = lay.layer_edges
+        first, *inner, last = map(_edges, lay.layers)
         assert {a for a, _ in first} <= set(lay.left)
         assert {b for _, b in last} <= set(lay.right)
         for edges in [first] + inner:
             assert {b for _, b in edges} <= mids
         for edges in inner + [last]:
             assert {a for a, _ in edges} <= mids
+
+
+def test_layered_rows_are_ascending():
+    # The path walk takes starts and successors in row order.
+    hyper = 0
+    for seed in range(7030, 7050):
+        net = random_network(random.Random(seed))
+        hyper += not is_binary(net)
+        for T in (1, 2):
+            for k in (1, 3):
+                for rows in build_layered(net, T, k).layers:
+                    assert list(rows) == sorted(rows)
+                    for row in rows.values():
+                        assert list(row) == sorted(set(row))
+    assert hyper >= 3
 
 
 def test_maximal_edge_count_bounded_by_edge_count(line41):
@@ -666,9 +688,9 @@ def test_maximal_edge_count_bounded_by_edge_count(line41):
 def test_layered_edges_are_scheduling_graph_edges(line41):
     w2 = build_window(line41, 2)
     mx = build_maximal(line41, 1)
-    for k, u_list, uprime in _layer_chain(mx.edges, 4):
-        for edges in list(u_list) + [uprime]:
-            for a, b in edges:
+    for layers in _layer_chain(mx.edges, 4):
+        for rows in layers:
+            for a, b in _edges(rows):
                 assert w2.is_independent((a << 4) | b)
 
 
@@ -788,29 +810,30 @@ def test_layered_search_walks_paths_deeper_than_the_recursion_limit(search):
 
 
 def _ref_search(net, T, chains):
-    """Extraction and retention over each chain of edge sets, as walked by
-    the recursive walker."""
+    """Extraction and retention over each chain of successor rows, as
+    walked by the recursive walker."""
     found = set()
-    for layer_edges in chains:
-        for path in _ref_iter_edge_paths(layer_edges):
+    for layers in chains:
+        for path in _ref_iter_edge_paths(layers):
             found.update(map(canonical_cycle, path_to_cycles(path)))
     return CycleSearchResult(tuple(_retain_maximal(found, len(net.links) * T)), True)
 
 
 def test_layered_searches_build_each_adjacency_once(monkeypatch, line41):
-    # Each length adds two edge sets to algorithm A's chain; algorithm B
-    # walks the one maximal-edge set at every length.
+    # Algorithm A builds E*'s rows and predecessor rows once, then each
+    # length adds two row sets to its chain; algorithm B walks the one
+    # maximal-edge row set at every length.
     estar = build_maximal(line41, 1).edges
-    chains_a = [u_list + (uprime,) for _k, u_list, uprime in _layer_chain(estar, 5)]
-    chains_b = [(estar,) * k for k in range(1, 6)]
+    chains_a = list(_layer_chain(estar, 5))
+    chains_b = [[_rows(estar)] * k for k in range(1, 6)]
     calls = []
 
     def counting(edges):
         calls.append(1)
-        return _adjacency(edges)
+        return _rows(edges)
 
-    monkeypatch.setattr(cycles_mod, "_adjacency", counting)
-    for search, chains, expected in ((algorithm_a, chains_a, 9), (algorithm_b, chains_b, 1)):
+    monkeypatch.setattr(cycles_mod, "_rows", counting)
+    for search, chains, expected in ((algorithm_a, chains_a, 10), (algorithm_b, chains_b, 1)):
         calls.clear()
         assert search(line41, 1, 5) == _ref_search(line41, 1, chains)
         assert len(calls) == expected

@@ -196,3 +196,20 @@ def test_schedule_json_roundtrip(line41):
     assert back == s
     assert doc["period"] == 9
     assert set(doc["active"]) == {"l1", "l4", "l3"}
+
+
+def test_schedule_from_json_wraps_negative_slots(line41):
+    doc = {"period": 3, "active": {"l1": [-1], "l3": [-3, 4]}}
+    s = schedule_from_json(line41, doc)
+    assert s.rows == ((0, 0, 1), (0, 0, 0), (1, 1, 0), (0, 0, 0))
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"period": True}, "bad period True"),
+    ({"period": 2, "active": [1]}, "bad active map"),
+    ({"period": 2, "active": {"l1": [False]}}, "bad slot False for link 'l1'"),
+    ({"period": 2, "active": {"l1": [1.0]}}, "bad slot 1.0 for link 'l1'"),
+], ids=["period-bool", "active-list", "slot-bool", "slot-float"])
+def test_schedule_from_json_rejects_malformed_documents(line41, doc, message):
+    with pytest.raises(ValueError, match=message):
+        schedule_from_json(line41, doc)
