@@ -41,7 +41,6 @@ from .schedgraph import (
 )
 from .cycles import (
     CycleSearchResult,
-    LayeredGraph,
     algorithm_a,
     algorithm_b,
     build_layered,

@@ -19,7 +19,7 @@ import time
 from . import cycles as cyc
 from . import region as reg
 from . import schedgraph as sg
-from .errors import CapExceededError, InvalidNetworkError
+from .errors import CapExceededError
 from .network import (
     Network,
     character,
@@ -41,10 +41,6 @@ EXIT_INPUT = 2
 EXIT_TRUNCATED = 3
 
 
-class _InputError(Exception):
-    pass
-
-
 # What a subcommand hands to ``_emit``: payload, input fingerprint, complete.
 _Result = tuple[dict, str, bool]
 
@@ -56,7 +52,7 @@ def _read_json(path: str | None):
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise _InputError(f"cannot read JSON input: {exc}") from exc
+        raise ValueError(f"cannot read JSON input: {exc}") from exc
 
 
 def _load_network(args) -> Network:
@@ -106,9 +102,9 @@ def _cmd_reduce(args) -> _Result:
         try:
             shifts = [int(x) for x in args.assignment.split(",")]
         except ValueError as exc:
-            raise _InputError(f"bad assignment {args.assignment!r}") from exc
+            raise ValueError(f"bad assignment {args.assignment!r}") from exc
         if len(shifts) != len(net.links):
-            raise _InputError("assignment length does not match link count")
+            raise ValueError("assignment length does not match link count")
         assignment = dict(zip(net.links, shifts))
         net = apply_vertex_assignment(net, assignment)
     reduced, g = gcd_reduce(net)
@@ -149,7 +145,7 @@ def _run_cycle_algorithm(net, args) -> cyc.CycleSearchResult:
         graph = sg.build(net, args.T)
         return cyc.johnson_cycles(graph, max_len=args.max_length, budget=args.budget)
     if args.max_length is None:
-        raise _InputError(f"--max-length is required for the {args.algorithm} algorithm")
+        raise ValueError(f"--max-length is required for the {args.algorithm} algorithm")
     search = cyc.algorithm_a if args.algorithm == "incremental" else cyc.algorithm_b
     return search(net, args.T, args.max_length, budget=args.budget)
 
@@ -197,7 +193,7 @@ def _cmd_verify_schedule(args) -> _Result:
     try:
         sched = schedule_from_json(net, sched_doc)
     except (KeyError, TypeError, ValueError) as exc:
-        raise _InputError(f"bad schedule document: {exc}") from exc
+        raise ValueError(f"bad schedule document: {exc}") from exc
     diagnoses = []
     for li, link in enumerate(net.links):
         for t in range(sched.period):
@@ -220,11 +216,11 @@ def _cmd_achievable(args) -> _Result:
     try:
         region = reg.region_from_json(doc)
     except (KeyError, TypeError, ValueError) as exc:
-        raise _InputError(f"bad region document: {exc}") from exc
+        raise ValueError(f"bad region document: {exc}") from exc
     try:
         rate = tuple(parse_rate(x) for x in args.rate.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _InputError(f"bad rate {args.rate!r}") from exc
+    except ValueError as exc:
+        raise ValueError(f"bad rate {args.rate!r}") from exc
     weights = reg.achievability_certificate(region, rate)
     payload: dict = {"achievable": weights is not None}
     if weights is not None:
@@ -317,7 +313,7 @@ def main(argv=None) -> int:
     t0 = time.monotonic()
     try:
         payload, fingerprint, complete = args.func(args)
-    except (_InputError, InvalidNetworkError, CapExceededError, ValueError) as exc:
+    except (ValueError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     return _emit(args, payload, fingerprint, complete, t0)

@@ -23,7 +23,6 @@ from .window import link_row_masks
 
 __all__ = [
     "CycleSearchResult",
-    "LayeredGraph",
     "dominates",
     "cycle_dominates",
     "canonical_cycle",
@@ -113,13 +112,18 @@ def closed_path_rate(path: Sequence[int], T: int, num_links: int) -> tuple[Fract
 
 
 class _Deadline:
-    def __init__(self, budget: float | None):
-        if budget is not None and not budget >= 0:
+    def __init__(self, budget: float):
+        if not budget >= 0:
             raise ValueError(f"budget must be a non-negative number of seconds, got {budget}")
-        self.at = None if budget is None else time.monotonic() + budget
+        self.at = time.monotonic() + budget
 
     def expired(self) -> bool:
-        return self.at is not None and time.monotonic() > self.at
+        return time.monotonic() > self.at
+
+
+def _stop_check(budget: float | None):
+    """A search's stop check, started now: None without a budget."""
+    return None if budget is None else _Deadline(budget).expired
 
 
 def johnson_cycles(
@@ -143,10 +147,10 @@ def johnson_cycles(
     elif max_len < 0:
         raise ValueError("max_len must be >= 0")
     adj = graph.adjacency
-    expired = _Deadline(budget).expired
+    expired = _stop_check(budget)
     found: list[tuple[int, ...]] = []
     for root in graph.vertices if max_len else ():
-        if expired():
+        if expired and expired():
             return CycleSearchResult(tuple(sorted(found)), False)
         if root in adj[root]:
             found.append((root, root))
@@ -160,7 +164,7 @@ def johnson_cycles(
         on_path = {root}
         stack = [iter(above[id(row)])]
         while stack:
-            if expired():
+            if expired and expired():
                 return CycleSearchResult(tuple(sorted(found)), False)
             for nxt in stack[-1]:
                 if nxt in on_path:
@@ -262,20 +266,6 @@ def _distinct(blocks: Sequence[int], flags: list[int], out: set[tuple[int, ...]]
                 free ^= low
 
 
-@dataclass(frozen=True)
-class LayeredGraph:
-    """(k+1)-partite cover of the maximal length-k paths.
-
-    ``layers`` holds the successor rows between consecutive layers, keys
-    and rows ascending; for k = 1 these are the maximal edge set's rows.
-    """
-
-    left: tuple[int, ...]
-    mids: tuple[int, ...]
-    right: tuple[int, ...]
-    layers: tuple[Rows, ...]
-
-
 def _rows(edges: Iterable[tuple[int, int]]) -> Rows:
     rows: dict[int, list[int]] = defaultdict(list)
     for a, b in edges:
@@ -322,19 +312,22 @@ def _layer_chain(estar: Sequence[tuple[int, int]], k_max: int):
         yield layers + [uprime]
 
 
-def build_layered(network: Network, T: int, k: int) -> LayeredGraph:
+def build_layered(network: Network, T: int, k: int) -> tuple[Rows, ...]:
+    """(k+1)-partite cover of the maximal length-k paths.
+
+    The successor rows between consecutive layers, keys and rows
+    ascending; for k = 1 these are the maximal edge set's rows.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    maximal = build_maximal(network, T)
-    mids = tuple(sorted({b & bp for b in maximal.right for bp in maximal.left}))
-    *_, layers = _layer_chain(maximal.edges, k)
-    return LayeredGraph(maximal.left, mids, maximal.right, tuple(layers))
+    *_, layers = _layer_chain(build_maximal(network, T).edges, k)
+    return tuple(layers)
 
 
-def _iter_edge_paths(adjs: Sequence[Rows]) -> Iterator[tuple[int, ...]]:
+def iter_layered_paths(layers: Sequence[Rows]) -> Iterator[tuple[int, ...]]:
     """Paths through consecutive successor rows, depth first, ascending."""
-    last = len(adjs)
-    for start, row in adjs[0].items():
+    last = len(layers)
+    for start, row in layers[0].items():
         path = [start]
         stack = [iter(row)]
         while stack:
@@ -345,21 +338,16 @@ def _iter_edge_paths(adjs: Sequence[Rows]) -> Iterator[tuple[int, ...]]:
                 continue
             for nxt in stack[-1]:
                 path.append(nxt)
-                stack.append(iter(adjs[len(stack)].get(nxt, ())))
+                stack.append(iter(layers[len(stack)].get(nxt, ())))
                 break
             else:
                 stack.pop()
                 path.pop()
 
 
-def iter_layered_paths(layered: LayeredGraph) -> Iterator[tuple[int, ...]]:
-    """All length-k paths through the layer rows, depth first."""
-    yield from _iter_edge_paths(layered.layers)
-
-
-def count_layered_paths(layered: LayeredGraph) -> int:
+def count_layered_paths(layers: Sequence[Rows]) -> int:
     counts: dict[int, int] = defaultdict(lambda: 1)
-    for rows in reversed(layered.layers):
+    for rows in reversed(layers):
         counts = defaultdict(int, {a: sum(counts[b] for b in bs) for a, bs in rows.items()})
     return sum(counts.values())
 
@@ -409,22 +397,21 @@ def _retain_maximal(cycles: Iterable[tuple[int, ...]], nbits: int) -> list[tuple
     return sorted(out)
 
 
-def _search(network: Network, T: int, layer_seqs, budget: float | None) -> CycleSearchResult:
+def _search(network: Network, T: int, layer_seqs, expired) -> CycleSearchResult:
     """Extract cycles from every path of each chain of successor rows, then retain.
 
     ``layer_seqs`` yields one chain per cycle length, shortest first, and
-    the budget is checked before each path, so a cut run holds every
-    shorter length in full.  Paths of one length share a memo of their
-    repeated-block tuples, and each distinct raw cycle of the length is
-    rotated once.
+    the stop check ``expired`` (None for no budget) is tested before each
+    path, so a cut run holds every shorter length in full.  Paths of one
+    length share a memo of their repeated-block tuples, and each distinct
+    raw cycle of the length is rotated once.
     """
-    expired = None if budget is None else _Deadline(budget).expired
     found: set[tuple[int, ...]] = set()
     complete = True
-    for adjs in layer_seqs:
+    for layers in layer_seqs:
         raw: set[tuple[int, ...]] = set()
         memo: dict[tuple[int, ...], frozenset[tuple[int, ...]]] = {}
-        for path in _iter_edge_paths(adjs):
+        for path in iter_layered_paths(layers):
             if expired and expired():
                 complete = False
                 break
@@ -447,11 +434,13 @@ def algorithm_a(
     For each k the layered cover of the maximal length-k paths is built
     and every path feeds the cycle extraction; retained cycles are the
     dominance-maximal ones per length.  Every maximal cycle of length at
-    most ``k_max`` is dominated by some retained cycle.
+    most ``k_max`` is dominated by some retained cycle.  The budget's
+    clock starts before E* is built.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    return _search(network, T, _layer_chain(build_maximal(network, T).edges, k_max), budget)
+    expired = _stop_check(budget)
+    return _search(network, T, _layer_chain(build_maximal(network, T).edges, k_max), expired)
 
 
 def algorithm_b(
@@ -464,11 +453,13 @@ def algorithm_b(
 
     The paths of 1 to ``k_max`` edges feed the cycle extraction, shortest
     length first; retained cycles are the dominance-maximal ones per length.
+    The budget's clock starts before E* is built.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
+    expired = _stop_check(budget)
     rows = _rows(build_maximal(network, T).edges)
-    return _search(network, T, ([rows] * k for k in range(1, k_max + 1)), budget)
+    return _search(network, T, ([rows] * k for k in range(1, k_max + 1)), expired)
 
 
 def pareto_filter(

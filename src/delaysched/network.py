@@ -228,6 +228,8 @@ def network_from_json(doc: Mapping) -> Network:
         raise InvalidNetworkError(f"malformed network document: {exc}") from exc
 
     if "delays" in doc:
+        if not isinstance(doc["delays"], list):
+            raise InvalidNetworkError("delays must be a list of [link, link, delay] triples")
         delays = {}
         for triple in doc["delays"]:
             try:
@@ -278,4 +280,10 @@ def format_rate(value: Fraction) -> str:
 
 
 def parse_rate(text: str) -> Fraction:
-    return Fraction(text.strip())
+    """A "p/q" (or decimal) string as a Fraction; ValueError for anything else."""
+    if not isinstance(text, str):
+        raise ValueError(f"rate must be a string, got {text!r}")
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError as exc:
+        raise ValueError(f"rate {text!r} has a zero denominator") from exc

@@ -46,6 +46,8 @@ class RegionDescription:
             raise ValueError("one witness slot per generator required")
         if any(len(g) != len(self.links) for g in self.generators):
             raise ValueError("every generator needs one rate per link")
+        if type(self.T) is not int or self.T < 1:
+            raise ValueError(f"T must be an integer >= 1, got {self.T!r}")
 
 
 def region_regime(network: Network, T: int) -> str:
@@ -173,7 +175,7 @@ def region_to_json(region: RegionDescription) -> dict:
 
 def region_from_json(doc: Mapping) -> RegionDescription:
     links = tuple(str(l) for l in doc["links"])
-    T = int(doc["T"])
+    T = doc["T"]
     generators = []
     witnesses = []
     for entry in doc["generators"]:

@@ -448,6 +448,47 @@ def test_achievable_malformed_region_exits_2(capsys, monkeypatch, tmp_path, gene
     assert "bad region document" in err
 
 
+@pytest.mark.parametrize("T", [1.9, True, 0, -1, "2", None], ids=repr)
+@pytest.mark.parametrize("witness", [False, True], ids=["bare", "witnessed"])
+def test_achievable_region_with_a_bad_T_exits_2(capsys, monkeypatch, tmp_path, T, witness):
+    generator = {"rate": ["1/2", "1/2"]}
+    if witness:
+        generator["witness"] = [["1", "0"]]
+    rpath = tmp_path / "region.json"
+    rpath.write_text(json.dumps({"links": ["l1", "l2"], "T": T, "generators": [generator]}))
+    assert main(["achievable", "--region", str(rpath), "--rate", "1/4,1/4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "bad region document" in err
+
+
+@pytest.mark.parametrize("rate", [["1/0", "1/2"], [0.5, "1/2"]], ids=["zero-denominator", "number"])
+def test_achievable_region_with_a_bad_rate_exits_2(capsys, monkeypatch, tmp_path, rate):
+    rpath = tmp_path / "region.json"
+    rpath.write_text(json.dumps({"links": ["l1", "l2"], "T": 1, "generators": [{"rate": rate}]}))
+    assert main(["achievable", "--region", str(rpath), "--rate", "1/4,1/4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "bad region document" in err
+
+
+def test_achievable_query_with_a_zero_denominator_exits_2(capsys, monkeypatch, tmp_path):
+    argv, _ = _subcommand_argv(capsys, monkeypatch, tmp_path, "achievable")
+    assert main(argv[:-1] + ["1/0,0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "bad rate '1/0,0'" in err
+
+
+def test_network_with_non_list_delays_exits_2(capsys, monkeypatch):
+    doc = {"links": ["a", "b"], "collisions": {"a": [["b"]]}, "delays": 5}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert main(["character"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "delays must be a list" in err
+
+
 @pytest.mark.parametrize("sched", [
     {"period": 1, "active": [1]},
     {"period": True, "active": {"l1": [0]}},

@@ -4,6 +4,7 @@ import sys
 from collections import defaultdict
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -31,7 +32,6 @@ from delaysched import cycles as cycles_mod
 from delaysched.cycles import (
     CycleSearchResult,
     _distinct,
-    _iter_edge_paths,
     _layer_chain,
     _next_layer,
     _pareto_front,
@@ -265,6 +265,17 @@ def test_johnson_budget_cut_is_sorted_subset(monkeypatch, line51):
     assert short and short <= set(johnson_cycles(g, max_len=3).cycles)
 
 
+def test_johnson_without_budget_builds_no_deadline(monkeypatch, line41):
+    g = build(line41, 1)
+    want = johnson_cycles(g)
+
+    def no_deadline(budget):
+        raise AssertionError("a search without a budget built a deadline")
+
+    monkeypatch.setattr(cycles_mod, "_Deadline", no_deadline)
+    assert johnson_cycles(g) == want and want.complete
+
+
 # ------------------------------------------------------------- path2cycles
 
 def test_path_to_cycles_trivial_paths():
@@ -442,7 +453,7 @@ def test_path_to_cycles_memo_on_walked_paths():
             estar = build_maximal(net, T).edges
             for layers in _layer_chain(estar, 3):
                 memo = {}
-                for path in _iter_edge_paths(layers):
+                for path in iter_layered_paths(layers):
                     blocks = (path[0] & path[-1], *path[1:-1])
                     repeated += len(set(blocks)) < len(blocks)
                     hits += blocks in memo
@@ -498,9 +509,9 @@ def test_layer_edge_sets_match_reference(line41):
 
 
 def test_layered_mid_layer_is_pairwise_and_of_extremes(line41):
-    lay = build_layered(line41, 1, 2)
-    assert set(lay.mids) == {v(i) for i in range(9)}
-    assert lay.left == tuple(sorted(v(i) for i in (5, 6, 7, 8)))
+    mx = build_maximal(line41, 1)
+    assert {b & bp for b in mx.right for bp in mx.left} == {v(i) for i in range(9)}
+    assert mx.left == tuple(sorted(v(i) for i in (5, 6, 7, 8)))
 
 
 def test_layered_path_counts(line41):
@@ -607,7 +618,7 @@ def test_antichain_layer_step_matches_quadratic_step():
     assert hyper >= 10 and steps == 3 + 2 + 40 * 2
 
 
-def _ref_iter_edge_paths(layers):
+def _ref_iter_layered_paths(layers):
     """The recursive depth-first walk the explicit stack replaced, starts
     and successors sorted here rather than taken in row order."""
 
@@ -630,8 +641,8 @@ LADDER_RUNGS = [(4, 1, 4), (5, 1, 4), (6, 1, 3), (4, 2, 3), (5, 2, 3)]
 def test_edge_path_walk_matches_recursive_walk(L, T, k):
     estar = build_maximal(line_network(L, 1), T).edges
     for layers in _layer_chain(estar, k):
-        paths = list(_iter_edge_paths(layers))
-        assert paths == list(_ref_iter_edge_paths(layers))
+        paths = list(iter_layered_paths(layers))
+        assert paths == list(_ref_iter_layered_paths(layers))
         assert len(paths) > 0
 
 
@@ -651,12 +662,12 @@ def test_layer_containment_bound(line41):
 
 
 def test_layered_endpoints_lie_in_their_layers(line41):
+    mx = build_maximal(line41, 1)
+    mids = {b & bp for b in mx.right for bp in mx.left}
     for k in (2, 3, 4):
-        lay = build_layered(line41, 1, k)
-        mids = set(lay.mids)
-        first, *inner, last = map(_edges, lay.layers)
-        assert {a for a, _ in first} <= set(lay.left)
-        assert {b for _, b in last} <= set(lay.right)
+        first, *inner, last = map(_edges, build_layered(line41, 1, k))
+        assert {a for a, _ in first} <= set(mx.left)
+        assert {b for _, b in last} <= set(mx.right)
         for edges in [first] + inner:
             assert {b for _, b in edges} <= mids
         for edges in inner + [last]:
@@ -671,7 +682,7 @@ def test_layered_rows_are_ascending():
         hyper += not is_binary(net)
         for T in (1, 2):
             for k in (1, 3):
-                for rows in build_layered(net, T, k).layers:
+                for rows in build_layered(net, T, k):
                     assert list(rows) == sorted(rows)
                     for row in rows.values():
                         assert list(row) == sorted(set(row))
@@ -796,6 +807,33 @@ def test_budget_cut_layered_search_holds_every_shorter_length(monkeypatch, searc
 
 
 @pytest.mark.parametrize("search", [algorithm_a, algorithm_b])
+def test_layered_budget_clock_includes_the_estar_build(monkeypatch, line41, search):
+    # A fake clock that only the E* build advances, by 1 s: a 0.5 s budget
+    # is spent before the first path, a 1.5 s budget never.
+    now = [0.0]
+    build_real = cycles_mod.build_maximal
+
+    def slow_build(network, T):
+        now[0] += 1.0
+        return build_real(network, T)
+
+    monkeypatch.setattr(cycles_mod, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    monkeypatch.setattr(cycles_mod, "build_maximal", slow_build)
+    assert search(line41, 1, 4, budget=0.5) == CycleSearchResult((), False)
+    assert search(line41, 1, 4, budget=1.5) == search(line41, 1, 4)
+
+
+@pytest.mark.parametrize("search", [algorithm_a, algorithm_b])
+def test_layered_search_rejects_a_bad_budget_before_building_estar(monkeypatch, line41, search):
+    def no_build(network, T):
+        raise AssertionError("E* built before the budget was checked")
+
+    monkeypatch.setattr(cycles_mod, "build_maximal", no_build)
+    with pytest.raises(ValueError, match="budget must be a non-negative number"):
+        search(line41, 1, 4, budget=-1.0)
+
+
+@pytest.mark.parametrize("search", [algorithm_a, algorithm_b])
 def test_layered_search_walks_paths_deeper_than_the_recursion_limit(search):
     # One link and no collisions: one path per length, every block the
     # link's bit.  No frame may be spent per path step.
@@ -814,7 +852,7 @@ def _ref_search(net, T, chains):
     walked by the recursive walker."""
     found = set()
     for layers in chains:
-        for path in _ref_iter_edge_paths(layers):
+        for path in _ref_iter_layered_paths(layers):
             found.update(map(canonical_cycle, path_to_cycles(path)))
     return CycleSearchResult(tuple(_retain_maximal(found, len(net.links) * T)), True)
 

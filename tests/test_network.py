@@ -13,6 +13,7 @@ from delaysched import (
     network_to_json,
     validate,
 )
+from delaysched.network import parse_rate
 
 
 def test_line_network_profile_matches_reference(line41):
@@ -212,6 +213,25 @@ def test_node_delay_derivation_matches_line_form(line41):
     }
     derived = network_from_json(doc)
     assert derived.delays == line41.delays
+
+
+@pytest.mark.parametrize("delays", [5, {"a": 1}, "ab1"])
+def test_network_from_json_rejects_non_list_delays(delays):
+    doc = {"links": ["a", "b"], "collisions": {"a": [["b"]]}, "delays": delays}
+    with pytest.raises(InvalidNetworkError, match="delays must be a list"):
+        network_from_json(doc)
+
+
+@pytest.mark.parametrize("text", ["1/0", " 3/0 "])
+def test_parse_rate_rejects_a_zero_denominator(text):
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_rate(text)
+
+
+@pytest.mark.parametrize("value", [0.5, 1, None, ["1/2"]])
+def test_parse_rate_rejects_a_non_string(value):
+    with pytest.raises(ValueError, match="rate must be a string"):
+        parse_rate(value)
 
 
 def test_malformed_documents_rejected():

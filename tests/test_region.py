@@ -25,7 +25,7 @@ from delaysched import (
 from delaysched.cycles import _pareto_front
 from delaysched.exactlp import max_symmetric_scale
 from delaysched.network import character, is_binary
-from delaysched.region import region_from_json, region_to_json
+from delaysched.region import RegionDescription, region_from_json, region_to_json
 from delaysched.window import build_window, link_row_masks
 
 from conftest import random_network, v
@@ -256,3 +256,9 @@ def test_region_json_roundtrip(cycle_region):
     assert back.generators == cycle_region.generators
     assert back.witnesses == cycle_region.witnesses
     assert back.links == cycle_region.links
+
+
+@pytest.mark.parametrize("T", [0, -2, 1.9, 2.0, True, "2", None], ids=repr)
+def test_region_description_rejects_a_bad_T(T):
+    with pytest.raises(ValueError, match="T must be an integer >= 1"):
+        RegionDescription(("l1",), T, ((F(1),),), (None,), {})
