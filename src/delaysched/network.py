@@ -218,14 +218,25 @@ def network_from_json(doc: Mapping) -> Network:
     support: ``D_L(l, l') = D(s_l, r_l) - D(s_l', r_l)``.
     """
     try:
-        links = [str(l) for l in doc["links"]]
+        raw_links = doc["links"]
         raw_collisions = doc.get("collisions", {})
-        collisions = {
-            str(link): [[str(m) for m in phi] for phi in phis]
-            for link, phis in raw_collisions.items()
-        }
     except (KeyError, TypeError, AttributeError) as exc:
         raise InvalidNetworkError(f"malformed network document: {exc}") from exc
+    # A string where a list belongs would otherwise be read a character at a time.
+    if not isinstance(raw_links, list):
+        raise InvalidNetworkError("links must be a list of link identifiers")
+    if not isinstance(raw_collisions, Mapping):
+        raise InvalidNetworkError("collisions must map each link to a list of collision sets")
+    for link, phis in raw_collisions.items():
+        if not isinstance(phis, list) or not all(isinstance(phi, list) for phi in phis):
+            raise InvalidNetworkError(
+                f"collisions of {link!r} must be a list of lists of links"
+            )
+    links = [str(l) for l in raw_links]
+    collisions = {
+        str(link): [[str(m) for m in phi] for phi in phis]
+        for link, phis in raw_collisions.items()
+    }
 
     if "delays" in doc:
         if not isinstance(doc["delays"], list):

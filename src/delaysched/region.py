@@ -173,16 +173,25 @@ def region_to_json(region: RegionDescription) -> dict:
     }
 
 
+def _as_list(value, what: str) -> list:
+    # A string where a list belongs would otherwise be read a character at a time.
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def region_from_json(doc: Mapping) -> RegionDescription:
-    links = tuple(str(l) for l in doc["links"])
+    links = tuple(str(l) for l in _as_list(doc["links"], "links"))
     T = doc["T"]
     generators = []
     witnesses = []
-    for entry in doc["generators"]:
-        generators.append(tuple(parse_rate(r) for r in entry["rate"]))
+    for entry in _as_list(doc["generators"], "generators"):
+        generators.append(tuple(parse_rate(r) for r in _as_list(entry["rate"], "rate")))
         witness = entry.get("witness")
-        if witness is not None and any(len(rows) != len(links) for rows in witness):
-            raise ValueError("every witness block needs one row per link")
+        if witness is not None:
+            for rows in _as_list(witness, "witness"):
+                if len(_as_list(rows, "witness block")) != len(links):
+                    raise ValueError("every witness block needs one row per link")
         witnesses.append(
             tuple(block_from_rows(rows, T) for rows in witness)
             if witness is not None

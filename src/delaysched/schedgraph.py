@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Mapping
 
 from .network import Network
@@ -72,6 +73,12 @@ def build(network: Network, T: int) -> SchedulingGraph:
     crossing the boundary decide an edge.  Those active under ``a`` forbid
     single right bits (OR-ed into one mask) or, for hyperedges, right
     sets; blocks with equal forbidden sets share one successor tuple.
+
+    The crossing masks read ``a`` only on ``lsupport``, the OR of their
+    left halves, and ``b`` only on ``rsupport``, the OR of their right
+    halves.  So a row's key is computed once per left projection
+    ``a & lsupport``, and its successor test runs once per right
+    projection ``b & rsupport``.
     """
     single = build_window(network, T)
     double = build_window(network, 2 * T)
@@ -82,24 +89,38 @@ def build(network: Network, T: int) -> SchedulingGraph:
         for left, right in (split_pair(m, nbits) for m in double.masks)
         if left and right
     ]
+    lsupport = rsupport = 0
+    for left, right in crossing:
+        lsupport |= left
+        rsupport |= right
+    right_of = [b & rsupport for b in vertices]
+    rights = set(right_of)
     rows: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
+    by_left: dict[int, tuple[int, ...]] = {}
     adjacency = {}
     for a in vertices:
-        forbidden = 0
-        residual = set()
-        for left, right in crossing:
-            if a & left == left:
-                if right & (right - 1):
-                    residual.add(right)
-                else:
-                    forbidden |= right
-        key = (forbidden, tuple(sorted(residual)))
-        row = rows.get(key)
+        s = a & lsupport
+        row = by_left.get(s)
         if row is None:
-            row = rows[key] = tuple(
-                b for b in vertices
-                if not b & forbidden and all(b & r != r for r in key[1])
-            )
+            forbidden = 0
+            residual = set()
+            for left, right in crossing:
+                if s & left == left:
+                    if right & (right - 1):
+                        residual.add(right)
+                    else:
+                        forbidden |= right
+            key = (forbidden, tuple(sorted(residual)))
+            row = rows.get(key)
+            if row is None:
+                allowed = {
+                    r for r in rights
+                    if not r & forbidden and all(r & x != x for x in key[1])
+                }
+                row = rows[key] = tuple(
+                    compress(vertices, map(allowed.__contains__, right_of))
+                )
+            by_left[s] = row
         adjacency[a] = row
     return SchedulingGraph(vertices, adjacency)
 

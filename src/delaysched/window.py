@@ -113,7 +113,7 @@ class WindowGraph:
 
         ``due[p]`` lists ``(vbit, rests)`` certificates checked once bit p is
         decided: the set holds ``vbit`` or some ``rest`` whole, else the
-        branch is cut.
+        branch is cut.  An empty list is skipped without a call.
         """
         self.check_cap()
         n = self.nbits
@@ -127,11 +127,14 @@ class WindowGraph:
                 yield cur
                 continue
             nxt = cur | 1 << p
+            certificates = due[p]
             # A constraint whose lowest bit is p is fully decided here.
             # Include goes on the stack first, so exclude comes off first.
-            if all(nxt & m != m for m in by_min[p]) and _certified(nxt, due[p]):
+            if all(nxt & m != m for m in by_min[p]) and (
+                not certificates or _certified(nxt, certificates)
+            ):
                 stack.append((p - 1, nxt))
-            if _certified(cur, due[p]):
+            if not certificates or _certified(cur, certificates):
                 stack.append((p - 1, cur))
 
     def maximal_independent_sets(self) -> list[int]:

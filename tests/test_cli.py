@@ -437,9 +437,12 @@ def test_achievable_records_the_region_document_hash(capsys, monkeypatch, tmp_pa
 @pytest.mark.parametrize("generator", [
     {"rate": ["1/2"]},
     {"rate": ["1/2", "1/2"], "witness": [["1"]]},
-], ids=["rate-short", "witness-block-short"])
+    {"rate": "12"},
+    {"rate": ["1/2", "1/2"], "witness": ["10", "01"]},
+], ids=["rate-short", "witness-block-short", "rate-string", "witness-block-string"])
 def test_achievable_malformed_region_exits_2(capsys, monkeypatch, tmp_path, generator):
-    # Two links, but one generator entry or one witness row.
+    # Two links, but one generator entry or one witness row, or a string
+    # where a list belongs (which would be read a character at a time).
     rpath = tmp_path / "region.json"
     rpath.write_text(json.dumps({"links": ["l1", "l2"], "T": 1, "generators": [generator]}))
     assert main(["achievable", "--region", str(rpath), "--rate", "1/2,1/2"]) == 2
@@ -487,6 +490,18 @@ def test_network_with_non_list_delays_exits_2(capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert out == ""
     assert "delays must be a list" in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"links": "ab", "collisions": {"a": [["b"]]}, "delays": [["a", "b", 1]]},
+    {"links": ["a", "b"], "collisions": {"a": "b"}, "delays": [["a", "b", 1]]},
+], ids=["links-string", "collisions-string"])
+def test_network_with_a_string_where_a_list_belongs_exits_2(capsys, monkeypatch, doc):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert main(["character"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "must be a list" in err
 
 
 @pytest.mark.parametrize("sched", [

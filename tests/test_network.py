@@ -222,6 +222,18 @@ def test_network_from_json_rejects_non_list_delays(delays):
         network_from_json(doc)
 
 
+@pytest.mark.parametrize("links,collisions", [
+    ("ab", {"a": [["b"]]}),
+    (["a", "b"], {"a": "b"}),
+    (["a", "b"], {"a": ["b"]}),
+    (["a", "b"], [["b"]]),
+], ids=["links-string", "collision-sets-string", "collision-set-string", "collisions-list"])
+def test_network_from_json_rejects_a_string_where_a_list_belongs(links, collisions):
+    doc = {"links": links, "collisions": collisions, "delays": [["a", "b", 1]]}
+    with pytest.raises(InvalidNetworkError, match="must (be a list|map each link)"):
+        network_from_json(doc)
+
+
 @pytest.mark.parametrize("text", ["1/0", " 3/0 "])
 def test_parse_rate_rejects_a_zero_denominator(text):
     with pytest.raises(ValueError, match="zero denominator"):

@@ -258,6 +258,18 @@ def test_region_json_roundtrip(cycle_region):
     assert back.links == cycle_region.links
 
 
+@pytest.mark.parametrize("doc", [
+    {"links": "ab", "generators": [{"rate": ["1/2", "1/2"]}]},
+    {"links": ["a", "b"], "generators": {"rate": ["1/2", "1/2"]}},
+    {"links": ["a", "b"], "generators": [{"rate": "12"}]},
+    {"links": ["a", "b"], "generators": [{"rate": ["1", "1"], "witness": "10"}]},
+    {"links": ["a", "b"], "generators": [{"rate": ["1", "1"], "witness": ["10", "01"]}]},
+], ids=["links", "generators", "rate", "witness", "witness-block"])
+def test_region_from_json_rejects_a_string_where_a_list_belongs(doc):
+    with pytest.raises(ValueError, match="must be a list"):
+        region_from_json({"T": 1, **doc})
+
+
 @pytest.mark.parametrize("T", [0, -2, 1.9, 2.0, True, "2", None], ids=repr)
 def test_region_description_rejects_a_bad_T(T):
     with pytest.raises(ValueError, match="T must be an integer >= 1"):

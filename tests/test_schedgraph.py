@@ -16,7 +16,7 @@ from delaysched import (
     validate,
     verify,
 )
-from delaysched.window import block_from_rows
+from delaysched.window import block_from_rows, split_pair
 
 from conftest import (
     EDGE_MATRIX_41,
@@ -86,6 +86,8 @@ def _ref_build_adjacency(network, T):
 DEFINITION_CASES = (
     [(f"line{L}1", line_network(L, 1), T) for L in (4, 5) for T in (1, 2, 3)]
     + [("hyper_n4", hyper_chain(4), T) for T in (1, 2)]
+    # Hyperedge constraints spanning three columns; 448 vertices.
+    + [("chain3", hyper_chain(3), 3)]
     + [("chain5", hyper_chain(5), T) for T in (1, 2)]
     + [
         (f"random{seed}", random_network(random.Random(seed)), T)
@@ -106,6 +108,43 @@ def test_build_matches_double_window_definition(net, T):
     assert g.vertices == vertices
     assert g.adjacency == adjacency
     assert list(g.adjacency) == list(adjacency)
+
+
+# Blocks with equal forbidden sets share one successor tuple, and the
+# cycle searches cache per row object, so the count of row objects is
+# part of the build's contract.
+@pytest.mark.parametrize(
+    "net,T,rows",
+    [
+        (hyper_chain(3), 3, 4),
+        (hyper_chain(4), 3, 12),
+        (line_network(5, 1), 3, 9),
+        (hyper_chain(5), 2, 36),
+        (hyper_chain(6), 2, 108),
+    ],
+    ids=["chain3-T3", "chain4-T3", "line51-T3", "chain5-T2", "chain6-T2"],
+)
+def test_build_shares_one_row_per_forbidden_set(net, T, rows):
+    g = build(net, T)
+    assert len({id(r) for r in g.adjacency.values()}) == rows
+    for row in g.adjacency.values():
+        assert list(row) == sorted(row)
+
+
+@pytest.mark.parametrize(
+    "collisions,delays",
+    [({}, {}), ({"a": [["b"]]}, {("a", "b"): 0})],
+    ids=["no-collisions", "same-slot-collision"],
+)
+def test_build_without_crossing_masks_has_one_full_row(collisions, delays):
+    net = make_network(["a", "b", "c"], collisions, delays)
+    g = build(net, 2)
+    # No mask crosses the boundary: both projections are empty.
+    halves = [split_pair(m, 6) for m in build_window(net, 4).masks]
+    assert [left for left, right in halves if left and right] == []
+    assert len({id(r) for r in g.adjacency.values()}) == 1
+    assert g.adjacency[0] == g.vertices
+    assert len(g.vertices) == (64 if not collisions else 36)
 
 
 def test_line41_adjacency_matches_reference_matrix(line41):
