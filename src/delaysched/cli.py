@@ -98,7 +98,7 @@ def _cmd_character(args) -> _Result:
 def _cmd_reduce(args) -> _Result:
     source = net = _load_network(args)
     assignment = None
-    if args.assignment:
+    if args.assignment is not None:
         try:
             shifts = [int(x) for x in args.assignment.split(",")]
         except ValueError as exc:

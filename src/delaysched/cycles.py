@@ -199,9 +199,9 @@ def path_to_cycles(
     maximal cycle of the path's length that the path dominates appears in
     the output (dominated cycles may appear alongside).  Pairwise distinct
     blocks are already the one cycle; more blocks than the submasks of
-    their OR can hold no pairwise distinct sub-blocks, so no cycle.  With
-    ``memo``, the cycles of a block tuple that repeats a block are resolved
-    once and kept there under the tuple; every call returns a new set.
+    their OR can hold no pairwise distinct sub-blocks, so no cycle.  A block
+    tuple that repeats a block is resolved once, into ``memo`` (a fresh one
+    when none is given) under the tuple; every call returns a new set.
     """
     n = len(path) - 1
     if n < 1:
@@ -221,27 +221,23 @@ def path_to_cycles(
     if n > 3 and len(set(blocks)) == n:
         return {(*blocks, first)}
     if memo is None:
-        return _resolve(blocks)
+        memo = {}
     cycles = memo.get(blocks)
     if cycles is None:
-        cycles = memo[blocks] = frozenset(_resolve(blocks))
+        cycles = memo[blocks] = frozenset(_distinct(blocks))
     return set(cycles)
 
 
-def _resolve(blocks: tuple[int, ...]) -> set[tuple[int, ...]]:
+def _distinct(blocks: Sequence[int]) -> set[tuple[int, ...]]:
     """The cycles under a block tuple that repeats a block: none when the
     blocks outnumber the submasks of their OR."""
     union = 0
     for b in blocks:
         union |= b
     out: set[tuple[int, ...]] = set()
-    if len(blocks) <= 1 << union.bit_count():
-        _distinct(blocks, [0] * len(blocks), out)
-    return out
-
-
-def _distinct(blocks: Sequence[int], flags: list[int], out: set[tuple[int, ...]]) -> None:
-    stack = [(blocks, flags)]
+    if len(blocks) > 1 << union.bit_count():
+        return out
+    stack = [(blocks, [0] * len(blocks))]
     while stack:
         blocks, flags = stack.pop()
         # The first duplicate pair: least j, then its next occurrence i.
@@ -264,6 +260,7 @@ def _distinct(blocks: Sequence[int], flags: list[int], out: set[tuple[int, ...]]
                 stack.append((branch, list(flags)))
                 flags[h] |= low
                 free ^= low
+    return out
 
 
 def _rows(edges: Iterable[tuple[int, int]]) -> Rows:
@@ -352,8 +349,8 @@ def count_layered_paths(layers: Sequence[Rows]) -> int:
     return sum(counts.values())
 
 
-def _retain_maximal(cycles: Iterable[tuple[int, ...]], nbits: int) -> list[tuple[int, ...]]:
-    """Drop cycles dominated, up to rotation, by another of the same length.
+def _retain_maximal(group: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Drop the cycles of one length dominated, up to rotation, by another.
 
     Cycles are taken by decreasing total activation (a dominator never has
     fewer set bits), then as tuples; each is kept unless a rotation of a
@@ -363,50 +360,50 @@ def _retain_maximal(cycles: Iterable[tuple[int, ...]], nbits: int) -> list[tuple
     1997): bit ``r`` of ``cover[i][x]`` is set when kept rotation ``r`` has
     bit ``x`` in its block ``i``.  A candidate is covered iff the AND of the
     masks of its set bits is nonzero, so no candidate is rotated or packed.
+    The masks reach the group's highest set bit; none above it is read.
     """
-    by_len: dict[int, set[tuple[int, ...]]] = defaultdict(set)
-    for c in cycles:
-        by_len[len(c)].add(c)
+    if not group:
+        return []
+    k = len(next(iter(group))) - 1
+    bits = {
+        b: tuple(x for x in range(b.bit_length()) if b >> x & 1)
+        for b in {b for c in group for b in c}
+    }
+    cover = [[0] * max(bits).bit_length() for _ in range(k)]
+    kept = 0  # one set bit per kept rotation
     out: list[tuple[int, ...]] = []
-    for size, group in by_len.items():
-        k = size - 1
-        bits = {
-            b: tuple(x for x in range(b.bit_length()) if b >> x & 1)
-            for b in {b for c in group for b in c}
-        }
-        cover = [[0] * nbits for _ in range(k)]
-        kept = 0  # one set bit per kept rotation
-        # Tuple order, then a stable sort by decreasing popcount: the same
-        # order as one sort on (popcount, tuple) keys, without key tuples.
-        ordered = sorted(group)
-        ordered.sort(key=lambda c: c[0].bit_count() - sum(map(int.bit_count, c)))
-        for c in ordered:
-            acc = kept
-            for row, b in zip(cover, c):
-                for x in bits[b]:
-                    acc &= row[x]
-                if not acc:
-                    out.append(c)
-                    for s in range(k):
-                        rot = kept + 1
-                        kept |= rot
-                        for i, row in enumerate(cover):
-                            for x in bits[c[(i + s) % k]]:
-                                row[x] |= rot
-                    break
+    # Tuple order, then a stable sort by decreasing popcount: the same
+    # order as one sort on (popcount, tuple) keys, without key tuples.
+    ordered = sorted(group)
+    ordered.sort(key=lambda c: c[0].bit_count() - sum(map(int.bit_count, c)))
+    for c in ordered:
+        acc = kept
+        for row, b in zip(cover, c):
+            for x in bits[b]:
+                acc &= row[x]
+            if not acc:
+                out.append(c)
+                for s in range(k):
+                    rot = kept + 1
+                    kept |= rot
+                    for i, row in enumerate(cover):
+                        for x in bits[c[(i + s) % k]]:
+                            row[x] |= rot
+                break
     return sorted(out)
 
 
-def _search(network: Network, T: int, layer_seqs, expired) -> CycleSearchResult:
-    """Extract cycles from every path of each chain of successor rows, then retain.
+def _search(layer_seqs, expired) -> CycleSearchResult:
+    """Extract, rotate and retain the cycles of each chain of successor rows.
 
-    ``layer_seqs`` yields one chain per cycle length, shortest first, and
-    the stop check ``expired`` (None for no budget) is tested before each
-    path, so a cut run holds every shorter length in full.  Paths of one
-    length share a memo of their repeated-block tuples, and each distinct
-    raw cycle of the length is rotated once.
+    ``layer_seqs`` yields one chain per cycle length, shortest first; each
+    length is retained before the next is walked.  The stop check
+    ``expired`` (None for no budget) is tested before each path, so a cut
+    run retains every shorter length in full and the cut one in part.
+    Paths of one length share a memo of their repeated-block tuples, and
+    each distinct raw cycle of the length is rotated once.
     """
-    found: set[tuple[int, ...]] = set()
+    kept: list[tuple[int, ...]] = []
     complete = True
     for layers in layer_seqs:
         raw: set[tuple[int, ...]] = set()
@@ -416,11 +413,12 @@ def _search(network: Network, T: int, layer_seqs, expired) -> CycleSearchResult:
                 complete = False
                 break
             raw.update(path_to_cycles(path, memo=memo))
-        found.update(map(canonical_cycle, raw))
-        del raw, memo  # freed before the next length's layers are built
+        group = set(map(canonical_cycle, raw))
+        del raw, memo  # freed before retention runs
+        kept += _retain_maximal(group)
         if not complete:
             break
-    return CycleSearchResult(tuple(_retain_maximal(found, len(network.links) * T)), complete)
+    return CycleSearchResult(tuple(sorted(kept)), complete)
 
 
 def algorithm_a(
@@ -440,7 +438,7 @@ def algorithm_a(
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     expired = _stop_check(budget)
-    return _search(network, T, _layer_chain(build_maximal(network, T).edges, k_max), expired)
+    return _search(_layer_chain(build_maximal(network, T).edges, k_max), expired)
 
 
 def algorithm_b(
@@ -459,7 +457,7 @@ def algorithm_b(
         raise ValueError("k_max must be >= 0")
     expired = _stop_check(budget)
     rows = _rows(build_maximal(network, T).edges)
-    return _search(network, T, ([rows] * k for k in range(1, k_max + 1)), expired)
+    return _search(([rows] * k for k in range(1, k_max + 1)), expired)
 
 
 def pareto_filter(

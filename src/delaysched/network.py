@@ -77,7 +77,8 @@ def make_network(
 ) -> Network:
     """Normalize raw containers into a :class:`Network` (no validation)."""
     norm = {}
-    for link in links:
+    # Profile keys that name no link are kept, for validate to reject.
+    for link in dict.fromkeys([*links, *collisions]):
         sets = collisions.get(link, ())
         phis = sorted({frozenset(phi) for phi in sets}, key=sorted)
         norm[link] = tuple(phis)

@@ -271,6 +271,40 @@ def test_reduce_records_the_input_fingerprint(capsys, monkeypatch, assignment):
     assert network_fingerprint(network_from_json(out)) != source
 
 
+@pytest.mark.parametrize("assignment, message", [
+    ("", "bad assignment ''"),
+    ("1,x", "bad assignment '1,x'"),
+    ("1", "assignment length does not match link count"),
+], ids=["empty", "not-a-number", "short"])
+def test_reduce_with_a_bad_assignment_exits_2(capsys, monkeypatch, assignment, message):
+    doc = {"links": ["a", "b"], "collisions": {"a": [["b"]]}, "delays": [["a", "b", 2]]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert main(["reduce", "--assignment", assignment]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+
+
+def test_framed_region_with_a_collision_key_that_names_no_link_exits_2(capsys, monkeypatch):
+    # A typo'd profile key must not drop its collision set and run on.
+    doc = {"links": ["l1", "l2"], "collisions": {"l1": [["l2"]], "L2": [["l1"]]},
+           "delays": [["l1", "l2", 0]]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert main(["framed-region"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "collision profile names unknown link 'L2'" in err
+
+
+def test_schedgraph_with_an_empty_window_exits_2(capsys, monkeypatch):
+    net_doc = gen_line(capsys, monkeypatch, 4, 1)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(net_doc)))
+    assert main(["schedgraph", "--T", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "window length must be >= 1" in err
+
+
 def test_verify_schedule_unknown_link_exits_2(capsys, monkeypatch, tmp_path):
     net_doc = gen_line(capsys, monkeypatch, 4, 1)
     spath = tmp_path / "s.json"

@@ -339,10 +339,8 @@ def test_path_to_cycles_finds_all_maximal_dominated(seed):
 
 def _ref_path_to_cycles(path):
     """The extraction without its distinct-block shortcut."""
-    out = set()
     blocks = [path[0] & path[-1], *path[1:-1]]
-    _distinct(blocks, [0] * len(blocks), out)
-    return out
+    return _distinct(blocks)
 
 
 def _ref_distinct(blocks, flags, out):
@@ -377,10 +375,9 @@ def test_distinct_stack_matches_recursion():
         blocks = [rng.randint(0, 7) for _ in range(rng.randint(1, 6))]
         repeated += len(set(blocks)) < len(blocks)
         zeros += 0 in blocks
-        got, want = set(), set()
-        _distinct(list(blocks), [0] * len(blocks), got)
+        want = set()
         _ref_distinct(list(blocks), [0] * len(blocks), want)
-        assert got == want, blocks
+        assert _distinct(list(blocks)) == want, blocks
     assert repeated > 200 and zeros > 100
 
 
@@ -399,10 +396,9 @@ def test_distinct_matches_recursion_on_long_paths():
             past += 1
         else:
             within += 1
-        got, want = set(), set()
-        _distinct(list(blocks), [0] * len(blocks), got)
+        want = set()
         _ref_distinct(list(blocks), [0] * len(blocks), want)
-        assert got == want, blocks
+        assert _distinct(list(blocks)) == want, blocks
         assert path_to_cycles(path) == want, path
         found += bool(want)
     assert within >= 20 and past >= 50 and found >= 5
@@ -848,13 +844,13 @@ def test_layered_search_walks_paths_deeper_than_the_recursion_limit(search):
 
 
 def _ref_search(net, T, chains):
-    """Extraction and retention over each chain of successor rows, as
-    walked by the recursive walker."""
+    """Extraction over each chain of successor rows, as walked by the
+    recursive walker, then one retention over every length."""
     found = set()
     for layers in chains:
         for path in _ref_iter_layered_paths(layers):
             found.update(map(canonical_cycle, path_to_cycles(path)))
-    return CycleSearchResult(tuple(_retain_maximal(found, len(net.links) * T)), True)
+    return CycleSearchResult(tuple(_ref_retain_maximal(found, len(net.links) * T)), True)
 
 
 def test_layered_searches_build_each_adjacency_once(monkeypatch, line41):
@@ -909,13 +905,15 @@ def test_retain_maximal_matches_quadratic_oracle(monkeypatch, net_id, T, k):
         net = line_network(int(net_id[1:]), 1)
     seen = []
 
-    def spy(found, nbits):
-        seen.append(set(found))
-        return _retain_maximal(found, nbits)
+    def spy(group):
+        seen.append(set(group))
+        return _retain_maximal(group)
 
     monkeypatch.setattr(cycles_mod, "_retain_maximal", spy)
     res = algorithm_a(net, T, k)
-    (cands,) = seen
+    # One call per walked length, shortest first, each on that length alone.
+    assert [{len(c) for c in group} for group in seen] == [{n + 1} for n in range(1, k + 1)]
+    cands = set().union(*seen)
     assert len(cands) > 5 * len(res.cycles)
     assert list(res.cycles) == retain_oracle(cands)
 
@@ -930,7 +928,10 @@ def test_retain_maximal_rotations_and_mixed_lengths():
         (1, 3, 1, 2, 1), (1, 2, 1, 3, 1),
     ]
     expected = [(1, 2, 1), (1, 2, 1, 3, 1), (1, 2, 3, 1), (3, 3)]
-    assert _retain_maximal(cands, 2) == expected
+    by_len = defaultdict(set)
+    for c in cands:
+        by_len[len(c)].add(c)
+    assert sorted(c for group in by_len.values() for c in _retain_maximal(group)) == expected
     assert retain_oracle(set(cands)) == expected
 
 
@@ -966,12 +967,11 @@ def _ref_retain_maximal(cycles, nbits):
 
 
 def retention_input(monkeypatch, search, net, T, k):
-    """The candidate set and bits per block a search hands to retention."""
+    """The candidate group of each length that a search hands to retention."""
     seen = []
-    monkeypatch.setattr(cycles_mod, "_retain_maximal", lambda f, n: seen.append((set(f), n)) or [])
+    monkeypatch.setattr(cycles_mod, "_retain_maximal", lambda group: seen.append(set(group)) or [])
     search(net, T, k)
-    (cands_nbits,) = seen
-    return cands_nbits
+    return seen
 
 
 @pytest.mark.parametrize("search, L, T, k", [
@@ -980,10 +980,13 @@ def retention_input(monkeypatch, search, net, T, k):
     (algorithm_b, 5, 2, 3),
 ])
 def test_retain_maximal_matches_head_index_on_ladder(monkeypatch, search, L, T, k):
-    cands, nbits = retention_input(monkeypatch, search, line_network(L, 1), T, k)
-    kept = _retain_maximal(cands, nbits)
-    assert kept == _ref_retain_maximal(cands, nbits)
-    assert 0 < len(kept) < len(cands)
+    kept = cands = 0
+    for group in retention_input(monkeypatch, search, line_network(L, 1), T, k):
+        retained = _retain_maximal(group)
+        assert retained == _ref_retain_maximal(group, L * T)
+        kept += len(retained)
+        cands += len(group)
+    assert 0 < kept < cands
 
 
 def test_retain_maximal_matches_head_index_on_random_networks(monkeypatch):
@@ -992,8 +995,8 @@ def test_retain_maximal_matches_head_index_on_random_networks(monkeypatch):
         net = random_network(random.Random(seed))
         hyper += not is_binary(net)
         for T in (1, 2):
-            cands, nbits = retention_input(monkeypatch, algorithm_a, net, T, 3)
-            assert _retain_maximal(cands, nbits) == _ref_retain_maximal(cands, nbits)
+            for group in retention_input(monkeypatch, algorithm_a, net, T, 3):
+                assert _retain_maximal(group) == _ref_retain_maximal(group, len(net.links) * T)
     assert hyper >= 10
 
 

@@ -63,6 +63,49 @@ def test_validate_rejects_bool_delay():
         validate(net)
 
 
+def test_validate_rejects_a_collision_key_that_names_no_link():
+    net = make_network(["a", "b"], {"a": [["b"]], "B": [["a"]]}, {("a", "b"): 0})
+    assert net.collisions["B"] == (frozenset({"a"}),)
+    with pytest.raises(InvalidNetworkError, match="collision profile names unknown link 'B'"):
+        validate(net)
+
+
+_NODE_DELAYS = {"node_delays": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    # "L2" is a typo for "l2"; its collision set must not vanish unread.
+    ({"links": ["l1", "l2"], "collisions": {"l1": [["l2"]], "L2": [["l1"]]},
+      "delays": [["l1", "l2", 0]]},
+     "collision profile names unknown link 'L2'"),
+    ({"links": ["l1", "l2"], "collisions": {"l1": [["l2"]], "L2": [["l1"]]},
+      **_NODE_DELAYS, "link_endpoints": {"l1": [0, 1], "l2": [1, 2]}},
+     "collision profile names unknown link 'L2'"),
+    ({"links": ["a", "b"], "collisions": {"a": [[]]}, "delays": []},
+     "empty collision set in profile of 'a'"),
+    ({"links": ["a"], "collisions": {"a": [["ghost"]]}, "delays": []},
+     "collision set of 'a' references unknown link 'ghost'"),
+    ({"links": ["a", "b"], "collisions": {"a": [["b"]]}, "delays": [["a", "b"]]},
+     r"malformed delay triple \['a', 'b'\]"),
+    ({"links": ["a", "b"], "collisions": {"a": [["b"]]}, **_NODE_DELAYS},
+     "node_delays requires link_endpoints"),
+    ({"links": ["a", "b"], "collisions": {"a": [["b"]]}, **_NODE_DELAYS,
+      "link_endpoints": {"a": [0, 3], "b": [1, 0]}},
+     "bad node_delays/link_endpoints"),
+    ([{"links": ["a"]}], "malformed network document"),
+], ids=["unknown-collision-key", "unknown-collision-key-node-delays", "empty-collision-set",
+        "collision-set-unknown-link", "delay-pair", "node-delays-without-endpoints",
+        "endpoint-out-of-range", "json-array"])
+def test_network_from_json_rejects_a_malformed_document(doc, message):
+    with pytest.raises(InvalidNetworkError, match=message):
+        network_from_json(doc)
+
+
+def test_line_network_rejects_no_links():
+    with pytest.raises(InvalidNetworkError, match="line network needs L >= 1 and K >= 1"):
+        line_network(0, 1)
+
+
 @pytest.mark.parametrize("d", [1.5, "1", True])
 def test_network_from_json_rejects_non_integer_delay(d):
     doc = {"links": ["a", "b"], "collisions": {"a": [["b"]]}, "delays": [["a", "b", d]]}

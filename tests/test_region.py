@@ -270,6 +270,13 @@ def test_region_from_json_rejects_a_string_where_a_list_belongs(doc):
         region_from_json({"T": 1, **doc})
 
 
+def test_region_from_json_rejects_a_non_binary_witness_row():
+    doc = {"links": ["a", "b"], "T": 1,
+           "generators": [{"rate": ["1", "0"], "witness": [["1", "2"]]}]}
+    with pytest.raises(ValueError, match="row 1 has non-binary character '2'"):
+        region_from_json(doc)
+
+
 @pytest.mark.parametrize("T", [0, -2, 1.9, 2.0, True, "2", None], ids=repr)
 def test_region_description_rejects_a_bad_T(T):
     with pytest.raises(ValueError, match="T must be an integer >= 1"):
