@@ -274,26 +274,34 @@ def _next_layer(uprime_rows: Rows, into: Rows) -> tuple[Rows, Rows]:
     """One recursion step: AND middles, keep per-(outer, outer) maxima.
 
     The middles of an outer pair (a, c) are the ANDs b & b' of a's
-    successors b in U' and c's predecessors b' in E* (``into``).  They are
-    taken by decreasing popcount, so a strict superset of a middle comes
-    before it; a middle is kept unless a kept one covers it, which leaves
-    exactly the maximal ones.  Returns the rows of U and of the next U'.
+    successors b in U' and c's predecessors b' in E* (``into``); only the
+    maximal ones are kept.  Returns the rows of U and of the next U'.
     """
     u_new = set()
     uprime_new = set()
     for a, bs in uprime_rows.items():
         for c, bps in into.items():
-            mids = {b & bp for b in bs for bp in bps}
-            kept: list[int] = []
-            for m in sorted(mids, key=int.bit_count, reverse=True):
-                for k in kept:
-                    if k & m == m:
-                        break
-                else:
-                    kept.append(m)
-                    u_new.add((a, m))
-                    uprime_new.add((m, c))
+            for m in _maximal({b & bp for b in bs for bp in bps}):
+                u_new.add((a, m))
+                uprime_new.add((m, c))
     return _rows(u_new), _rows(uprime_new)
+
+
+def _maximal(masks: Iterable[int]) -> list[int]:
+    """The distinct masks that no other one covers: the maxima of a set of
+    vectors (Kung, Luccio & Preparata, JACM 1975), one bit per coordinate.
+
+    They are taken by decreasing popcount, so a strict superset of a mask
+    comes before it; a mask is kept unless a kept one covers it.
+    """
+    kept: list[int] = []
+    for m in sorted(masks, key=int.bit_count, reverse=True):
+        for k in kept:
+            if k & m == m:
+                break
+        else:
+            kept.append(m)
+    return kept
 
 
 def _layer_chain(estar: Sequence[tuple[int, int]], k_max: int):
@@ -394,14 +402,25 @@ def _retain_maximal(group: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
 
 
 def _search(layer_seqs, expired) -> CycleSearchResult:
-    """Extract, rotate and retain the cycles of each chain of successor rows.
+    """Extract, filter, rotate and retain the cycles of each chain of
+    successor rows.
 
     ``layer_seqs`` yields one chain per cycle length, shortest first; each
     length is retained before the next is walked.  The stop check
     ``expired`` (None for no budget) is tested before each path, so a cut
     run retains every shorter length in full and the cut one in part.
-    Paths of one length share a memo of their repeated-block tuples, and
-    each distinct raw cycle of the length is rotated once.
+    Paths of one length share a memo of their repeated-block tuples.
+
+    Every extracted cycle is ``(w, m1, ..., w)``: its wrap block ``w``
+    first and last, its interior between.  Of the distinct raw cycles with
+    one interior, only the maximal wraps are rotated and retained; a cycle
+    whose wrap lies strictly inside another's is strictly dominated, block
+    by block, so retention would drop it.  The output is the same as
+    retaining every candidate: a dropped cycle's dominators include one
+    with a maximal wrap, which has more set bits and so comes before it in
+    retention's order, and whatever kept cycle covers that one covers the
+    dropped cycle too.  A dropped cycle is never kept, so it covers nothing
+    that is not covered anyway, and no tie-break between rotations moves.
     """
     kept: list[tuple[int, ...]] = []
     complete = True
@@ -413,8 +432,15 @@ def _search(layer_seqs, expired) -> CycleSearchResult:
                 complete = False
                 break
             raw.update(path_to_cycles(path, memo=memo))
-        group = set(map(canonical_cycle, raw))
-        del raw, memo  # freed before retention runs
+        wraps: dict[tuple[int, ...], list[int]] = defaultdict(list)
+        for c in raw:
+            wraps[c[1:-1]].append(c[0])
+        del raw, memo
+        group = {
+            canonical_cycle((w, *mid, w))
+            for mid, ws in wraps.items() for w in _maximal(ws)
+        }
+        del wraps  # freed before retention runs
         kept += _retain_maximal(group)
         if not complete:
             break

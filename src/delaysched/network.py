@@ -258,13 +258,26 @@ def network_from_json(doc: Mapping) -> Network:
         if endpoints is None:
             raise InvalidNetworkError("node_delays requires link_endpoints")
         network = make_network(links, collisions, {})
+
+        def node(i):
+            # A negative index would read the matrix from its end, a bool as 0/1.
+            if type(i) is not int or not 0 <= i < len(matrix):
+                raise ValueError(f"node index {i!r} not in range({len(matrix)})")
+            return i
+
+        def entry(s, r):
+            d = matrix[s][r]
+            if type(d) is not int:
+                raise ValueError(f"matrix entry [{s}][{r}] = {d!r} is not an integer")
+            return d
+
         delays = {}
         try:
             for l, support in collision_support(network).items():
-                s_l, r_l = endpoints[l]
+                s_l, r_l = map(node, endpoints[l])
                 for lp in support:
-                    s_lp, _ = endpoints[lp]
-                    delays[(l, lp)] = matrix[s_l][r_l] - matrix[s_lp][r_l]
+                    s_lp, _ = map(node, endpoints[lp])
+                    delays[(l, lp)] = entry(s_l, r_l) - entry(s_lp, r_l)
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise InvalidNetworkError(f"bad node_delays/link_endpoints: {exc}") from exc
     else:

@@ -526,6 +526,24 @@ def test_network_with_non_list_delays_exits_2(capsys, monkeypatch):
     assert "delays must be a list" in err
 
 
+@pytest.mark.parametrize("node_delays, endpoints, message", [
+    ([[0, 1, 5], [1, 0, 1], [5, 1, 0]], {"a": [0, -1], "b": [1, -2]},
+     "node index -1 not in range(3)"),
+    ([[0, 1], [1, 0]], {"a": [0, True], "b": [1, 0]}, "node index True not in range(2)"),
+    ([[0, True], [True, 0]], {"a": [0, 1], "b": [1, 0]},
+     "matrix entry [0][1] = True is not an integer"),
+], ids=["endpoint-negative", "endpoint-bool", "matrix-entry-bool"])
+def test_network_with_bad_node_delays_exits_2(capsys, monkeypatch, node_delays, endpoints,
+                                              message):
+    doc = {"links": ["a", "b"], "collisions": {"a": [["b"]]},
+           "node_delays": node_delays, "link_endpoints": endpoints}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert main(["character"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"bad node_delays/link_endpoints: {message}" in err
+
+
 @pytest.mark.parametrize("doc", [
     {"links": "ab", "collisions": {"a": [["b"]]}, "delays": [["a", "b", 1]]},
     {"links": ["a", "b"], "collisions": {"a": "b"}, "delays": [["a", "b", 1]]},

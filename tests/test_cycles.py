@@ -46,6 +46,7 @@ from conftest import (
     U0_MATRIX_41,
     U1P_MATRIX_41,
     U2P_MATRIX_41,
+    hyper_chain,
     random_network,
     v,
 )
@@ -853,6 +854,113 @@ def _ref_search(net, T, chains):
     return CycleSearchResult(tuple(_ref_retain_maximal(found, len(net.links) * T)), True)
 
 
+def _chains(search, net, T, k):
+    """The chains of successor rows a search walks, one per length."""
+    estar = build_maximal(net, T).edges
+    if search is algorithm_a:
+        return list(_layer_chain(estar, k))
+    return [[_rows(estar)] * n for n in range(1, k + 1)]
+
+
+@pytest.mark.parametrize("search", [algorithm_a, algorithm_b])
+def test_layered_searches_match_unfiltered_retention_on_random_networks(search):
+    # The wrap filter drops only strictly dominated candidates, so each
+    # search equals extraction followed by one retention of every candidate.
+    # Draws with more than 5,000 paths of length 3 are left to the ladder.
+    checked = hyper = 0
+    for seed in range(9300, 9360):
+        net = random_network(random.Random(seed))
+        for T in (1, 2):
+            chains = _chains(search, net, T, 3)
+            if count_layered_paths(chains[-1]) > 5000:
+                continue
+            checked += 1
+            hyper += not is_binary(net)
+            for k in (1, 2, 3):
+                assert search(net, T, k) == _ref_search(net, T, chains[:k]), (seed, T, k)
+    assert checked >= 100 and hyper >= 20
+
+
+def _raw_and_groups(monkeypatch, search, net, T, k):
+    """The raw cycles each length extracts and the group it hands to retention."""
+    raw = defaultdict(set)
+    groups = []
+
+    def extract(path, **kwargs):
+        out = path_to_cycles(path, **kwargs)
+        raw[len(path)].update(out)
+        return out
+
+    def spy(group):
+        groups.append(set(group))
+        return _retain_maximal(group)
+
+    monkeypatch.setattr(cycles_mod, "path_to_cycles", extract)
+    monkeypatch.setattr(cycles_mod, "_retain_maximal", spy)
+    search(net, T, k)
+    # Groups come one per length, shortest first; a length-n path has n + 1 blocks.
+    return [raw[n + 2] for n in range(len(groups))], groups
+
+
+def _maximal_wrap_cycles(raw):
+    """Reference of the filter, quadratic in each interior's wraps: the raw
+    cycles whose wrap no raw cycle with the same interior strictly contains."""
+    wraps = defaultdict(set)
+    for c in raw:
+        wraps[c[1:-1]].add(c[0])
+    return {
+        (w, *mid, w) for mid, ws in wraps.items() for w in ws
+        if not any(x != w and x & w == w for x in ws)
+    }
+
+
+@pytest.mark.parametrize("search", [algorithm_a, algorithm_b])
+def test_retention_receives_the_maximal_wraps_of_each_interior(monkeypatch, search):
+    # Each group is the canonical candidates whose raw form has a maximal
+    # wrap among the raw cycles of its interior: no raw cycle handed on has
+    # a wrap strictly inside another of its interior, and no wrap that is
+    # incomparable with the others is dropped.  The property holds of raw
+    # forms: rotating two kept cycles can line up their interiors.
+    nets = [(line_network(4, 1), 2, 3), (line_network(5, 1), 1, 4), (hyper_chain(4), 2, 3)]
+    nets += [(random_network(random.Random(seed)), T, 3)
+             for seed in range(7000, 7020) for T in (1, 2)]
+    dropped = incomparable = 0
+    for net, T, k in nets:
+        raws, groups = _raw_and_groups(monkeypatch, search, net, T, k)
+        for raw, group in zip(raws, groups):
+            cands = set(map(canonical_cycle, raw))
+            survivors = _maximal_wrap_cycles(raw)
+            assert group <= cands
+            assert group == set(map(canonical_cycle, survivors))
+            dropped += len(cands) - len(group)
+            interiors = [c[1:-1] for c in survivors]
+            incomparable += len(interiors) - len(set(interiors))
+    assert dropped > 0 and incomparable > 0
+
+
+@pytest.mark.parametrize("search", [algorithm_a, algorithm_b])
+@pytest.mark.parametrize("steps", [10, 100, 400, 900])
+def test_budget_cut_length_is_retained_as_its_partial_candidates(monkeypatch, search, steps):
+    # The length a budget cuts keeps what one unfiltered retention of the
+    # canonical candidates extracted before the cut keeps.
+    cands = defaultdict(set)
+    last = []
+
+    def extract(path, **kwargs):
+        out = path_to_cycles(path, **kwargs)
+        cands[len(path)].update(map(canonical_cycle, out))
+        last[:] = [len(path)]
+        return out
+
+    monkeypatch.setattr(cycles_mod, "path_to_cycles", extract)
+    monkeypatch.setattr(cycles_mod, "_Deadline", step_deadline(steps))
+    cut = search(line_network(5, 1), 2, 3, budget=1.0)
+    assert not cut.complete
+    (size,) = last
+    assert [c for c in cut.cycles if len(c) == size] == _ref_retain_maximal(cands[size], 10)
+    assert max(map(len, cut.cycles)) == size
+
+
 def test_layered_searches_build_each_adjacency_once(monkeypatch, line41):
     # Algorithm A builds E*'s rows and predecessor rows once, then each
     # length adds two row sets to its chain; algorithm B walks the one
@@ -904,16 +1012,24 @@ def test_retain_maximal_matches_quadratic_oracle(monkeypatch, net_id, T, k):
     else:
         net = line_network(int(net_id[1:]), 1)
     seen = []
+    cands = set()
 
     def spy(group):
         seen.append(set(group))
         return _retain_maximal(group)
 
+    def extract(path, **kwargs):
+        out = path_to_cycles(path, **kwargs)
+        cands.update(map(canonical_cycle, out))
+        return out
+
     monkeypatch.setattr(cycles_mod, "_retain_maximal", spy)
+    monkeypatch.setattr(cycles_mod, "path_to_cycles", extract)
     res = algorithm_a(net, T, k)
     # One call per walked length, shortest first, each on that length alone.
     assert [{len(c) for c in group} for group in seen] == [{n + 1} for n in range(1, k + 1)]
-    cands = set().union(*seen)
+    # The wrap filter and retention together against the oracle over every
+    # canonical candidate, as extracted.
     assert len(cands) > 5 * len(res.cycles)
     assert list(res.cycles) == retain_oracle(cands)
 

@@ -92,10 +92,25 @@ _NODE_DELAYS = {"node_delays": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}
     ({"links": ["a", "b"], "collisions": {"a": [["b"]]}, **_NODE_DELAYS,
       "link_endpoints": {"a": [0, 3], "b": [1, 0]}},
      "bad node_delays/link_endpoints"),
+    # Read from the matrix's end, this would load with delay (a, b) = 5 - 1.
+    ({"links": ["a", "b"], "collisions": {"a": [["b"]]},
+      "node_delays": [[0, 1, 5], [1, 0, 1], [5, 1, 0]],
+      "link_endpoints": {"a": [0, -1], "b": [1, -2]}},
+     r"bad node_delays/link_endpoints: node index -1 not in range\(3\)"),
+    ({"links": ["a", "b"], "collisions": {"a": [["b"]]}, **_NODE_DELAYS,
+      "link_endpoints": {"a": [0, True], "b": [1, 0]}},
+     r"bad node_delays/link_endpoints: node index True not in range\(3\)"),
+    ({"links": ["a", "b"], "collisions": {"a": [["b"]]},
+      "node_delays": [[0, True], [True, 0]], "link_endpoints": {"a": [0, 1], "b": [1, 0]}},
+     r"bad node_delays/link_endpoints: matrix entry \[0\]\[1\] = True is not an integer"),
+    ({"links": ["a", "b"], "collisions": {"a": [["b"]]},
+      "node_delays": [[0, 1.5], [1, 0]], "link_endpoints": {"a": [0, 1], "b": [1, 0]}},
+     r"bad node_delays/link_endpoints: matrix entry \[0\]\[1\] = 1.5 is not an integer"),
     ([{"links": ["a"]}], "malformed network document"),
 ], ids=["unknown-collision-key", "unknown-collision-key-node-delays", "empty-collision-set",
         "collision-set-unknown-link", "delay-pair", "node-delays-without-endpoints",
-        "endpoint-out-of-range", "json-array"])
+        "endpoint-out-of-range", "endpoint-negative", "endpoint-bool", "matrix-entry-bool",
+        "matrix-entry-float", "json-array"])
 def test_network_from_json_rejects_a_malformed_document(doc, message):
     with pytest.raises(InvalidNetworkError, match=message):
         network_from_json(doc)
