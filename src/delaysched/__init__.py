@@ -5,8 +5,8 @@ enumerates their (maximal) independent sets and cycles, and assembles
 exact rational rate regions.
 """
 
-from .errors import CapExceededError, InvalidNetworkError
 from .network import (
+    InvalidNetworkError,
     Network,
     apply_vertex_assignment,
     character,
@@ -19,9 +19,10 @@ from .network import (
     network_to_json,
     validate,
 )
-from .window import WindowGraph, block_from_rows, block_to_rows, build_window
+from .window import CapExceededError, WindowGraph, block_from_rows, block_to_rows, build_window
 from .schedule import (
     PeriodicSchedule,
+    active_slots,
     build_framed_schedule,
     is_collision_free_at,
     rate_vector,

@@ -19,7 +19,6 @@ import time
 from . import cycles as cyc
 from . import region as reg
 from . import schedgraph as sg
-from .errors import CapExceededError
 from .network import (
     Network,
     character,
@@ -33,8 +32,8 @@ from .network import (
     network_to_json,
     parse_rate,
 )
-from .schedule import rate_vector, schedule_from_json, is_collision_free_at, verify
-from .window import block_to_rows
+from .schedule import active_slots, rate_vector, schedule_from_json, verify
+from .window import CapExceededError, block_to_rows
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -194,15 +193,10 @@ def _cmd_verify_schedule(args) -> _Result:
         sched = schedule_from_json(net, sched_doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad schedule document: {exc}") from exc
-    diagnoses = []
-    for li, link in enumerate(net.links):
-        for t in range(sched.period):
-            if sched.rows[li][t]:
-                diagnoses.append({
-                    "link": link,
-                    "t": t,
-                    "collision_free": is_collision_free_at(net, sched, link, t),
-                })
+    diagnoses = [
+        {"link": net.links[li], "t": t, "collision_free": free}
+        for li, t, free in active_slots(net, sched)
+    ]
     payload = {
         "collision_free": verify(net, sched),
         "diagnoses": diagnoses,

@@ -111,19 +111,14 @@ def closed_path_rate(path: Sequence[int], T: int, num_links: int) -> tuple[Fract
     return tuple(Fraction(c, den) for c in numerator)
 
 
-class _Deadline:
-    def __init__(self, budget: float):
-        if not budget >= 0:
-            raise ValueError(f"budget must be a non-negative number of seconds, got {budget}")
-        self.at = time.monotonic() + budget
-
-    def expired(self) -> bool:
-        return time.monotonic() > self.at
-
-
 def _stop_check(budget: float | None):
     """A search's stop check, started now: None without a budget."""
-    return None if budget is None else _Deadline(budget).expired
+    if budget is None:
+        return None
+    if not budget >= 0:
+        raise ValueError(f"budget must be a non-negative number of seconds, got {budget}")
+    at = time.monotonic() + budget
+    return lambda: time.monotonic() > at
 
 
 def johnson_cycles(

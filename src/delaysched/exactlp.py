@@ -58,12 +58,8 @@ class _Tableau:
         rows, det, piv = self.rows, self.det, col[r]
         prow = rows[r]
         for i, f in enumerate(col):
-            if i == r:
-                continue
-            if f:
+            if i != r:
                 rows[i] = (piv * rows[i] - f * prow) // det
-            elif piv != det:  # with f = 0 the step only scales by piv / det
-                rows[i] = piv * rows[i] // det
         self.basis[r] = s
         if piv < 0:
             rows[:] = [-row for row in rows]
@@ -202,10 +198,15 @@ def max_symmetric_scale(
     vectors: Sequence[Sequence[Fraction]],
     factor: Fraction,
 ) -> Fraction:
-    """max a such that (a, ..., a) <= factor * (some convex combination)."""
+    """max a such that (a, ..., a) <= factor * (some convex combination).
+
+    Vectors with no coordinates bound nothing, so they raise ValueError.
+    """
     if not vectors:
         return Fraction(0)
     dims = len(vectors[0])
+    if not dims:
+        raise ValueError("the symmetric rate of vectors with no coordinates is unbounded")
     n = len(vectors)
     # Variables: lambda (n), a, slack (dims).
     A = []

@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InvalidNetworkError
-
 __all__ = [
+    "InvalidNetworkError",
     "Network",
     "make_network",
     "validate",
@@ -32,6 +31,10 @@ __all__ = [
     "network_to_json",
     "network_fingerprint",
 ]
+
+
+class InvalidNetworkError(ValueError):
+    """A network description violates a structural invariant."""
 
 
 @dataclass(frozen=True)

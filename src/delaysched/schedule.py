@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .network import Network, character, is_binary
 from .window import block_from_rows, block_to_rows
@@ -19,6 +19,7 @@ from .window import block_from_rows, block_to_rows
 __all__ = [
     "PeriodicSchedule",
     "is_collision_free_at",
+    "active_slots",
     "verify",
     "rate_vector",
     "build_framed_schedule",
@@ -36,11 +37,13 @@ class PeriodicSchedule:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.period < 1:
-            raise ValueError("period must be >= 1")
+        if type(self.period) is not int or self.period < 1:
+            raise ValueError(f"bad period {self.period!r}")
         for row in self.rows:
             if len(row) != self.period:
                 raise ValueError("row length does not match period")
+            if any(type(v) is not int or v not in (0, 1) for v in row):
+                raise ValueError(f"schedule entries must be 0 or 1, got row {row!r}")
 
     def active(self, link_index: int, t: int) -> int:
         return self.rows[link_index][t % self.period]
@@ -65,26 +68,33 @@ def is_collision_free_at(network: Network, s: PeriodicSchedule, link: str, t: in
     return True
 
 
+def active_slots(network: Network, s: PeriodicSchedule) -> Iterator[tuple[int, int, bool]]:
+    """``(link index, t, collision free)`` for each active slot of one period.
+
+    Links come in network order, slots ascending.  The schedule must have
+    one row per link of the network, else ValueError.
+    """
+    if len(s.rows) != len(network.links):
+        raise ValueError(f"schedule has {len(s.rows)} rows for {len(network.links)} links")
+    return (
+        (li, t, is_collision_free_at(network, s, link, t))
+        for li, link in enumerate(network.links)
+        for t, on in enumerate(s.rows[li])
+        if on
+    )
+
+
 def verify(network: Network, s: PeriodicSchedule) -> bool:
     """Collision-free over all of Z; by periodicity one period suffices."""
-    for li, link in enumerate(network.links):
-        for t in range(s.period):
-            if s.rows[li][t] and not is_collision_free_at(network, s, link, t):
-                return False
-    return True
+    return all(free for _, _, free in active_slots(network, s))
 
 
 def rate_vector(network: Network, s: PeriodicSchedule) -> tuple[Fraction, ...]:
     """Per-link fraction of timeslots that are active and collision free."""
-    rates = []
-    for li, link in enumerate(network.links):
-        good = sum(
-            1
-            for t in range(s.period)
-            if s.rows[li][t] and is_collision_free_at(network, s, link, t)
-        )
-        rates.append(Fraction(good, s.period))
-    return tuple(rates)
+    good = [0] * len(network.links)
+    for li, _, free in active_slots(network, s):
+        good[li] += free
+    return tuple(Fraction(g, s.period) for g in good)
 
 
 def _static_independent(network: Network, linkset: frozenset[str]) -> bool:
@@ -106,6 +116,8 @@ def build_framed_schedule(
     ``3 D* + 1`` otherwise, and every frame's link set must be independent
     in the static conflict structure; both are enforced.
     """
+    if type(T_F) is not int:
+        raise ValueError(f"bad frame length {T_F!r}")
     dstar = character(network)
     minimum = 2 * dstar + 1 if is_binary(network) else 3 * dstar + 1
     if T_F < minimum:

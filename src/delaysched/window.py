@@ -14,10 +14,10 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .errors import CapExceededError
 from .network import Network
 
 __all__ = [
+    "CapExceededError",
     "WindowGraph",
     "build_window",
     "bit_position",
@@ -29,6 +29,10 @@ __all__ = [
 ]
 
 DEFAULT_CAP_BITS = 24
+
+
+class CapExceededError(RuntimeError):
+    """A brute-force enumeration would exceed the configured bit cap."""
 
 
 def bit_position(link_index: int, t: int, num_links: int, T: int) -> int:
@@ -245,14 +249,20 @@ def build_window(network: Network, T: int) -> WindowGraph:
     for link in sorted(network.links):
         # Per collision set: the slot it starts at relative to the source,
         # the slots it spans, and its mask in a window of exactly those slots.
+        # Every member is read first, so a bad one raises even when the set
+        # spans more than T slots and so never fits the window.
         shapes = []
         for phi in network.profile(link):
-            members = [(link, 0)] + [(lp, network.delay(link, lp)) for lp in phi]
+            members = [(network.link_index(link), 0)] + [
+                (network.link_index(lp), network.delay(link, lp)) for lp in phi
+            ]
             lo = min(d for _, d in members)
             span = max(d for _, d in members) - lo + 1
+            if span > T:
+                continue
             template = 0
-            for lp, d in members:
-                template |= 1 << bit_position(network.link_index(lp), d - lo, L, span)
+            for li, d in members:
+                template |= 1 << bit_position(li, d - lo, L, span)
             shapes.append((lo, span, template))
         for t in range(T):
             for lo, span, template in shapes:

@@ -226,6 +226,46 @@ def test_verify_schedule_cli(capsys, monkeypatch, tmp_path):
     assert {(d["link"], d["t"]) for d in bad} == {("l1", 0), ("l3", 1)}
 
 
+# verify-schedule outputs for the CLI's schedule documents, recorded before
+# the diagnoses, verify and rate_vector moved to one slot walk:
+# (collision_free, [(link, t, collision_free)], rate).
+VERIFY_SCHEDULE_OUTPUTS = [
+    ("L4", {"period": 2, "active": {"l1": [0], "l2": [1], "l3": [1], "l4": [0]}},
+     (False, [("l1", 0, False), ("l2", 1, True), ("l3", 1, False), ("l4", 0, True)],
+      ["0/1", "1/2", "0/1", "1/2"])),
+    ("L4", {"period": 1, "active": {"l1": [0]}},
+     (True, [("l1", 0, True)], ["1/1", "0/1", "0/1", "0/1"])),
+    ("hyper_n4", {"period": 3, "active": {"l1": [0], "l2": [0, 1], "l3": [1, 2], "l4": [2]}},
+     (False, [("l1", 0, True), ("l2", 0, True), ("l2", 1, False), ("l3", 1, False),
+              ("l3", 2, True), ("l4", 2, True)], ["1/3", "1/3", "1/3", "1/3"])),
+]
+
+
+@pytest.mark.parametrize("net, sched, expected", VERIFY_SCHEDULE_OUTPUTS,
+                         ids=["L4-period-2", "L4-period-1", "hyper_n4-period-3"])
+def test_verify_schedule_outputs_unchanged(capsys, monkeypatch, tmp_path, hyper_n4,
+                                           net, sched, expected):
+    net_doc = network_to_json(hyper_n4) if net == "hyper_n4" else gen_line(capsys, monkeypatch, 4, 1)
+    spath = tmp_path / "s.json"
+    spath.write_text(json.dumps(sched))
+    code, doc = run_cli(capsys, monkeypatch, ["verify-schedule", "--schedule", str(spath)],
+                        stdin_doc=net_doc)
+    assert code == 0
+    diagnoses = [(d["link"], d["t"], d["collision_free"]) for d in doc["diagnoses"]]
+    assert (doc["collision_free"], diagnoses, doc["rate"]) == expected
+    assert all(len(d) == 3 for d in doc["diagnoses"])
+
+
+def test_window_rate_on_a_network_with_no_links_exits_2(capsys, monkeypatch):
+    # No link bounds the symmetric rate, so there is none to report.
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
+        {"links": [], "collisions": {}, "delays": []})))
+    assert main(["window-rate", "--T", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "unbounded" in err
+
+
 def test_window_rate_cli(capsys, monkeypatch):
     net_doc = gen_line(capsys, monkeypatch, 4, 1)
     for T, expected in ((1, "1/4"), (2, "1/3"), (3, "3/8")):

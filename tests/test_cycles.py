@@ -3,7 +3,7 @@ import random
 import sys
 from collections import defaultdict
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 from types import SimpleNamespace
 
 import pytest
@@ -232,18 +232,11 @@ def assert_elementary_canonical(graph, cycles):
         assert all(b in graph.adjacency[a] for a, b in zip(c, c[1:]))
 
 
-def step_deadline(limit):
-    """A ``_Deadline`` that expires after ``limit`` checks, so a cut is reproducible."""
-
-    class StepDeadline:
-        def __init__(self, budget):
-            self.steps = 0
-
-        def expired(self):
-            self.steps += 1
-            return self.steps > limit
-
-    return StepDeadline
+def step_clock():
+    """A module clock that advances by 1 per read: a budget of ``n`` then
+    cuts after exactly ``n`` checks, so a cut is reproducible."""
+    reads = count()
+    return SimpleNamespace(monotonic=lambda: next(reads))
 
 
 def test_johnson_budget_cut_is_sorted_subset(monkeypatch, line51):
@@ -256,8 +249,8 @@ def test_johnson_budget_cut_is_sorted_subset(monkeypatch, line51):
     assert list(res.cycles) == sorted(res.cycles)
     assert_elementary_canonical(g, res.cycles)
 
-    monkeypatch.setattr(cycles_mod, "_Deadline", step_deadline(3000))
-    res = johnson_cycles(g, budget=1.0)
+    monkeypatch.setattr(cycles_mod, "time", step_clock())
+    res = johnson_cycles(g, budget=3000)
     assert not res.complete
     assert list(res.cycles) == sorted(res.cycles)
     assert_elementary_canonical(g, res.cycles)
@@ -267,14 +260,16 @@ def test_johnson_budget_cut_is_sorted_subset(monkeypatch, line51):
 
 
 def test_johnson_without_budget_builds_no_deadline(monkeypatch, line41):
+    # No search without a budget reads the clock, the layered ones included.
     g = build(line41, 1)
-    want = johnson_cycles(g)
+    want = [johnson_cycles(g), algorithm_a(line41, 1, 3), algorithm_b(line41, 1, 3)]
 
-    def no_deadline(budget):
-        raise AssertionError("a search without a budget built a deadline")
+    def no_clock():
+        raise AssertionError("a search without a budget read the clock")
 
-    monkeypatch.setattr(cycles_mod, "_Deadline", no_deadline)
-    assert johnson_cycles(g) == want and want.complete
+    monkeypatch.setattr(cycles_mod, "time", SimpleNamespace(monotonic=no_clock))
+    assert [johnson_cycles(g), algorithm_a(line41, 1, 3), algorithm_b(line41, 1, 3)] == want
+    assert all(res.complete for res in want)
 
 
 # ------------------------------------------------------------- path2cycles
@@ -794,8 +789,8 @@ def test_budget_cut_layered_search_holds_every_shorter_length(monkeypatch, searc
     # full run's retained cycles at every length below the one it was cut in.
     net = line_network(5, 1)
     full = search(net, 2, 3)
-    monkeypatch.setattr(cycles_mod, "_Deadline", step_deadline(steps))
-    cut = search(net, 2, 3, budget=1.0)
+    monkeypatch.setattr(cycles_mod, "time", step_clock())
+    cut = search(net, 2, 3, budget=steps)
     assert not cut.complete and cut.cycles
     for size in range(2, max(map(len, cut.cycles))):
         assert [c for c in cut.cycles if len(c) == size] == [
@@ -953,8 +948,8 @@ def test_budget_cut_length_is_retained_as_its_partial_candidates(monkeypatch, se
         return out
 
     monkeypatch.setattr(cycles_mod, "path_to_cycles", extract)
-    monkeypatch.setattr(cycles_mod, "_Deadline", step_deadline(steps))
-    cut = search(line_network(5, 1), 2, 3, budget=1.0)
+    monkeypatch.setattr(cycles_mod, "time", step_clock())
+    cut = search(line_network(5, 1), 2, 3, budget=steps)
     assert not cut.complete
     (size,) = last
     assert [c for c in cut.cycles if len(c) == size] == _ref_retain_maximal(cands[size], 10)

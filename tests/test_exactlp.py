@@ -135,6 +135,12 @@ def test_max_symmetric_scale_simplex_vertexes():
     assert max_symmetric_scale([(F(0), F(0))], F(1)) == 0
 
 
+def test_max_symmetric_scale_rejects_vectors_with_no_coordinates():
+    # No coordinate bounds a, so the LP is unbounded.
+    with pytest.raises(ValueError, match="no coordinates is unbounded"):
+        max_symmetric_scale([()], F(1))
+
+
 def test_random_feasibility_consistency():
     # Any convex combination of generators must come back achievable, and
     # anything strictly above the per-coordinate maximum must not.

@@ -1,6 +1,8 @@
 import pytest
 
+import delaysched
 from delaysched import (
+    CapExceededError,
     InvalidNetworkError,
     apply_vertex_assignment,
     character,
@@ -13,7 +15,17 @@ from delaysched import (
     network_to_json,
     validate,
 )
+from delaysched import network as network_mod, window as window_mod
 from delaysched.network import parse_rate
+
+
+def test_error_types_are_importable_from_the_package_with_their_bases():
+    # Each type lives in the one module that raises it.
+    assert InvalidNetworkError is network_mod.InvalidNetworkError
+    assert CapExceededError is window_mod.CapExceededError
+    assert InvalidNetworkError.__bases__ == (ValueError,)
+    assert CapExceededError.__bases__ == (RuntimeError,)
+    assert {"InvalidNetworkError", "CapExceededError"} <= set(delaysched.__all__)
 
 
 def test_line_network_profile_matches_reference(line41):

@@ -5,8 +5,10 @@ import pytest
 
 from delaysched import (
     PeriodicSchedule,
+    active_slots,
     build_framed_schedule,
     build_window,
+    is_binary,
     is_collision_free_at,
     line_network,
     make_network,
@@ -17,7 +19,8 @@ from delaysched import (
     validate,
     verify,
 )
-from conftest import v
+from delaysched import schedule as schedule_mod
+from conftest import random_network, v
 
 F = Fraction
 
@@ -213,3 +216,93 @@ def test_schedule_from_json_wraps_negative_slots(line41):
 def test_schedule_from_json_rejects_malformed_documents(line41, doc, message):
     with pytest.raises(ValueError, match=message):
         schedule_from_json(line41, doc)
+
+
+def _ref_diagnoses(network, s):
+    """The per-link, per-slot loop over a period that ``active_slots`` replaced."""
+    return [
+        (li, t, is_collision_free_at(network, s, link, t))
+        for li, link in enumerate(network.links)
+        for t in range(s.period)
+        if s.rows[li][t]
+    ]
+
+
+def _ref_verify(network, s):
+    for li, link in enumerate(network.links):
+        for t in range(s.period):
+            if s.rows[li][t] and not is_collision_free_at(network, s, link, t):
+                return False
+    return True
+
+
+def _ref_rate_vector(network, s):
+    return tuple(
+        F(sum(1 for t in range(s.period)
+              if s.rows[li][t] and is_collision_free_at(network, s, link, t)), s.period)
+        for li, link in enumerate(network.links)
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_active_slots_verify_and_rate_match_the_slot_loops(seed):
+    rng = random.Random(8800 + seed)
+    hyper = 0
+    for _ in range(60):
+        net = random_network(rng)
+        hyper += not is_binary(net)
+        period = rng.randint(1, 6)
+        rows = tuple(
+            tuple(int(rng.random() < 0.4) for _ in range(period)) for _ in net.links
+        )
+        s = PeriodicSchedule(period, rows)
+        assert list(active_slots(net, s)) == _ref_diagnoses(net, s)
+        assert verify(net, s) == _ref_verify(net, s)
+        assert rate_vector(net, s) == _ref_rate_vector(net, s)
+    assert hyper > 0
+
+
+def test_verify_stops_at_the_first_collision(monkeypatch, line41):
+    # (l1, 0) collides; verify reads no slot after it.
+    s = PeriodicSchedule(2, ((1, 0), (0, 1), (0, 1), (1, 0)))
+    seen = []
+
+    def check(network, s, link, t):
+        seen.append((link, t))
+        return is_collision_free_at(network, s, link, t)
+
+    monkeypatch.setattr(schedule_mod, "is_collision_free_at", check)
+    assert not verify(line41, s)
+    assert seen == [("l1", 0)]
+
+
+@pytest.mark.parametrize("period, rows", [
+    (2.0, ((1, 0), (0, 1))),
+    (True, ((1,), (0,))),
+], ids=["float", "bool"])
+def test_schedule_rejects_a_period_that_is_not_an_int(period, rows):
+    with pytest.raises(ValueError, match=f"bad period {period!r}"):
+        PeriodicSchedule(period, rows)
+
+
+@pytest.mark.parametrize("entry", [2, -1, True, 1.0], ids=["two", "negative", "bool", "float"])
+def test_schedule_rejects_an_entry_other_than_0_or_1(entry):
+    with pytest.raises(ValueError, match="must be 0 or 1"):
+        PeriodicSchedule(2, ((1, 0), (0, entry)))
+
+
+@pytest.mark.parametrize("count", [3, 5], ids=["fewer", "more"])
+def test_schedule_rows_must_match_the_network_links(line41, count):
+    s = PeriodicSchedule(1, ((1,),) * count)
+    for check in (lambda: active_slots(line41, s), lambda: verify(line41, s),
+                  lambda: rate_vector(line41, s)):
+        with pytest.raises(ValueError, match=f"schedule has {count} rows for 4 links"):
+            check()
+
+
+@pytest.mark.parametrize("T_F", [3.0, True], ids=["float", "bool"])
+def test_framed_schedule_rejects_a_frame_length_that_is_not_an_int(T_F):
+    # No delays, so D* = 0 and any frame length of at least 1 would pass.
+    free = make_network(["a", "b"], {}, {})
+    with pytest.raises(ValueError, match="bad frame length"):
+        build_framed_schedule(free, [({"a", "b"}, 1)], T_F)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -71,6 +72,19 @@ def test_missing_delay_raises_even_beside_an_edge_outside_the_window(missing, ou
     net = make_network(["a", "b", "c"], {"a": [["b", "c"]]}, {("a", outside): 5})
     with pytest.raises(InvalidNetworkError, match="unspecified"):
         build_window(net, 2)
+
+
+def test_a_set_wider_than_the_window_allocates_nothing_for_its_span():
+    # The set spans 10**8 + 1 slots, so it fits no window of 2 slots.
+    net = make_network(["a", "b"], {"a": [["b"]]}, {("a", "b"): 10**8})
+    tracemalloc.start()
+    try:
+        window = build_window(net, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert window.masks == ()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("d", [5, 0])
