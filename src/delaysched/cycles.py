@@ -246,13 +246,19 @@ def _distinct(blocks: Sequence[int]) -> set[tuple[int, ...]]:
         if pair is None:
             out.add((*blocks, blocks[0]))
             continue
+        # With one repeat left, a branch whose new block is not among the
+        # others is pairwise distinct: a leaf, which never reads its flags.
+        last = len(first) == len(blocks) - 1
         for h in pair:
             free = blocks[h] & ~flags[h]
             while free:
                 low = free & -free
                 branch = list(blocks)
                 branch[h] ^= low
-                stack.append((branch, list(flags)))
+                if last and branch[h] not in first:
+                    out.add((*branch, branch[0]))
+                else:
+                    stack.append((branch, list(flags)))
                 flags[h] |= low
                 free ^= low
     return out
@@ -270,16 +276,31 @@ def _next_layer(uprime_rows: Rows, into: Rows) -> tuple[Rows, Rows]:
 
     The middles of an outer pair (a, c) are the ANDs b & b' of a's
     successors b in U' and c's predecessors b' in E* (``into``); only the
-    maximal ones are kept.  Returns the rows of U and of the next U'.
+    maximal ones are kept.  They depend on the two rows alone, and keys
+    share few rows, so the maxima are taken once per pair of distinct rows
+    and joined to every key of each row.  Returns the rows of U and of the
+    next U'.
     """
-    u_new = set()
-    uprime_new = set()
-    for a, bs in uprime_rows.items():
-        for c, bps in into.items():
-            for m in _maximal({b & bp for b in bs for bp in bps}):
-                u_new.add((a, m))
-                uprime_new.add((m, c))
-    return _rows(u_new), _rows(uprime_new)
+    outer = _keys_by_row(uprime_rows)
+    inner = _keys_by_row(into)
+    mids_out: dict[tuple[int, ...], set[int]] = {bs: set() for bs in outer}
+    mids_in: dict[tuple[int, ...], set[int]] = {bps: set() for bps in inner}
+    for bs in outer:
+        for bps in inner:
+            ms = _maximal({b & bp for b in bs for bp in bps})
+            mids_out[bs].update(ms)
+            mids_in[bps].update(ms)
+    return (
+        _rows((a, m) for bs, keys in outer.items() for a in keys for m in mids_out[bs]),
+        _rows((m, c) for bps, keys in inner.items() for m in mids_in[bps] for c in keys),
+    )
+
+
+def _keys_by_row(rows: Rows) -> dict[tuple[int, ...], list[int]]:
+    keys: dict[tuple[int, ...], list[int]] = defaultdict(list)
+    for key, row in rows.items():
+        keys[row].append(key)
+    return keys
 
 
 def _maximal(masks: Iterable[int]) -> list[int]:
@@ -433,7 +454,8 @@ def _search(layer_seqs, expired) -> CycleSearchResult:
         del raw, memo
         group = {
             canonical_cycle((w, *mid, w))
-            for mid, ws in wraps.items() for w in _maximal(ws)
+            for mid, ws in wraps.items()
+            for w in (ws if len(ws) == 1 else _maximal(ws))
         }
         del wraps  # freed before retention runs
         kept += _retain_maximal(group)

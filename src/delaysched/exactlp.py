@@ -2,7 +2,8 @@
 
 The tableau is fraction-free.  Entries are read as int or Fraction
 through their numerator and denominator, with no conversion; ``A`` and
-``b`` are scaled by one common denominator, and each pivot is an integer
+``b`` are scaled by one common denominator (all-int input is taken as it
+is), and each pivot is an integer
 Edmonds/Bareiss step whose division by the previous pivot is exact.  The
 true tableau is the integer one over ``det``, which every basic column
 holds in its own row.  Both objective rows are carried in the tableau,
@@ -123,13 +124,18 @@ def simplex_min(c: Sequence, A: Sequence[Sequence], b: Sequence):
         raise ValueError(f"LP shape mismatch: A must have len(b) = {len(b)} rows "
                          f"of len(c) = {n} entries")
     rows = [[*row, bi] for row, bi in zip(A, b)]
-    scale = _common_denominator(v for row in rows for v in row)
-    cscale = _common_denominator(c)
-    ints = []
-    for row in rows:
-        sign = -1 if row[-1] < 0 else 1
-        ints.append([sign * v.numerator * (scale // v.denominator) for v in row])
-    costs = [v.numerator * (cscale // v.denominator) for v in c]
+    if all(type(v) is int for v in c) and all(type(v) is int for row in rows for v in row):
+        # Already integer rows: no denominators to clear.
+        ints = [row if row[-1] >= 0 else [-v for v in row] for row in rows]
+        costs = c
+    else:
+        scale = _common_denominator(v for row in rows for v in row)
+        cscale = _common_denominator(c)
+        ints = []
+        for row in rows:
+            sign = -1 if row[-1] < 0 else 1
+            ints.append([sign * v.numerator * (scale // v.denominator) for v in row])
+        costs = [v.numerator * (cscale // v.denominator) for v in c]
     # Squared row norms: each constraint row has its artificial 1, and the
     # phase-1 row, minus their sum, is bounded by Cauchy-Schwarz.  No minor
     # holds both objective rows, so only the larger one enters the bound.
@@ -174,11 +180,14 @@ def dominating_combination(
     """Convex weights on the generators dominating ``target``, or None.
 
     Solves the exact feasibility problem: lambda >= 0, sum(lambda) = 1,
-    sum(lambda_i g_i) >= target component-wise.
+    sum(lambda_i g_i) >= target component-wise.  A generator whose length
+    is not the target's raises ValueError.
     """
     if not generators:
         return None
     dims = len(target)
+    if any(len(g) != dims for g in generators):
+        raise ValueError(f"every generator must have len(target) = {dims} coordinates")
     n = len(generators)
     A = []
     b = []
@@ -200,13 +209,16 @@ def max_symmetric_scale(
 ) -> Fraction:
     """max a such that (a, ..., a) <= factor * (some convex combination).
 
-    Vectors with no coordinates bound nothing, so they raise ValueError.
+    Vectors with no coordinates bound nothing, so they raise ValueError, as
+    do vectors of differing lengths.
     """
     if not vectors:
         return Fraction(0)
     dims = len(vectors[0])
     if not dims:
         raise ValueError("the symmetric rate of vectors with no coordinates is unbounded")
+    if any(len(v) != dims for v in vectors):
+        raise ValueError(f"every vector must have the first one's {dims} coordinates")
     n = len(vectors)
     # Variables: lambda (n), a, slack (dims).
     A = []

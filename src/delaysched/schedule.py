@@ -39,6 +39,8 @@ class PeriodicSchedule:
     def __post_init__(self):
         if type(self.period) is not int or self.period < 1:
             raise ValueError(f"bad period {self.period!r}")
+        # Tuple rows keep the frozen schedule hashable and equal to its tuple form.
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
         for row in self.rows:
             if len(row) != self.period:
                 raise ValueError("row length does not match period")
@@ -111,7 +113,8 @@ def build_framed_schedule(
     """Frame-synchronized schedule: guard slots silence the last D* slots.
 
     Each entry ``(links, repeats)`` contributes ``repeats`` frames in which
-    exactly those links are active for the first ``T_F - D*`` slots.  The
+    exactly those links are active for the first ``T_F - D*`` slots; a
+    repeat count must be an int >= 0 (not a bool), else ValueError.  The
     frame length must be at least ``2 D* + 1`` for binary profiles and
     ``3 D* + 1`` otherwise, and every frame's link set must be independent
     in the static conflict structure; both are enforced.
@@ -122,7 +125,10 @@ def build_framed_schedule(
     minimum = 2 * dstar + 1 if is_binary(network) else 3 * dstar + 1
     if T_F < minimum:
         raise ValueError(f"frame length {T_F} below minimum {minimum}")
-    total_frames = sum(max(0, int(rep)) for _, rep in frames)
+    for _, repeats in frames:
+        if type(repeats) is not int or repeats < 0:
+            raise ValueError(f"bad repeat count {repeats!r}")
+    total_frames = sum(rep for _, rep in frames)
     if total_frames == 0:
         raise ValueError("frame list has no repeats")
     period = T_F * total_frames
@@ -135,7 +141,7 @@ def build_framed_schedule(
             raise ValueError(f"frame references unknown links {sorted(unknown)}")
         if not _static_independent(network, linkset):
             raise ValueError(f"frame link set {sorted(linkset)} is not independent")
-        for _ in range(int(repeats)):
+        for _ in range(repeats):
             base = frame_no * T_F
             for link in linkset:
                 li = network.link_index(link)

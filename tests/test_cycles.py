@@ -33,6 +33,7 @@ from delaysched.cycles import (
     CycleSearchResult,
     _distinct,
     _layer_chain,
+    _maximal,
     _next_layer,
     _pareto_front,
     _retain_maximal,
@@ -400,6 +401,51 @@ def test_distinct_matches_recursion_on_long_paths():
     assert within >= 20 and past >= 50 and found >= 5
 
 
+def _ref_stack_distinct(blocks):
+    """``_distinct``'s loop as it was before leaf branches skipped the
+    stack; also says whether a branch below the root needed branching."""
+    out, deep = set(), False
+    stack = [(blocks, [0] * len(blocks))]
+    while stack:
+        blocks, flags = stack.pop()
+        first, pair = {}, None
+        for i, b in enumerate(blocks):
+            j = first.setdefault(b, i)
+            if j != i and (pair is None or j < pair[0]):
+                pair = (j, i)
+        if pair is None:
+            out.add((*blocks, blocks[0]))
+            continue
+        deep |= any(flags)
+        for h in pair:
+            free = blocks[h] & ~flags[h]
+            while free:
+                low = free & -free
+                branch = list(blocks)
+                branch[h] ^= low
+                stack.append((branch, list(flags)))
+                flags[h] |= low
+                free ^= low
+    return out, deep
+
+
+def test_distinct_matches_the_loop_that_stacked_its_leaves():
+    # Two to five blocks below 16, each tuple repeating a block; some need
+    # more than one level of branching (a second repeat, or a branch that
+    # lands on another block).
+    rng = random.Random(8512)
+    deep = found = 0
+    for _ in range(1500):
+        n = rng.randint(2, 5)
+        blocks = [rng.randint(0, 15) for _ in range(n - 1)]
+        blocks.insert(rng.randint(0, n - 1), rng.choice(blocks))
+        want, needs_levels = _ref_stack_distinct(list(blocks))
+        assert _distinct(list(blocks)) == want, blocks
+        deep += needs_levels
+        found += bool(want)
+    assert deep >= 300 and found >= 1000
+
+
 def test_path_to_cycles_past_the_submask_bound_is_empty():
     assert path_to_cycles((1,) * 401) == set()
     assert path_to_cycles((3, 1, 2) * 14 + (3,)) == set()
@@ -608,6 +654,50 @@ def test_antichain_layer_step_matches_quadratic_step():
             uprime = uprime_new
             steps += 1
     assert hyper >= 10 and steps == 3 + 2 + 40 * 2
+
+
+def _ref_per_pair_next_layer(uprime_rows, into):
+    """The layer step before keys were grouped by row: one maxima pass per
+    pair of keys."""
+    u_new, uprime_new = set(), set()
+    for a, bs in uprime_rows.items():
+        for c, bps in into.items():
+            for m in _maximal({b & bp for b in bs for bp in bps}):
+                u_new.add((a, m))
+                uprime_new.add((m, c))
+    return _rows(u_new), _rows(uprime_new)
+
+
+def row_class_cases():
+    rng = random.Random(7400)
+    for _ in range(30):
+        net = random_network(rng)
+        for T in (1, 2):
+            yield net, T, 3
+    for L, T, k in ((4, 1, 4), (5, 1, 4), (6, 1, 3), (4, 2, 3), (5, 2, 3), (5, 3, 3), (4, 3, 4)):
+        yield line_network(L, 1), T, k
+    for L in (4, 5):
+        yield hyper_chain(L), 2, 3
+
+
+def test_layer_step_per_row_class_matches_the_per_pair_step():
+    # Keys share rows, and the grouped step gives the same two row sets as
+    # one maxima pass per key pair, at every step of the chain.
+    hyper = shared = steps = 0
+    for net, T, k in row_class_cases():
+        hyper += not is_binary(net)
+        estar = build_maximal(net, T).edges
+        into = _rows((c, b) for b, c in estar)
+        uprime = _rows(estar)
+        for _ in range(k - 1):
+            shared += len(set(uprime.values())) < len(uprime)
+            u_new, uprime_new = _next_layer(uprime, into)
+            assert (u_new, uprime_new) == _ref_per_pair_next_layer(uprime, into)
+            uprime = uprime_new
+            steps += 1
+    # Two steps for each of 30 random networks at T 1 and 2, then 21 over
+    # the line and hyper rungs.
+    assert hyper >= 10 and shared >= 50 and steps == 60 * 2 + 21
 
 
 def _ref_iter_layered_paths(layers):

@@ -235,6 +235,56 @@ def test_float_entries_are_rejected():
         simplex_min([0.5, 0], [[1, 1]], [1])
 
 
+def _as_fractions(c, A, b):
+    """The LP with every int entry given as ``Fraction(v, 1)``, so that
+    ``simplex_min`` reads it through numerators and denominators."""
+    def frac(v):
+        return F(v, 1) if type(v) is int else v
+    return [frac(v) for v in c], [[frac(v) for v in row] for row in A], [frac(v) for v in b]
+
+
+def test_all_int_entry_matches_the_fraction_entry():
+    # Every int LP, negative right-hand sides included, gives the same
+    # status, point and value as the same LP read as Fractions.
+    rng = random.Random(2431)
+    seen, negative = set(), 0
+    for _ in range(400):
+        m, n = rng.randint(1, 5), rng.randint(1, 7)
+        A = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+        b = [rng.randint(-6, 6) for _ in range(m)]
+        c = [rng.randint(-6, 6) for _ in range(n)]
+        negative += any(v < 0 for v in b)
+        got = simplex_min(c, A, b)
+        assert got == simplex_min(*_as_fractions(c, A, b)), (c, A, b)
+        assert got == _ref_simplex_min(c, A, b), (c, A, b)
+        seen.add(got[0])
+    assert seen == {"optimal", "infeasible", "unbounded"} and negative > 200
+
+
+def test_all_int_entry_negates_rows_with_a_negative_rhs():
+    # -x0 - x1 = -2 is x0 + x1 = 2; the optimum puts it all on the cheaper x1.
+    expected = ("optimal", [F(0), F(2)], F(2))
+    assert simplex_min([3, 1], [[-1, -1]], [-2]) == expected
+    assert simplex_min([3, 1], [[-1, -1], [1, 0]], [-2, 0]) == expected
+
+
+def test_bool_entries_take_the_fraction_path(monkeypatch):
+    # A bool is read through its numerator and denominator, as before.
+    calls = []
+
+    def spy(entries):
+        entries = list(entries)
+        calls.append(entries)
+        return exactlp.lcm(*(v.denominator for v in entries))
+
+    monkeypatch.setattr(exactlp, "_common_denominator", spy)
+    assert simplex_min([1, 0], [[True, 1]], [1]) == simplex_min([1, 0], [[1, 1]], [1])
+    assert len(calls) == 2 and True in calls[0]
+    calls.clear()
+    simplex_min([1, 0], [[1, 1]], [1])
+    assert calls == []
+
+
 @pytest.mark.parametrize("c, A, b", [
     ([0, 0], [[1]], [1]),  # a row shorter than c
     ([0, 0], [[1, 1, 5]], [1]),  # a row longer than c
@@ -310,3 +360,17 @@ def test_region_lps_match_rational_reference(monkeypatch, L, T, k):
     assert calls
     for c, A, b, result in calls:
         assert result == _ref_simplex_min(c, A, b)
+
+
+def test_dominating_combination_rejects_ragged_generators():
+    with pytest.raises(ValueError, match="len\\(target\\) = 2"):
+        dominating_combination([(1, 1, 0)], (1, 1))
+    with pytest.raises(ValueError, match="len\\(target\\) = 2"):
+        dominating_combination([(1, 1), (1,)], (1, 1))
+
+
+def test_max_symmetric_scale_rejects_ragged_vectors():
+    with pytest.raises(ValueError, match="first one's 2 coordinates"):
+        max_symmetric_scale([(1, 2), (3, 4, 5)], 1)
+    with pytest.raises(ValueError, match="first one's 3 coordinates"):
+        max_symmetric_scale([(1, 2, 3), (3, 4)], 1)

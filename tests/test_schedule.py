@@ -306,3 +306,24 @@ def test_framed_schedule_rejects_a_frame_length_that_is_not_an_int(T_F):
     free = make_network(["a", "b"], {}, {})
     with pytest.raises(ValueError, match="bad frame length"):
         build_framed_schedule(free, [({"a", "b"}, 1)], T_F)
+
+
+@pytest.mark.parametrize("repeats", [1.9, True, -2, "2"],
+                         ids=["float", "bool", "negative", "string"])
+def test_framed_schedule_rejects_a_bad_repeat_count(repeats):
+    line = line_network(4, 1)
+    with pytest.raises(ValueError, match=f"bad repeat count {repeats!r}"):
+        build_framed_schedule(line, [({"l1"}, 1), ({"l4"}, repeats)], 3)
+
+
+def test_framed_schedule_takes_a_zero_repeat_count(line41):
+    s = build_framed_schedule(line41, [({"l1"}, 0), ({"l4"}, 2)], 3)
+    assert s == build_framed_schedule(line41, [({"l4"}, 2)], 3)
+
+
+def test_schedule_stores_list_rows_as_tuples():
+    listed = PeriodicSchedule(2, [[1, 0]] * 4)
+    tupled = PeriodicSchedule(2, ((1, 0),) * 4)
+    assert listed.rows == tupled.rows and type(listed.rows[0]) is tuple
+    assert listed == tupled
+    assert hash(listed) == hash(tupled)
