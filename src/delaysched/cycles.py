@@ -90,18 +90,29 @@ def rate_numerators(
 
     The rate of ``paths[i]`` is ``numerators[i] / den`` component-wise,
     with ``den = lcm(path lengths) * T``, so integer comparisons order the
-    rates exactly as their fractions.
+    rates exactly as their fractions.  Each distinct block's per-link
+    counts are packed into one int, a field of ``den.bit_length()`` bits
+    per link, link 0 lowest; a path's scaled sum of them is at most ``den``
+    in every field, so no field carries into the next.
     """
     if any(len(p) < 2 or p[0] != p[-1] for p in paths):
         raise ValueError("path is not closed")
     masks = link_row_masks(num_links, T)
     period = lcm(*(len(p) - 1 for p in paths))
+    width = (period * T).bit_length()
+    packed: dict[int, int] = {}
+    for block in {b for p in paths for b in p}:
+        fields = 0
+        for m in reversed(masks):
+            fields = fields << width | (block & m).bit_count()
+        packed[block] = fields
+    field = (1 << width) - 1
+    shifts = range(0, width * num_links, width)
     numerators = []
     for p in paths:
-        scale = period // (len(p) - 1)
-        numerators.append(tuple(
-            scale * sum((block & m).bit_count() for block in p[:-1]) for m in masks
-        ))
+        total = sum(map(packed.__getitem__, p)) - packed[p[0]]
+        total *= period // (len(p) - 1)
+        numerators.append(tuple([total >> s & field for s in shifts]))
     return numerators, period * T
 
 
@@ -133,9 +144,11 @@ def johnson_cycles(
     holds at most ``max_len`` blocks (Johnson, SIAM J. Comput. 4(1), 1975,
     without the blocking sets).  A block closes a cycle when the root is in
     its row, so a row is only walked to extend the path, and only past the
-    root: that part is taken once per row and root.  Cycles come out
-    canonically rotated and sorted.  The budget is checked on every step;
-    a search it stops is flagged incomplete.
+    root.  Per root, each row is read once: whether it closes, its part
+    past the root, and its closers, the blocks of that part whose own row
+    closes.  The last step of a path walks only its row's closers.  Cycles
+    come out canonically rotated and sorted.  The budget is checked on
+    every step but the last; a search it stops is flagged incomplete.
     """
     if max_len is None:
         max_len = len(graph.vertices)
@@ -147,17 +160,40 @@ def johnson_cycles(
     for root in graph.vertices if max_len else ():
         if expired and expired():
             return CycleSearchResult(tuple(sorted(found)), False)
-        if root in adj[root]:
+        row = adj[root]
+        shut = root in row
+        if shut:
             found.append((root, root))
         if max_len < 2:
             continue
-        # Rows are shared between blocks; each one's part past the root
-        # is kept under the row's id while this root's search runs.
-        row = adj[root]
-        above = {id(row): tuple(b for b in row if b > root)}
+        # Rows are shared between blocks: what this root's search reads of
+        # a row is kept under the row's id.
+        closes = {id(row): shut}
+        above: dict[int, tuple[int, ...]] = {}
+        closers: dict[int, list[int]] = {}
+
+        def closers_of(row):
+            succ = above.get(id(row))
+            if succ is None:
+                succ = above[id(row)] = tuple(b for b in row if b > root)
+            ends = closers[id(row)] = []
+            for b in succ:
+                r = adj[b]
+                shut = closes.get(id(r))
+                if shut is None:
+                    shut = closes[id(r)] = root in r
+                if shut:
+                    ends.append(b)
+            return ends
+
+        if max_len == 2:
+            found += [(root, c, root) for c in closers_of(row)]
+            continue
+        succ = above[id(row)] = tuple(b for b in row if b > root)
+        last = max_len - 2  # a path this long takes its last step through closers
         path = [root]
         on_path = {root}
-        stack = [iter(above[id(row)])]
+        stack = [iter(succ)]
         while stack:
             if expired and expired():
                 return CycleSearchResult(tuple(sorted(found)), False)
@@ -165,16 +201,26 @@ def johnson_cycles(
                 if nxt in on_path:
                     continue
                 row = adj[nxt]
-                if root in row:
+                key = id(row)
+                shut = closes.get(key)
+                if shut is None:
+                    shut = closes[key] = root in row
+                if shut:
                     found.append((*path, nxt, root))
-                if len(path) + 1 < max_len:
-                    succ = above.get(id(row))
+                if len(path) < last:
+                    succ = above.get(key)
                     if succ is None:
-                        succ = above[id(row)] = tuple(b for b in row if b > root)
+                        succ = above[key] = tuple(b for b in row if b > root)
                     path.append(nxt)
                     on_path.add(nxt)
                     stack.append(iter(succ))
                     break
+                ends = closers.get(key)
+                if ends is None:
+                    ends = closers_of(row)
+                for c in ends:
+                    if c != nxt and c not in on_path:
+                        found.append((*path, nxt, c, root))
             else:
                 stack.pop()
                 on_path.discard(path.pop())
@@ -417,6 +463,19 @@ def _retain_maximal(group: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
+def _rotations(mid: tuple[int, ...], wraps: Iterable[int]) -> list[tuple[int, ...]]:
+    """``canonical_cycle((w, *mid, w))`` for each wrap ``w``, rotating the
+    interior once: a wrap at most the interior's least block ``lo`` starts
+    its cycle, and any other goes between the parts before and from the
+    first ``lo``."""
+    if not mid:
+        return [(w, w) for w in wraps]
+    lo = min(mid)
+    s = mid.index(lo)
+    head, tail = mid[s:], mid[:s]
+    return [(w, *mid, w) if w <= lo else (*head, w, *tail, lo) for w in wraps]
+
+
 def _search(layer_seqs, expired) -> CycleSearchResult:
     """Extract, filter, rotate and retain the cycles of each chain of
     successor rows.
@@ -452,11 +511,11 @@ def _search(layer_seqs, expired) -> CycleSearchResult:
         for c in raw:
             wraps[c[1:-1]].append(c[0])
         del raw, memo
-        group = {
-            canonical_cycle((w, *mid, w))
-            for mid, ws in wraps.items()
-            for w in (ws if len(ws) == 1 else _maximal(ws))
-        }
+        group = set()
+        for mid, ws in wraps.items():
+            if len(ws) > 1:
+                ws = _maximal(ws)
+            group.update(_rotations(mid, ws))
         del wraps  # freed before retention runs
         kept += _retain_maximal(group)
         if not complete:

@@ -104,8 +104,20 @@ def achievability_certificate(
 
 
 def is_achievable(region: RegionDescription, rate: Sequence[Fraction]) -> bool:
-    """Is the vector dominated by a convex combination of the generators?"""
-    return achievability_certificate(region, rate) is not None
+    """Is the vector dominated by a convex combination of the generators?
+
+    A generator covering the rate answers yes, and a coordinate above
+    every generator's answers no, without an LP.
+    """
+    if len(rate) != len(region.links):
+        raise ValueError("rate dimension does not match region links")
+    rate = tuple(Fraction(r) for r in rate)
+    gens = region.generators
+    if any(all(g >= r for g, r in zip(gen, rate)) for gen in gens):
+        return True
+    if not gens or any(r > max(col) for r, col in zip(rate, zip(*gens))):
+        return False
+    return dominating_combination(gens, rate) is not None
 
 
 def framed_region(network: Network) -> RegionDescription:
@@ -186,17 +198,19 @@ def region_from_json(doc: Mapping) -> RegionDescription:
     generators = []
     witnesses = []
     for entry in _as_list(doc["generators"], "generators"):
-        generators.append(tuple(parse_rate(r) for r in _as_list(entry["rate"], "rate")))
+        rate = tuple(parse_rate(r) for r in _as_list(entry["rate"], "rate"))
+        if not all(0 <= r <= 1 for r in rate):
+            raise ValueError(f"generator rate {entry['rate']} is not in [0, 1]")
+        generators.append(rate)
         witness = entry.get("witness")
         if witness is not None:
             for rows in _as_list(witness, "witness"):
                 if len(_as_list(rows, "witness block")) != len(links):
                     raise ValueError("every witness block needs one row per link")
-        witnesses.append(
-            tuple(block_from_rows(rows, T) for rows in witness)
-            if witness is not None
-            else None
-        )
+            witness = tuple(block_from_rows(rows, T) for rows in witness)
+            if len(witness) < 2 or witness[0] != witness[-1]:
+                raise ValueError("witness is not a closed block path")
+        witnesses.append(witness)
     return RegionDescription(
         links, T, tuple(generators), tuple(witnesses), dict(doc.get("provenance", {}))
     )

@@ -513,10 +513,14 @@ def test_achievable_records_the_region_document_hash(capsys, monkeypatch, tmp_pa
     {"rate": ["1/2", "1/2"], "witness": [["1"]]},
     {"rate": "12"},
     {"rate": ["1/2", "1/2"], "witness": ["10", "01"]},
-], ids=["rate-short", "witness-block-short", "rate-string", "witness-block-string"])
+    {"rate": ["-1/2", "3/2"]},
+    {"rate": ["1/2", "1/2"], "witness": [["1", "0"]]},
+], ids=["rate-short", "witness-block-short", "rate-string", "witness-block-string",
+        "rate-outside-0-1", "witness-not-closed"])
 def test_achievable_malformed_region_exits_2(capsys, monkeypatch, tmp_path, generator):
     # Two links, but one generator entry or one witness row, or a string
-    # where a list belongs (which would be read a character at a time).
+    # where a list belongs (which would be read a character at a time), or
+    # a rate no schedule has, or a witness that is no closed block path.
     rpath = tmp_path / "region.json"
     rpath.write_text(json.dumps({"links": ["l1", "l2"], "T": 1, "generators": [generator]}))
     assert main(["achievable", "--region", str(rpath), "--rate", "1/2,1/2"]) == 2
@@ -530,7 +534,7 @@ def test_achievable_malformed_region_exits_2(capsys, monkeypatch, tmp_path, gene
 def test_achievable_region_with_a_bad_T_exits_2(capsys, monkeypatch, tmp_path, T, witness):
     generator = {"rate": ["1/2", "1/2"]}
     if witness:
-        generator["witness"] = [["1", "0"]]
+        generator["witness"] = [["1", "0"], ["1", "0"]]
     rpath = tmp_path / "region.json"
     rpath.write_text(json.dumps({"links": ["l1", "l2"], "T": T, "generators": [generator]}))
     assert main(["achievable", "--region", str(rpath), "--rate", "1/4,1/4"]) == 2

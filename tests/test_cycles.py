@@ -4,11 +4,13 @@ import sys
 from collections import defaultdict
 from fractions import Fraction
 from itertools import count, product
+from math import lcm
 from types import SimpleNamespace
 
 import pytest
 
 from delaysched import (
+    SchedulingGraph,
     algorithm_a,
     algorithm_b,
     build,
@@ -37,10 +39,12 @@ from delaysched.cycles import (
     _next_layer,
     _pareto_front,
     _retain_maximal,
+    _rotations,
     _rows,
     closed_path_rate,
     rate_numerators,
 )
+from delaysched.window import link_row_masks
 
 from conftest import (
     MAXIMAL_EDGE_MATRIX_41,
@@ -271,6 +275,92 @@ def test_johnson_without_budget_builds_no_deadline(monkeypatch, line41):
     monkeypatch.setattr(cycles_mod, "time", SimpleNamespace(monotonic=no_clock))
     assert [johnson_cycles(g), algorithm_a(line41, 1, 3), algorithm_b(line41, 1, 3)] == want
     assert all(res.complete for res in want)
+
+
+def _ref_johnson(graph, max_len=None):
+    """The search that scans a row for the root on every visit and walks
+    every row to the last step, without a budget."""
+    if max_len is None:
+        max_len = len(graph.vertices)
+    adj = graph.adjacency
+    found = []
+    for root in graph.vertices if max_len else ():
+        if root in adj[root]:
+            found.append((root, root))
+        if max_len < 2:
+            continue
+        row = adj[root]
+        above = {id(row): tuple(b for b in row if b > root)}
+        path = [root]
+        on_path = {root}
+        stack = [iter(above[id(row)])]
+        while stack:
+            for nxt in stack[-1]:
+                if nxt in on_path:
+                    continue
+                row = adj[nxt]
+                if root in row:
+                    found.append((*path, nxt, root))
+                if len(path) + 1 < max_len:
+                    succ = above.get(id(row))
+                    if succ is None:
+                        succ = above[id(row)] = tuple(b for b in row if b > root)
+                    path.append(nxt)
+                    on_path.add(nxt)
+                    stack.append(iter(succ))
+                    break
+            else:
+                stack.pop()
+                on_path.discard(path.pop())
+    return CycleSearchResult(tuple(sorted(found)), True)
+
+
+def test_johnson_matches_the_full_scan_on_random_networks():
+    # Lengths up to 5 on graphs of at most 16 vertices, up to 3 on the
+    # rest, and every length on graphs of at most 10 vertices.
+    checked = hyper = 0
+    for seed in range(7100, 7140):
+        net = random_network(random.Random(seed))
+        for T in (1, 2):
+            g = build(net, T)
+            n = len(g.vertices)
+            if n > 48:
+                continue
+            checked += 1
+            hyper += not is_binary(net)
+            lengths = [0, 1, 2, 3] + [4, 5] * (n <= 16) + [None] * (n <= 10)
+            for max_len in lengths:
+                assert johnson_cycles(g, max_len=max_len) == _ref_johnson(g, max_len), (
+                    seed, T, max_len)
+    assert checked >= 50 and hyper >= 10
+
+
+def _hand_built_graph(rng, n):
+    """Vertices and rows in random order, each row shared by several blocks."""
+    vertices = rng.sample(range(1, 3 * n), n)
+    pool = [tuple(rng.sample(vertices, rng.randint(0, n))) for _ in range(max(1, n // 2))]
+    return SchedulingGraph(tuple(vertices), {b: rng.choice(pool) for b in vertices})
+
+
+def test_johnson_on_hand_built_graphs_with_shared_rows_and_self_loops():
+    # A closer can be the block whose row it comes from (a self-loop) or
+    # lie on the path; neither closes a cycle.  Vertices and rows need not
+    # ascend, and the output is still sorted.
+    row = (4, 2, 1, 3)
+    g = SchedulingGraph((3, 1, 4, 2), {1: row, 2: row, 3: (3, 1), 4: row})
+    assert johnson_cycles(g, max_len=2).cycles == (
+        (1, 1), (1, 2, 1), (1, 3, 1), (1, 4, 1), (2, 2), (2, 4, 2), (3, 3), (4, 4))
+    for max_len in (0, 1, 2, 3, 4, None):
+        res = johnson_cycles(g, max_len=max_len)
+        assert res == _ref_johnson(g, max_len)
+        assert set(res.cycles) == brute_cycles(g, max_len)
+    rng = random.Random(7200)
+    for _ in range(300):
+        g = _hand_built_graph(rng, rng.randint(1, 7))
+        for max_len in (0, 1, 2, 3, 4, None):
+            res = johnson_cycles(g, max_len=max_len)
+            assert res == _ref_johnson(g, max_len)
+            assert list(res.cycles) == sorted(res.cycles)
 
 
 # ------------------------------------------------------------- path2cycles
@@ -999,6 +1089,20 @@ def _maximal_wrap_cycles(raw):
     }
 
 
+def test_rotations_match_canonical_cycle():
+    # Wraps below, equal to and above the interior's least block, a least
+    # block that repeats, and the empty interior of a 1-cycle.
+    assert _rotations((), [3, 0]) == [(3, 3), (0, 0)]
+    assert _rotations((2, 5, 2), [2, 1, 4]) == [(2, 2, 5, 2, 2), (1, 2, 5, 2, 1),
+                                                (2, 5, 2, 4, 2)]
+    rng = random.Random(8400)
+    for _ in range(2000):
+        mid = tuple(rng.randint(0, 5) for _ in range(rng.randint(0, 5)))
+        wraps = [rng.randint(0, 6) for _ in range(rng.randint(1, 4))]
+        wraps += [min(mid)] if mid else []
+        assert _rotations(mid, wraps) == [canonical_cycle((w, *mid, w)) for w in wraps]
+
+
 @pytest.mark.parametrize("search", [algorithm_a, algorithm_b])
 def test_retention_receives_the_maximal_wraps_of_each_interior(monkeypatch, search):
     # Each group is the canonical candidates whose raw form has a maximal
@@ -1214,6 +1318,45 @@ def test_pareto_filter_common_denominator():
     solo = (0b10, 0b10)
     assert pareto_filter([four, three, two, solo], 1, 2) == sorted([two, four, solo])
     assert closed_path_rate(two, 1, 2) == closed_path_rate(four, 1, 2) == (F(1, 2),) * 2
+
+
+def _ref_rate_numerators(paths, T, num_links):
+    """Each path's counts summed link by link, block by block."""
+    if any(len(p) < 2 or p[0] != p[-1] for p in paths):
+        raise ValueError("path is not closed")
+    masks = link_row_masks(num_links, T)
+    period = lcm(*(len(p) - 1 for p in paths))
+    numerators = []
+    for p in paths:
+        scale = period // (len(p) - 1)
+        numerators.append(tuple(
+            scale * sum((block & m).bit_count() for block in p[:-1]) for m in masks
+        ))
+    return numerators, period * T
+
+
+def test_rate_numerators_match_the_per_link_sum():
+    # Lengths 1-6 in one call make the period an lcm; all-ones blocks fill
+    # every field to period * T.
+    rng = random.Random(8300)
+    full = 0
+    for _ in range(400):
+        num_links, T = rng.randint(1, 6), rng.randint(1, 4)
+        ones = (1 << num_links * T) - 1
+        paths = []
+        for _ in range(rng.randint(1, 6)):
+            blocks = [rng.choice([0, ones, rng.getrandbits(num_links * T)])
+                      for _ in range(rng.randint(1, 6))]
+            paths.append((*blocks, blocks[0]))
+        got = rate_numerators(paths, T, num_links)
+        assert got == _ref_rate_numerators(paths, T, num_links), (paths, T, num_links)
+        full += any(x == got[1] for r in got[0] for x in r)
+    assert full > 50
+    ones = (1 << 12) - 1
+    assert rate_numerators([(ones,) * 7, (ones, ones)], 3, 4) == ([(18,) * 4] * 2, 18)
+    assert rate_numerators([], 2, 3) == ([], 2)
+    with pytest.raises(ValueError, match="path is not closed"):
+        rate_numerators([(1, 1), (1, 2)], 1, 2)
 
 
 def test_pareto_front_matches_quadratic_filter():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -22,10 +23,16 @@ from delaysched import (
     verify,
     window_symmetric_rate,
 )
+from delaysched import exactlp
 from delaysched.cycles import _pareto_front
-from delaysched.exactlp import max_symmetric_scale
+from delaysched.exactlp import max_symmetric_scale, simplex_min
 from delaysched.network import character, is_binary
-from delaysched.region import RegionDescription, region_from_json, region_to_json
+from delaysched.region import (
+    RegionDescription,
+    achievability_certificate,
+    region_from_json,
+    region_to_json,
+)
 from delaysched.window import build_window, link_row_masks
 
 from conftest import random_network, v
@@ -100,6 +107,72 @@ def test_achievability_is_downward_closed(cycle_region):
 def test_convexity_of_membership(cycle_region):
     mid = tuple((a + b) / 2 for a, b in zip(R3, R4))
     assert is_achievable(cycle_region, mid)
+
+
+def _membership_queries(region, rng):
+    """Zero; each generator, and 1/den above and below it in one coordinate;
+    the centroid, and with one coordinate at or just above its maximum;
+    random rates."""
+    gens = region.generators
+    n = len(region.links)
+    step = F(1, lcm(*(x.denominator for g in gens for x in g)))
+    queries = [(F(0),) * n]
+    for g in gens:
+        queries.append(g)
+        queries += [g[:i] + (g[i] + d,) + g[i + 1:] for i in range(n) for d in (step, -step)]
+    centroid = tuple(sum(col) / len(gens) for col in zip(*gens))
+    queries.append(centroid)
+    for i, top in enumerate(map(max, zip(*gens))):
+        queries += [centroid[:i] + (x,) + centroid[i + 1:] for x in (top, top + step)]
+    queries += [tuple(F(rng.randint(0, 8), 8) for _ in range(n)) for _ in range(20)]
+    return queries
+
+
+def test_is_achievable_matches_the_certificate():
+    # Regions of corpus-style draws (exact regime, at most 48 vertices) and
+    # of the ladder's rungs.
+    rng = random.Random(8500)
+    regions = [
+        region_from_cycles(line_network(L, 1), algorithm_a(line_network(L, 1), T, k).cycles, T)
+        for L, T, k in [(4, 1, 4), (5, 1, 4), (6, 1, 3), (4, 2, 3), (5, 2, 3)]
+    ]
+    while len(regions) < 45:
+        T = rng.choice([1, 2])
+        net = random_network(rng, regime_T=T)
+        if sum(1 for _ in build_window(net, T).independent_sets()) <= 48:
+            regions.append(region_from_cycles(net, algorithm_a(net, T, 3).cycles, T))
+    answers = set()
+    for region in regions:
+        for q in _membership_queries(region, rng):
+            want = achievability_certificate(region, q) is not None
+            assert is_achievable(region, q) == want, (region.generators, q)
+            answers.add(want)
+    assert answers == {True, False}
+
+
+def test_is_achievable_answers_trivial_queries_without_an_lp(monkeypatch, cycle_region):
+    solves = []
+
+    def counting(*args):
+        solves.append(args)
+        return simplex_min(*args)
+
+    monkeypatch.setattr(exactlp, "simplex_min", counting)
+    assert is_achievable(cycle_region, (F(0),) * 4)
+    assert is_achievable(cycle_region, ("1/2", F(1, 2), F(1, 3), 0))
+    assert not is_achievable(cycle_region, (F(0), F(0), F(0), F(11, 10)))
+    assert not is_achievable(cycle_region, ("0", "0", "9/8", "0"))
+    assert solves == []
+    inside = (F(3, 4), F(1, 4), F(1, 4), F(3, 4))  # between R3 and R4, under neither
+    assert is_achievable(cycle_region, inside)
+    assert not is_achievable(cycle_region, ("3/5",) * 4)
+    assert len(solves) == 2
+    empty = RegionDescription(("a", "b"), 1, (), (), {})
+    assert not is_achievable(empty, (F(0), F(0)))
+    assert achievability_certificate(empty, (F(0), F(0))) is None
+    for region, rate in [(cycle_region, (F(0),) * 3), (empty, (F(0),))]:
+        with pytest.raises(ValueError, match="rate dimension does not match region links"):
+            is_achievable(region, rate)
 
 
 def test_framed_region_reference(line41):
@@ -275,6 +348,17 @@ def test_region_from_json_rejects_a_non_binary_witness_row():
            "generators": [{"rate": ["1", "0"], "witness": [["1", "2"]]}]}
     with pytest.raises(ValueError, match="row 1 has non-binary character '2'"):
         region_from_json(doc)
+
+
+@pytest.mark.parametrize("generator, message", [
+    ({"rate": ["-1/2", "3/2"]}, r"generator rate \['-1/2', '3/2'\] is not in \[0, 1\]"),
+    ({"rate": ["1", "0"], "witness": [["1", "0"]]}, "witness is not a closed block path"),
+    ({"rate": ["1/2", "1/2"], "witness": [["1", "0"], ["0", "1"]]},
+     "witness is not a closed block path"),
+], ids=["rate-outside-0-1", "witness-one-block", "witness-open"])
+def test_region_from_json_rejects_an_impossible_generator(generator, message):
+    with pytest.raises(ValueError, match=message):
+        region_from_json({"links": ["a", "b"], "T": 1, "generators": [generator]})
 
 
 @pytest.mark.parametrize("T", [0, -2, 1.9, 2.0, True, "2", None], ids=repr)
