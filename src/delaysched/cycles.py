@@ -66,10 +66,7 @@ def canonical_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
         raise ValueError("cycle is not closed")
     if type(cycle) is tuple and cycle[0] == min(cycle):
         return cycle
-    interior = tuple(cycle[:-1])
-    shift = interior.index(min(interior))
-    rotated = interior[shift:] + interior[:shift]
-    return rotated + (rotated[0],)
+    return _rotations(tuple(cycle[1:-1]), [cycle[0]])[0]
 
 
 def cycle_dominates(a: Sequence[int], b: Sequence[int]) -> bool:
@@ -142,13 +139,17 @@ def johnson_cycles(
     Each cycle is found once, from its least block: the search from a root
     extends only through larger blocks not already on the path, and a path
     holds at most ``max_len`` blocks (Johnson, SIAM J. Comput. 4(1), 1975,
-    without the blocking sets).  A block closes a cycle when the root is in
-    its row, so a row is only walked to extend the path, and only past the
-    root.  Per root, each row is read once: whether it closes, its part
-    past the root, and its closers, the blocks of that part whose own row
-    closes.  The last step of a path walks only its row's closers.  Cycles
-    come out canonically rotated and sorted.  The budget is checked on
-    every step but the last; a search it stops is flagged incomplete.
+    without the blocking sets).  The search from a root is one walk whose
+    first step visits the root itself.  A visited block closes a cycle when
+    the root is in its row, so a row is only walked to extend the path, and
+    only past the root.  Per root, each row is read once into one record:
+    whether it holds the root, its part past the root, and its closers, the
+    blocks of that part whose own row holds the root.  A block that takes
+    the path's last place walks only its row's closers.  Cycles come out
+    canonically rotated and sorted.  The budget is checked once per step of
+    the walk (a step runs until it goes down one block or its frame runs
+    out), the root's own step included; a search it stops is flagged
+    incomplete.
     """
     if max_len is None:
         max_len = len(graph.vertices)
@@ -157,71 +158,52 @@ def johnson_cycles(
     adj = graph.adjacency
     expired = _stop_check(budget)
     found: list[tuple[int, ...]] = []
+    inner = max_len - 2  # the path length at which a visit closes through closers
     for root in graph.vertices if max_len else ():
-        if expired and expired():
-            return CycleSearchResult(tuple(sorted(found)), False)
-        row = adj[root]
-        shut = root in row
-        if shut:
-            found.append((root, root))
-        if max_len < 2:
-            continue
-        # Rows are shared between blocks: what this root's search reads of
-        # a row is kept under the row's id.
-        closes = {id(row): shut}
-        above: dict[int, tuple[int, ...]] = {}
-        closers: dict[int, list[int]] = {}
-
-        def closers_of(row):
-            succ = above.get(id(row))
-            if succ is None:
-                succ = above[id(row)] = tuple(b for b in row if b > root)
-            ends = closers[id(row)] = []
-            for b in succ:
-                r = adj[b]
-                shut = closes.get(id(r))
-                if shut is None:
-                    shut = closes[id(r)] = root in r
-                if shut:
-                    ends.append(b)
-            return ends
-
-        if max_len == 2:
-            found += [(root, c, root) for c in closers_of(row)]
-            continue
-        succ = above[id(row)] = tuple(b for b in row if b > root)
-        last = max_len - 2  # a path this long takes its last step through closers
-        path = [root]
-        on_path = {root}
-        stack = [iter(succ)]
-        while stack:
+        # Rows are shared between blocks: this root's record of a row,
+        # [holds the root, part past the root, closers], is kept under its id.
+        records: dict[int, list] = {}
+        path: list[int] = []
+        on_path: set[int] = set()
+        stack = [(root,)]  # the root's own frame, walked once
+        while True:
             if expired and expired():
                 return CycleSearchResult(tuple(sorted(found)), False)
+            depth = len(path)
             for nxt in stack[-1]:
                 if nxt in on_path:
                     continue
                 row = adj[nxt]
-                key = id(row)
-                shut = closes.get(key)
-                if shut is None:
-                    shut = closes[key] = root in row
-                if shut:
+                rec = records.get(id(row))
+                if rec is None:
+                    rec = records[id(row)] = [root in row, None, None]
+                if rec[0]:
                     found.append((*path, nxt, root))
-                if len(path) < last:
-                    succ = above.get(key)
-                    if succ is None:
-                        succ = above[key] = tuple(b for b in row if b > root)
+                if depth > inner:  # max_len 1: the root's self-loop only
+                    continue
+                succ = rec[1]
+                if succ is None:
+                    succ = rec[1] = tuple([b for b in row if b > root])
+                if depth < inner:
                     path.append(nxt)
                     on_path.add(nxt)
                     stack.append(iter(succ))
                     break
-                ends = closers.get(key)
+                ends = rec[2]
                 if ends is None:
-                    ends = closers_of(row)
-                for c in ends:
-                    if c != nxt and c not in on_path:
-                        found.append((*path, nxt, c, root))
+                    ends = rec[2] = []
+                    for b in succ:
+                        r = adj[b]
+                        held = records.get(id(r))
+                        if held is None:
+                            held = records[id(r)] = [root in r, None, None]
+                        if held[0]:
+                            ends.append(b)
+                head = (*path, nxt)
+                found += [head + (c, root) for c in ends if c != nxt and c not in on_path]
             else:
+                if depth < 2:  # what is left is the root's own frame: the root is done
+                    break
                 stack.pop()
                 on_path.discard(path.pop())
     return CycleSearchResult(tuple(sorted(found)), True)

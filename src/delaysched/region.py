@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .cycles import _pareto_front, pareto_filter, rate_numerators
+from .cycles import _pareto_front, closed_path_rate, pareto_filter, rate_numerators
 from .exactlp import dominating_combination, max_symmetric_scale
 from .network import Network, character, format_rate, is_binary, parse_rate
 from .window import block_from_rows, block_to_rows, build_window
@@ -211,6 +211,14 @@ def region_from_json(doc: Mapping) -> RegionDescription:
             if len(witness) < 2 or witness[0] != witness[-1]:
                 raise ValueError("witness is not a closed block path")
         witnesses.append(witness)
-    return RegionDescription(
+    region = RegionDescription(
         links, T, tuple(generators), tuple(witnesses), dict(doc.get("provenance", {}))
     )
+    for rate, witness in zip(region.generators, region.witnesses):
+        if witness is None:
+            continue
+        made = closed_path_rate(witness, T, len(links))
+        if made != rate:
+            raise ValueError(f"witness rate {[format_rate(r) for r in made]} is not"
+                             f" its generator's {[format_rate(r) for r in rate]}")
+    return region

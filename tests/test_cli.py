@@ -515,12 +515,14 @@ def test_achievable_records_the_region_document_hash(capsys, monkeypatch, tmp_pa
     {"rate": ["1/2", "1/2"], "witness": ["10", "01"]},
     {"rate": ["-1/2", "3/2"]},
     {"rate": ["1/2", "1/2"], "witness": [["1", "0"]]},
+    {"rate": ["1", "0"], "witness": [["0", "1"], ["0", "1"]]},
 ], ids=["rate-short", "witness-block-short", "rate-string", "witness-block-string",
-        "rate-outside-0-1", "witness-not-closed"])
+        "rate-outside-0-1", "witness-not-closed", "witness-rate-not-the-rate"])
 def test_achievable_malformed_region_exits_2(capsys, monkeypatch, tmp_path, generator):
     # Two links, but one generator entry or one witness row, or a string
     # where a list belongs (which would be read a character at a time), or
-    # a rate no schedule has, or a witness that is no closed block path.
+    # a rate no schedule has, or a witness that is no closed block path or
+    # does not give its generator's rate.
     rpath = tmp_path / "region.json"
     rpath.write_text(json.dumps({"links": ["l1", "l2"], "T": 1, "generators": [generator]}))
     assert main(["achievable", "--region", str(rpath), "--rate", "1/2,1/2"]) == 2

@@ -1,9 +1,11 @@
+import hashlib
 import inspect
 import random
 import sys
+from array import array
 from collections import defaultdict
 from fractions import Fraction
-from itertools import count, product
+from itertools import chain, count, product
 from math import lcm
 from types import SimpleNamespace
 
@@ -361,6 +363,66 @@ def test_johnson_on_hand_built_graphs_with_shared_rows_and_self_loops():
             res = johnson_cycles(g, max_len=max_len)
             assert res == _ref_johnson(g, max_len)
             assert list(res.cycles) == sorted(res.cycles)
+
+
+def test_johnson_on_hand_built_graphs_with_equal_rows_that_are_not_shared():
+    # Vertices out of order, and about half the rows swapped for equal
+    # copies.  The search keeps what it reads of a row under the row's id,
+    # so equal rows that are distinct objects are read apart and must agree.
+    rng = random.Random(7300)
+    copies = 0
+    for _ in range(200):
+        g = _hand_built_graph(rng, rng.randint(1, 7))
+        adjacency = {b: tuple(list(row)) if rng.random() < 0.5 else row
+                     for b, row in g.adjacency.items()}
+        copies += any(row and row is not g.adjacency[b] for b, row in adjacency.items())
+        g = SchedulingGraph(g.vertices, adjacency)
+        for max_len in (0, 1, 2, 3, 4, 5, None):
+            res = johnson_cycles(g, max_len=max_len)
+            assert res == _ref_johnson(g, max_len)
+            assert set(res.cycles) == brute_cycles(g, max_len)
+    assert copies > 100
+
+
+@pytest.mark.parametrize("max_len", [2, 3])
+def test_johnson_budget_cut_at_a_short_length(monkeypatch, line41, max_len):
+    # The walk checks the budget once per step, the root's own step
+    # included.  A cut returns sorted, elementary, canonically rotated
+    # cycles: every cycle of each root it finished, and some of the root
+    # it was cut in.
+    g = build(line41, 2)
+    full = set(johnson_cycles(g, max_len=max_len).cycles)
+    monkeypatch.setattr(cycles_mod, "time", step_clock())
+    res = johnson_cycles(g, max_len=max_len, budget=40)
+    assert not res.complete
+    assert list(res.cycles) == sorted(res.cycles)
+    assert_elementary_canonical(g, res.cycles)
+    assert len(set(res.cycles)) == len(res.cycles)
+    cut_in = g.vertices.index(max(c[0] for c in res.cycles))
+    finished = {c for c in full if c[0] in g.vertices[:cut_in]}
+    assert finished and finished <= set(res.cycles) < full
+
+
+# Johnson on three large line graphs (up to 1.34 M edges, each row shared
+# by many blocks): the cycle count and the SHA-256 of the sorted cycles'
+# blocks as 64-bit ints.
+LARGE_JOHNSON = {
+    "L5 T3 max_len 2": (5, 3, 2, 446985,
+                        "9473724fb450748f565e761e72f7cd7cdedc42fafc7dfee93761fd117cbcc217"),
+    "L4 T2 max_len 4": (4, 2, 4, 704242,
+                        "cb883d87c3f6a7aa23d997286f2d680434d9123115efa6d3a95294ee45b6617c"),
+    "L5 T2 max_len 3": (5, 2, 3, 296233,
+                        "b19bc52b74404185b558279766b571eef06301ba93b9bc432a39881a13d2b89c"),
+}
+
+
+@pytest.mark.parametrize("case", list(LARGE_JOHNSON))
+def test_johnson_on_large_line_graphs_keeps_its_recorded_cycles(case):
+    L, T, max_len, n, sha = LARGE_JOHNSON[case]
+    res = johnson_cycles(build(line_network(L, 1), T), max_len=max_len)
+    assert res.complete and len(res.cycles) == n
+    blocks = array("q", chain.from_iterable(res.cycles)).tobytes()
+    assert hashlib.sha256(blocks).hexdigest() == sha
 
 
 # ------------------------------------------------------------- path2cycles

@@ -331,6 +331,18 @@ def test_region_json_roundtrip(cycle_region):
     assert back.links == cycle_region.links
 
 
+@pytest.mark.parametrize("L, T, k", [(4, 1, 4), (5, 1, 4), (6, 1, 3), (4, 2, 3), (5, 2, 3)])
+def test_region_json_roundtrip_checks_every_witness_rate(L, T, k):
+    # Loading checks each witness's rate against its generator's; the
+    # regions the search and the frame build write all pass that check.
+    net = line_network(L, 1)
+    for region in (region_from_cycles(net, algorithm_a(net, T, k).cycles, T),
+                   framed_region(net)):
+        back = region_from_json(region_to_json(region))
+        assert back.generators == region.generators
+        assert back.witnesses == region.witnesses
+
+
 @pytest.mark.parametrize("doc", [
     {"links": "ab", "generators": [{"rate": ["1/2", "1/2"]}]},
     {"links": ["a", "b"], "generators": {"rate": ["1/2", "1/2"]}},
@@ -355,7 +367,9 @@ def test_region_from_json_rejects_a_non_binary_witness_row():
     ({"rate": ["1", "0"], "witness": [["1", "0"]]}, "witness is not a closed block path"),
     ({"rate": ["1/2", "1/2"], "witness": [["1", "0"], ["0", "1"]]},
      "witness is not a closed block path"),
-], ids=["rate-outside-0-1", "witness-one-block", "witness-open"])
+    ({"rate": ["1", "0"], "witness": [["0", "1"], ["0", "1"]]},
+     r"witness rate \['0/1', '1/1'\] is not its generator's \['1/1', '0/1'\]"),
+], ids=["rate-outside-0-1", "witness-one-block", "witness-open", "witness-rate-not-the-rate"])
 def test_region_from_json_rejects_an_impossible_generator(generator, message):
     with pytest.raises(ValueError, match=message):
         region_from_json({"links": ["a", "b"], "T": 1, "generators": [generator]})
