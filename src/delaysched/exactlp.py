@@ -3,7 +3,7 @@
 The tableau is fraction-free.  Entries are read as int or Fraction
 through their numerator and denominator, with no conversion; ``A`` and
 ``b`` are scaled by one common denominator (all-int input is taken as it
-is), and each pivot is an integer
+is), rows with a negative rhs are negated, and each pivot is an integer
 Edmonds/Bareiss step whose division by the previous pivot is exact.  The
 true tableau is the integer one over ``det``, which every basic column
 holds in its own row.  Both objective rows are carried in the tableau,
@@ -11,22 +11,22 @@ the phase-1 row until phase 1 ends.
 Bland's rule guarantees termination; :class:`fractions.Fraction` appears
 only in the solution.
 
-Each tableau row is one int, ``sum(v_j << w*j)``: the structural fields,
-then the artificial ones, then the rhs.  A Bareiss step is linear and its
-division is exact field by field, so it runs on the whole packed row at
-once; intermediate products may overflow a field, but the quotient does
-not.  Every entry a pivot produces is a minor of the start tableau
-(Cramer), so the product of the start rows' Euclidean norms (Hadamard)
-bounds it and fixes the field width ``w``.  Fields are read with a bias
-of ``2**(w-1)`` in each, which makes every biased field non-negative and
-its top bit the entry's sign.
+Each tableau row is one int, ``sum(v_j << w*j)``, summed over the field
+offsets: the structural fields, then the artificial ones, then the rhs.
+A Bareiss step is linear and its division is exact field by field, so it
+runs on the whole packed row at once; intermediate products may overflow
+a field, but the quotient does not.  Every entry a pivot produces is a
+minor of the start tableau (Cramer), so the product of the start rows'
+Euclidean norms (Hadamard) bounds it and fixes the field width ``w``.
+Fields are read with a bias of ``2**(w-1)`` in each, which makes every
+biased field non-negative and its top bit the entry's sign.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt, lcm, prod
-from operator import mul
+from operator import lshift, mul
 from typing import Sequence
 
 __all__ = ["simplex_min", "dominating_combination", "max_symmetric_scale"]
@@ -68,9 +68,8 @@ class _Tableau:
 
     def optimize(self, z: int, ncols: int) -> bool:
         """Bland-rule sweep on objective row ``z``; False means unbounded."""
-        rows, basis, w, mask, half, bias = (
-            self.rows, self.basis, self.w, self.mask, self.half, self.bias)
-        top = self.rhs_shift
+        rows, basis, w, half, bias, top = (
+            self.rows, self.basis, self.w, self.half, self.bias, self.rhs_shift)
         # The sign bit of each biased field below ncols: clear iff negative.
         signs = bias & (1 << w * ncols) - 1
         while True:
@@ -78,29 +77,19 @@ class _Tableau:
             if not negative:
                 return True
             enter = ((negative & -negative).bit_length() - 1) // w
-            biased = [row + bias for row in rows]
-            shift = w * enter
-            col = [(row >> shift & mask) - half for row in biased]
+            col = self.column(enter)
             leave = None
             for i in range(len(basis)):
                 a = col[i]
                 if a <= 0:
                     continue
-                rhs = (biased[i] >> top) - half
+                rhs = ((rows[i] + bias) >> top) - half
                 # Ratios compared by cross-multiplication; ties go to the lower basis index.
                 if leave is None or (rhs * best_a, basis[i]) < (best_rhs * a, basis[leave]):
                     leave, best_a, best_rhs = i, a, rhs
             if leave is None:
                 return False
             self.pivot(leave, enter, col)
-
-
-def _pack(values: Sequence[int], w: int) -> int:
-    """Signed ``values`` as fields ``0, 1, ...`` of width ``w``."""
-    packed = 0
-    for v in reversed(values):
-        packed = (packed << w) + v
-    return packed
 
 
 def _common_denominator(entries) -> int:
@@ -115,41 +104,38 @@ def simplex_min(c: Sequence, A: Sequence[Sequence], b: Sequence):
     """min c.x  s.t.  A x = b, x >= 0.  Returns (status, x, value).
 
     Entries are ints or Fractions, read through ``numerator`` and
-    ``denominator`` as they are; any other type (a float, say) raises
-    TypeError.  ``A`` must hold ``len(b)`` rows of ``len(c)`` entries,
-    else ValueError.  ``x`` and ``value`` are Fractions.
+    ``denominator`` as they are, so a bool reads as 0 or 1; an entry with
+    no numerator and denominator (a float, say) raises TypeError.  ``A``
+    must hold ``len(b)`` rows of ``len(c)`` entries, else ValueError.
+    ``x`` and ``value`` are Fractions.
     """
     m, n = len(A), len(c)
     if len(b) != m or any(len(row) != n for row in A):
         raise ValueError(f"LP shape mismatch: A must have len(b) = {len(b)} rows "
                          f"of len(c) = {n} entries")
-    rows = [[*row, bi] for row, bi in zip(A, b)]
-    if all(type(v) is int for v in c) and all(type(v) is int for row in rows for v in row):
-        # Already integer rows: no denominators to clear.
-        ints = [row if row[-1] >= 0 else [-v for v in row] for row in rows]
-        costs = c
-    else:
+    rows, costs = [[*row, bi] for row, bi in zip(A, b)], c
+    if any(type(v) is not int for v in c) or any(type(v) is not int for r in rows for v in r):
+        # Clear the denominators: one scale for the rows, one for the costs.
         scale = _common_denominator(v for row in rows for v in row)
         cscale = _common_denominator(c)
-        ints = []
-        for row in rows:
-            sign = -1 if row[-1] < 0 else 1
-            ints.append([sign * v.numerator * (scale // v.denominator) for v in row])
+        rows = [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
         costs = [v.numerator * (cscale // v.denominator) for v in c]
+    rows = [row if row[-1] >= 0 else [-v for v in row] for row in rows]
     # Squared row norms: each constraint row has its artificial 1, and the
     # phase-1 row, minus their sum, is bounded by Cauchy-Schwarz.  No minor
     # holds both objective rows, so only the larger one enters the bound.
-    norms = [sum(map(mul, row, row)) + 1 for row in ints]
+    norms = [sum(map(mul, row, row)) + 1 for row in rows]
     objective = max(m * sum(norms), sum(map(mul, costs, costs)), 1)
     w = (isqrt(prod(norms) * objective) + 1).bit_length() + 2
 
-    packed = [
-        _pack(row[:-1], w) + (1 << w * (n + i)) + (row[-1] << w * (n + m))
-        for i, row in enumerate(ints)
-    ]
+    # Field offsets of the structural columns, then of the rhs (map stops the costs short of it).
+    offsets = [w * j for j in range(n)] + [w * (n + m)]
+    packed = [sum(map(lshift, row, offsets)) + (1 << w * (n + i))
+              for i, row in enumerate(rows)]
     # Phase-1 costs priced out against the artificial basis, then phase 2.
     phase1 = (_spread(1, w, m) << w * n) - sum(packed)
-    tab = _Tableau(packed + [phase1, _pack(costs, w)], list(range(n, n + m)), w, n + m + 1)
+    costrow = sum(map(lshift, costs, offsets))
+    tab = _Tableau(packed + [phase1, costrow], list(range(n, n + m)), w, n + m + 1)
     basis = tab.basis
 
     tab.optimize(m, n + m)
@@ -173,15 +159,29 @@ def simplex_min(c: Sequence, A: Sequence[Sequence], b: Sequence):
     return "optimal", x, sum((v * x[j] for j, v in enumerate(c) if v), Fraction(0))
 
 
+def _convex_cover(vectors: Sequence[Sequence], target: Sequence, extra: Sequence[Sequence] = ()):
+    """``(A, b)`` of sum(lambda_i v_i) + extra - s = target, sum(lambda) = 1.
+
+    Columns: lambda, then each ``extra`` column (its coordinates, then its
+    entry in the convexity row), then one slack per coordinate.
+    """
+    dims = len(target)
+    A = [[v[l] for v in vectors] + [e[l] for e in extra] + [-int(j == l) for j in range(dims)]
+         for l in range(dims)]
+    A.append([1] * len(vectors) + [e[dims] for e in extra] + [0] * dims)
+    return A, [*target, 1]
+
+
 def dominating_combination(
-    generators: Sequence[Sequence[Fraction]],
-    target: Sequence[Fraction],
+    generators: Sequence[Sequence[int | Fraction]],
+    target: Sequence[int | Fraction],
 ) -> list[Fraction] | None:
     """Convex weights on the generators dominating ``target``, or None.
 
     Solves the exact feasibility problem: lambda >= 0, sum(lambda) = 1,
-    sum(lambda_i g_i) >= target component-wise.  A generator whose length
-    is not the target's raises ValueError.
+    sum(lambda_i g_i) >= target component-wise.  Entries are read as
+    :func:`simplex_min` reads them (ints, Fractions or bools).  A generator
+    whose length is not the target's raises ValueError.
     """
     if not generators:
         return None
@@ -189,28 +189,21 @@ def dominating_combination(
     if any(len(g) != dims for g in generators):
         raise ValueError(f"every generator must have len(target) = {dims} coordinates")
     n = len(generators)
-    A = []
-    b = []
-    for l in range(dims):
-        # sum_i lambda_i g_i(l) - s_l = target(l)
-        A.append([g[l] for g in generators] + [-int(j == l) for j in range(dims)])
-        b.append(target[l])
-    A.append([1] * n + [0] * dims)
-    b.append(1)
-    status, x, _ = simplex_min([0] * (n + dims), A, b)
+    status, x, _ = simplex_min([0] * (n + dims), *_convex_cover(generators, target))
     if status != "optimal":
         return None
     return x[:n]
 
 
 def max_symmetric_scale(
-    vectors: Sequence[Sequence[Fraction]],
-    factor: Fraction,
+    vectors: Sequence[Sequence[int | Fraction]],
+    factor: int | Fraction,
 ) -> Fraction:
     """max a such that (a, ..., a) <= factor * (some convex combination).
 
-    Vectors with no coordinates bound nothing, so they raise ValueError, as
-    do vectors of differing lengths.
+    Entries and ``factor`` are read as :func:`simplex_min` reads them
+    (ints, Fractions or bools).  Vectors with no coordinates bound nothing,
+    so they raise ValueError, as do vectors of differing lengths.
     """
     if not vectors:
         return Fraction(0)
@@ -221,18 +214,9 @@ def max_symmetric_scale(
         raise ValueError(f"every vector must have the first one's {dims} coordinates")
     n = len(vectors)
     # Variables: lambda (n), a, slack (dims).
-    A = []
-    b = []
-    for l in range(dims):
-        row = [factor * v[l] for v in vectors]
-        row.append(-1)
-        row.extend(-int(j == l) for j in range(dims))
-        A.append(row)
-        b.append(0)
-    A.append([1] * n + [0] * (dims + 1))
-    b.append(1)
-    c = [0] * n + [-1] + [0] * dims
-    status, x, _ = simplex_min(c, A, b)
+    scaled = [[factor * x for x in v] for v in vectors]
+    A, b = _convex_cover(scaled, [0] * dims, [[-1] * dims + [0]])
+    status, x, _ = simplex_min([0] * n + [-1] + [0] * dims, A, b)
     if status != "optimal":
         raise AssertionError(f"symmetric-rate LP came back {status}")
     return x[n]

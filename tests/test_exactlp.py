@@ -3,8 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from delaysched import algorithm_a, exactlp, line_network, region_from_cycles
+from delaysched import (
+    algorithm_a,
+    algorithm_b,
+    build_window,
+    exactlp,
+    line_network,
+    region_from_cycles,
+    window_symmetric_rate,
+)
+from delaysched import region as region_module
 from delaysched.exactlp import dominating_combination, max_symmetric_scale, simplex_min
+
+from conftest import random_network
 
 F = Fraction
 
@@ -113,6 +124,16 @@ def test_simplex_degenerate_terminates():
     assert val == -1
 
 
+def test_simplex_edge_shapes():
+    # No constraint rows: every point x >= 0 is feasible.
+    assert simplex_min([1], [], []) == ("optimal", [F(0)], F(0))
+    assert simplex_min([-1], [], []) == ("unbounded", None, None)
+    # No columns: the one row reads 0 = b.
+    none = simplex_min([], [[]], [0])
+    assert none == ("optimal", [], F(0)) and type(none[2]) is Fraction
+    assert simplex_min([], [[]], [1]) == ("infeasible", None, None)
+
+
 def test_dominating_combination_reference():
     gens = [(F(1), F(0)), (F(0), F(1))]
     w = dominating_combination(gens, (F(1, 2), F(1, 2)))
@@ -120,6 +141,8 @@ def test_dominating_combination_reference():
     assert all(wi >= 0 for wi in w)
     assert dominating_combination(gens, (F(2, 3), F(2, 3))) is None
     assert dominating_combination([], (F(0),)) is None
+    # An empty target is met by any convex weights; the first vertex is found.
+    assert dominating_combination([(), ()], ()) == [F(1), F(0)]
 
 
 def test_dominating_combination_strict_interior():
@@ -374,3 +397,126 @@ def test_max_symmetric_scale_rejects_ragged_vectors():
         max_symmetric_scale([(1, 2), (3, 4, 5)], 1)
     with pytest.raises(ValueError, match="first one's 3 coordinates"):
         max_symmetric_scale([(1, 2, 3), (3, 4)], 1)
+
+
+# The LPs of the two queries, written out row by row: the convexity row
+# last, the symmetric column ``a`` between lambda and the slacks.
+
+def _ref_dominating_lp(generators, target):
+    dims, n = len(target), len(generators)
+    A, b = [], []
+    for l in range(dims):
+        A.append([g[l] for g in generators] + [-int(j == l) for j in range(dims)])
+        b.append(target[l])
+    A.append([1] * n + [0] * dims)
+    b.append(1)
+    return [0] * (n + dims), A, b
+
+
+def _ref_symmetric_lp(vectors, factor):
+    dims, n = len(vectors[0]), len(vectors)
+    A, b = [], []
+    for l in range(dims):
+        row = [factor * v[l] for v in vectors]
+        row.append(-1)
+        row.extend(-int(j == l) for j in range(dims))
+        A.append(row)
+        b.append(0)
+    A.append([1] * n + [0] * (dims + 1))
+    b.append(1)
+    return [0] * n + [-1] + [0] * dims, A, b
+
+
+def _typed(obj):
+    """``obj`` with the type of every container and entry beside it, since
+    ``1 == True == Fraction(1)`` would hide a changed type."""
+    if isinstance(obj, (list, tuple)):
+        return type(obj), [_typed(v) for v in obj]
+    return type(obj), obj
+
+
+@pytest.fixture
+def query_lps(monkeypatch):
+    """Checks each LP that the two queries hand ``simplex_min``, called
+    through ``exactlp`` or ``region``, against its reference; counts the
+    queries per name."""
+    solve = exactlp.simplex_min
+    handed = []
+
+    def spy(c, A, b):
+        handed.append((c, A, b))
+        return solve(c, A, b)
+
+    monkeypatch.setattr(exactlp, "simplex_min", spy)
+    counts = {}
+    refs = {"dominating_combination": _ref_dominating_lp,
+            "max_symmetric_scale": _ref_symmetric_lp}
+    for name, ref in refs.items():
+        query = getattr(exactlp, name)
+
+        def checked(vectors, arg, query=query, ref=ref, name=name):
+            handed.clear()
+            result = query(vectors, arg)
+            # No vectors: the query answers without an LP.
+            assert _typed(handed) == _typed([ref(vectors, arg)] if vectors else [])
+            counts[name] = counts.get(name, 0) + 1
+            return result
+
+        monkeypatch.setattr(exactlp, name, checked)
+        monkeypatch.setattr(region_module, name, checked)
+    return counts
+
+
+@pytest.mark.parametrize("L, T, k, search", [
+    (4, 1, 4, algorithm_a),
+    (5, 1, 4, algorithm_a),
+    (6, 1, 3, algorithm_a),
+    (4, 2, 3, algorithm_a),
+    (5, 2, 3, algorithm_a),
+    (4, 1, 4, algorithm_b),
+    (5, 2, 3, algorithm_b),
+])
+def test_query_lps_of_the_ladder_regions(query_lps, L, T, k, search):
+    # Int numerator tuples from the convex-redundancy step of each rung.
+    net = line_network(L, 1)
+    region_from_cycles(net, search(net, T, k).cycles, T)
+    assert query_lps["dominating_combination"] > 0
+
+
+def test_query_lps_of_random_regions(query_lps):
+    # Corpus-style draws, each region queried at its centroid and above it.
+    rng = random.Random(27027)
+    draws = 0
+    while draws < 40:
+        T = rng.choice([1, 2])
+        net = random_network(rng, regime_T=T)
+        if sum(1 for _ in build_window(net, T).independent_sets()) > 48:
+            continue
+        draws += 1
+        region = region_from_cycles(net, algorithm_a(net, T, 3).cycles, T)
+        gens = region.generators
+        centroid = tuple(sum(col) / len(gens) for col in zip(*gens))
+        for query in (centroid, tuple(x + F(1, 8) for x in centroid)):
+            region_module.achievability_certificate(region, query)
+    assert query_lps["dominating_combination"] >= 80
+
+
+def test_query_lps_of_window_rate_and_seeded_vectors(query_lps):
+    # window-rate's one LP carries a Fraction factor, 1/(T + D*).
+    assert window_symmetric_rate(line_network(4, 1), 6) > 0
+    assert query_lps == {"max_symmetric_scale": 1}
+    rng = random.Random(2707)
+    kinds = {
+        "int": lambda: rng.randint(0, 5),
+        "fraction": lambda: F(rng.randint(0, 9), rng.randint(1, 4)),
+        "bool": lambda: rng.random() < 0.5,
+    }
+    for kind in ("int", "fraction", "bool") * 10:
+        draw = kinds[kind]
+        dims = rng.randint(1, 4)
+        vectors = [tuple(draw() for _ in range(dims)) for _ in range(rng.randint(1, 5))]
+        target = tuple(draw() for _ in range(dims))
+        factor = rng.choice([1, F(1, 3), draw()])
+        exactlp.dominating_combination(vectors, target)
+        exactlp.max_symmetric_scale(vectors, factor)
+    assert query_lps == {"max_symmetric_scale": 31, "dominating_combination": 30}
