@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .network import Network
 from .schedgraph import SchedulingGraph, build_maximal
-from .window import link_row_masks
+from .window import check_block, link_row_masks
 
 __all__ = [
     "CycleSearchResult",
@@ -90,7 +90,8 @@ def rate_numerators(
     rates exactly as their fractions.  Each distinct block's per-link
     counts are packed into one int, a field of ``den.bit_length()`` bits
     per link, link 0 lowest; a path's scaled sum of them is at most ``den``
-    in every field, so no field carries into the next.
+    in every field, so no field carries into the next.  Blocks are not
+    checked: callers pass blocks of a ``num_links x T`` window.
     """
     if any(len(p) < 2 or p[0] != p[-1] for p in paths):
         raise ValueError("path is not closed")
@@ -114,7 +115,13 @@ def rate_numerators(
 
 
 def closed_path_rate(path: Sequence[int], T: int, num_links: int) -> tuple[Fraction, ...]:
-    """Per-link average activation per timeslot of a closed block path."""
+    """Per-link average activation per timeslot of a closed block path.
+
+    A block with a bit outside the ``num_links * T`` bits of a T-window
+    raises ValueError.
+    """
+    for block in path:
+        check_block(block, num_links, T)
     (numerator,), den = rate_numerators([path], T, num_links)
     return tuple(Fraction(c, den) for c in numerator)
 
@@ -404,15 +411,18 @@ def count_layered_paths(layers: Sequence[Rows]) -> int:
 def _retain_maximal(group: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Drop the cycles of one length dominated, up to rotation, by another.
 
-    Cycles are taken by decreasing total activation (a dominator never has
-    fewer set bits), then as tuples; each is kept unless a rotation of a
-    kept one covers it.  Mutual domination means rotation equality, so the
-    first of each rotation class wins.  Every rotation of a kept cycle gets
-    one bit, and the cover masks are bit-sliced (O'Neil & Quass, SIGMOD
-    1997): bit ``r`` of ``cover[i][x]`` is set when kept rotation ``r`` has
-    bit ``x`` in its block ``i``.  A candidate is covered iff the AND of the
-    masks of its set bits is nonzero, so no candidate is rotated or packed.
-    The masks reach the group's highest set bit; none above it is read.
+    Precondition: the group holds one canonical form per rotation class,
+    as ``_search`` collects ``_rotations`` into a set and a cycle's blocks
+    are pairwise distinct.  So a kept cycle can only cover a candidate of
+    strictly larger total activation, and the kept set does not depend on
+    the order within a total: cycles are taken by decreasing total alone,
+    each kept unless a rotation of a kept one covers it.  Every rotation of
+    a kept cycle gets one bit, and the cover masks are bit-sliced (O'Neil &
+    Quass, SIGMOD 1997): bit ``r`` of ``cover[i][x]`` is set when kept
+    rotation ``r`` has bit ``x`` in its block ``i``.  A candidate is covered
+    iff the AND of the masks of its set bits is nonzero, so no candidate is
+    rotated or packed.  The masks reach the group's highest set bit; none
+    above it is read.
     """
     if not group:
         return []
@@ -424,11 +434,7 @@ def _retain_maximal(group: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
     cover = [[0] * max(bits).bit_length() for _ in range(k)]
     kept = 0  # one set bit per kept rotation
     out: list[tuple[int, ...]] = []
-    # Tuple order, then a stable sort by decreasing popcount: the same
-    # order as one sort on (popcount, tuple) keys, without key tuples.
-    ordered = sorted(group)
-    ordered.sort(key=lambda c: c[0].bit_count() - sum(map(int.bit_count, c)))
-    for c in ordered:
+    for c in sorted(group, key=lambda c: c[0].bit_count() - sum(map(int.bit_count, c))):
         acc = kept
         for row, b in zip(cover, c):
             for x in bits[b]:
@@ -477,7 +483,7 @@ def _search(layer_seqs, expired) -> CycleSearchResult:
     with a maximal wrap, which has more set bits and so comes before it in
     retention's order, and whatever kept cycle covers that one covers the
     dropped cycle too.  A dropped cycle is never kept, so it covers nothing
-    that is not covered anyway, and no tie-break between rotations moves.
+    that is not covered anyway.
     """
     kept: list[tuple[int, ...]] = []
     complete = True

@@ -18,7 +18,7 @@ from typing import Mapping
 
 from .network import Network
 from .schedule import PeriodicSchedule
-from .window import build_window, join_pair, split_pair
+from .window import build_window, check_block, join_pair, split_pair
 
 __all__ = [
     "SchedulingGraph",
@@ -57,10 +57,13 @@ class MaximalEdgeGraph:
 
 
 def is_vertex(network: Network, block: int, T: int) -> bool:
+    check_block(block, len(network.links), T)
     return build_window(network, T).is_independent(block)
 
 
 def has_edge(network: Network, a: int, b: int, T: int) -> bool:
+    check_block(a, len(network.links), T)
+    check_block(b, len(network.links), T)
     pair = join_pair(a, b, len(network.links) * T)
     return build_window(network, 2 * T).is_independent(pair)
 
@@ -139,10 +142,13 @@ def schedule_is_path(network: Network, s: PeriodicSchedule, T: int) -> bool:
     """Do the schedule's consecutive T-slabs all form scheduling-graph edges?
 
     The slab sequence has period lcm(P, T) / T, so checking one full slab
-    period covers the whole schedule.
+    period covers the whole schedule.  The schedule must have one row per
+    link of the network, else ValueError.
     """
-    double = build_window(network, 2 * T)
     num_links = len(network.links)
+    if len(s.rows) != num_links:
+        raise ValueError(f"schedule has {len(s.rows)} rows for {num_links} links")
+    double = build_window(network, 2 * T)
     nbits = num_links * T
     slabs = math.lcm(s.period, T) // T
     for k in range(slabs):

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .network import Network, character, is_binary
-from .window import block_from_rows, block_to_rows
+from .window import bit_position, check_block
 
 __all__ = [
     "PeriodicSchedule",
@@ -52,11 +52,8 @@ class PeriodicSchedule:
 
     def slab(self, T: int, k: int, num_links: int) -> int:
         """Pack columns ``kT .. (k+1)T - 1`` into a block int."""
-        return block_from_rows(
-            ["".join("1" if self.active(l, k * T + j) else "0" for j in range(T))
-             for l in range(num_links)],
-            T,
-        )
+        return sum(self.active(l, k * T + j) << bit_position(l, j, num_links, T)
+                   for l in range(num_links) for j in range(T))
 
 
 def is_collision_free_at(network: Network, s: PeriodicSchedule, link: str, t: int) -> bool:
@@ -148,22 +145,25 @@ def build_framed_schedule(
                 for j in range(T_F - dstar):
                     rows[li][base + j] = 1
             frame_no += 1
-    return PeriodicSchedule(period, tuple(tuple(r) for r in rows))
+    return PeriodicSchedule(period, rows)
 
 
 def schedule_from_closed_path(path: Sequence[int], T: int, num_links: int) -> PeriodicSchedule:
     """Period ``k*T`` schedule whose i-th length-T slab is the i-th block.
 
     ``path`` is a closed block sequence (first equals last); the closing
-    block is not repeated in the period.
+    block is not repeated in the period.  A block with a bit outside the
+    ``num_links * T`` bits of a T-window raises ValueError.
     """
     if len(path) < 2:
         raise ValueError("closed path needs at least two entries")
     if path[0] != path[-1]:
         raise ValueError("path is not closed")
-    slabs = [block_to_rows(block, num_links, T) for block in path[:-1]]
-    rows = ["".join(slab[l] for slab in slabs) for l in range(num_links)]
-    return PeriodicSchedule(len(slabs) * T, tuple(tuple(map(int, r)) for r in rows))
+    for block in path:
+        check_block(block, num_links, T)
+    rows = [[b >> bit_position(l, t, num_links, T) & 1 for b in path[:-1] for t in range(T)]
+            for l in range(num_links)]
+    return PeriodicSchedule((len(path) - 1) * T, rows)
 
 
 def schedule_to_json(network: Network, s: PeriodicSchedule) -> dict:
@@ -191,4 +191,4 @@ def schedule_from_json(network: Network, doc: Mapping) -> PeriodicSchedule:
             if type(t) is not int:
                 raise ValueError(f"bad slot {t!r} for link {link!r}")
             rows[li][t % period] = 1
-    return PeriodicSchedule(period, tuple(tuple(r) for r in rows))
+    return PeriodicSchedule(period, rows)

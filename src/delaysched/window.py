@@ -23,6 +23,7 @@ __all__ = [
     "bit_position",
     "block_from_rows",
     "block_to_rows",
+    "check_block",
     "join_pair",
     "link_row_masks",
     "split_pair",
@@ -38,6 +39,13 @@ class CapExceededError(RuntimeError):
 def bit_position(link_index: int, t: int, num_links: int, T: int) -> int:
     """Bit index (from LSB) of matrix entry ``(link, t)``."""
     return (T - 1 - t) * num_links + (num_links - 1 - link_index)
+
+
+def check_block(bits: int, num_links: int, T: int) -> None:
+    """Raise ValueError unless ``bits`` is a block of a T-window: not
+    negative, and no bit at or above ``num_links * T``."""
+    if bits < 0 or bits >> num_links * T:
+        raise ValueError(f"block {bits} is not a {num_links} x {T} block")
 
 
 def link_row_masks(num_links: int, T: int) -> list[int]:

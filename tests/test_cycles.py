@@ -1189,6 +1189,29 @@ def test_retention_receives_the_maximal_wraps_of_each_interior(monkeypatch, sear
     assert dropped > 0 and incomparable > 0
 
 
+def test_retention_does_not_depend_on_the_order_within_a_total(monkeypatch):
+    # Each group holds one canonical form per rotation class, so only a
+    # cycle of a larger total can cover another.  Shuffled lists, whose
+    # order the stable sort keeps within each total, keep what the tuple
+    # order keeps.
+    nets = [(line_network(L, 1), T, k) for L, T, k in LADDER_RUNGS]
+    nets += [(random_network(random.Random(seed)), T, 3)
+             for seed in range(7000, 7020) for T in (1, 2)]
+    rng = random.Random(2801)
+    groups = 0
+    for net, T, k in nets:
+        for group in _raw_and_groups(monkeypatch, algorithm_a, net, T, k)[1]:
+            classes = {frozenset(c[i:-1] + c[:i] for i in range(len(c) - 1)) for c in group}
+            assert len(classes) == len(group)
+            kept = _retain_maximal(sorted(group))
+            for _ in range(3):
+                order = list(group)
+                rng.shuffle(order)
+                assert _retain_maximal(order) == kept
+            groups += 1
+    assert groups > 100
+
+
 @pytest.mark.parametrize("search", [algorithm_a, algorithm_b])
 @pytest.mark.parametrize("steps", [10, 100, 400, 900])
 def test_budget_cut_length_is_retained_as_its_partial_candidates(monkeypatch, search, steps):

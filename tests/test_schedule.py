@@ -15,11 +15,13 @@ from delaysched import (
     rate_vector,
     schedule_from_closed_path,
     schedule_from_json,
+    schedule_is_path,
     schedule_to_json,
     validate,
     verify,
 )
 from delaysched import schedule as schedule_mod
+from delaysched.window import block_from_rows, block_to_rows
 from conftest import random_network, v
 
 F = Fraction
@@ -138,6 +140,36 @@ def test_schedule_from_closed_path_shapes():
     assert const.period == 1 and const.rows == ((1,), (1,), (0,), (0,))
     with pytest.raises(ValueError, match="not closed"):
         schedule_from_closed_path((v(5), v(6)), 1, 4)
+
+
+def _text_schedule(path, T, num_links):
+    """Reference: each block's text rows, concatenated per link."""
+    slabs = [block_to_rows(block, num_links, T) for block in path[:-1]]
+    rows = ["".join(slab[l] for slab in slabs) for l in range(num_links)]
+    return PeriodicSchedule(len(slabs) * T, [list(map(int, r)) for r in rows])
+
+
+def _text_slab(s, T, k, num_links):
+    """Reference: columns kT .. (k+1)T - 1 as text rows, then packed."""
+    return block_from_rows(
+        ["".join(str(s.active(l, k * T + j)) for j in range(T)) for l in range(num_links)],
+        T,
+    )
+
+
+def test_closed_path_schedules_and_slabs_match_the_text_form():
+    rng = random.Random(2800)
+    for _ in range(300):
+        L, T = rng.randint(1, 5), rng.randint(1, 3)
+        blocks = [rng.getrandbits(L * T) for _ in range(rng.randint(1, 4))]
+        path = (*blocks, blocks[0])
+        s = schedule_from_closed_path(path, T, L)
+        assert s == _text_schedule(path, T, L)
+        for k in range(len(blocks) + 1):
+            assert s.slab(T, k, L) == _text_slab(s, T, k, L) == path[k % len(blocks)]
+        for width in (1, 2, 3):
+            for k in range(3):
+                assert s.slab(width, k, L) == _text_slab(s, width, k, L)
 
 
 def test_one_cycles_give_constant_schedules(line41):
@@ -295,7 +327,7 @@ def test_schedule_rejects_an_entry_other_than_0_or_1(entry):
 def test_schedule_rows_must_match_the_network_links(line41, count):
     s = PeriodicSchedule(1, ((1,),) * count)
     for check in (lambda: active_slots(line41, s), lambda: verify(line41, s),
-                  lambda: rate_vector(line41, s)):
+                  lambda: rate_vector(line41, s), lambda: schedule_is_path(line41, s, 1)):
         with pytest.raises(ValueError, match=f"schedule has {count} rows for 4 links"):
             check()
 

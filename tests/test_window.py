@@ -7,8 +7,12 @@ from delaysched import (
     CapExceededError,
     InvalidNetworkError,
     build_window,
+    closed_path_rate,
+    has_edge,
+    is_vertex,
     line_network,
     make_network,
+    schedule_from_closed_path,
     validate,
 )
 from delaysched.window import (
@@ -16,6 +20,7 @@ from delaysched.window import (
     bit_position,
     block_from_rows,
     block_to_rows,
+    check_block,
     join_pair,
     split_pair,
 )
@@ -457,3 +462,28 @@ def test_free_vertices_start_in_every_maximal_set():
     # One free link over 1,200 bits: a single level, not one per bit.
     lone = build_window(make_network(["a"], {}, {}), 1200)
     assert lone.maximal_independent_sets() == [(1 << 1200) - 1]
+
+
+def test_check_block_takes_exactly_the_blocks_of_a_window():
+    for L, T in ((1, 1), (3, 1), (2, 3)):
+        check_block(0, L, T)
+        check_block((1 << L * T) - 1, L, T)
+        for bad in (-1, 1 << L * T, (1 << L * T + 3) | 1):
+            with pytest.raises(ValueError, match=f"is not a {L} x {T} block"):
+                check_block(bad, L, T)
+
+
+def test_block_arguments_outside_the_window_are_rejected():
+    net = line_network(3, 1)
+    calls = [
+        lambda b: is_vertex(net, b, 1),
+        lambda b: has_edge(net, 0, b, 1),
+        lambda b: has_edge(net, b, 0, 1),
+        lambda b: closed_path_rate((0, b, 0), 1, 3),
+        lambda b: schedule_from_closed_path((0, b, 0), 1, 3),
+    ]
+    for call in calls:
+        call(0b100)  # link 0's bit, the top one of the window
+        for bad in (-1, 0b1000):
+            with pytest.raises(ValueError, match="is not a 3 x 1 block"):
+                call(bad)
