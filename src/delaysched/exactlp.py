@@ -6,10 +6,10 @@ through their numerator and denominator, with no conversion; ``A`` and
 is), rows with a negative rhs are negated, and each pivot is an integer
 Edmonds/Bareiss step whose division by the previous pivot is exact.  The
 true tableau is the integer one over ``det``, which every basic column
-holds in its own row.  Both objective rows are carried in the tableau,
-the phase-1 row until phase 1 ends.
-Bland's rule guarantees termination; :class:`fractions.Fraction` appears
-only in the solution.
+holds in its own row.  The tableau holds one objective row at a time:
+phase 1's, priced out against the artificial basis, then the costs,
+priced out against the basis phase 1 leaves.  Bland's rule guarantees
+termination; :class:`fractions.Fraction` appears only in the solution.
 
 Each tableau row is one int, ``sum(v_j << w*j)``, summed over the field
 offsets: the structural fields, then the artificial ones, then the rhs.
@@ -122,8 +122,8 @@ def simplex_min(c: Sequence, A: Sequence[Sequence], b: Sequence):
         costs = [v.numerator * (cscale // v.denominator) for v in c]
     rows = [row if row[-1] >= 0 else [-v for v in row] for row in rows]
     # Squared row norms: each constraint row has its artificial 1, and the
-    # phase-1 row, minus their sum, is bounded by Cauchy-Schwarz.  No minor
-    # holds both objective rows, so only the larger one enters the bound.
+    # phase-1 row, minus their sum, is bounded by Cauchy-Schwarz.  Each phase
+    # holds one objective row, so only the larger one enters the bound.
     norms = [sum(map(mul, row, row)) + 1 for row in rows]
     objective = max(m * sum(norms), sum(map(mul, costs, costs)), 1)
     w = (isqrt(prod(norms) * objective) + 1).bit_length() + 2
@@ -132,10 +132,9 @@ def simplex_min(c: Sequence, A: Sequence[Sequence], b: Sequence):
     offsets = [w * j for j in range(n)] + [w * (n + m)]
     packed = [sum(map(lshift, row, offsets)) + (1 << w * (n + i))
               for i, row in enumerate(rows)]
-    # Phase-1 costs priced out against the artificial basis, then phase 2.
+    # Row m is the objective, priced out against the basis: phase 1's here, the costs after it.
     phase1 = (_spread(1, w, m) << w * n) - sum(packed)
-    costrow = sum(map(lshift, costs, offsets))
-    tab = _Tableau(packed + [phase1, costrow], list(range(n, n + m)), w, n + m + 1)
+    tab = _Tableau(packed + [phase1], list(range(n, n + m)), w, n + m + 1)
     basis = tab.basis
 
     tab.optimize(m, n + m)
@@ -148,7 +147,8 @@ def simplex_min(c: Sequence, A: Sequence[Sequence], b: Sequence):
             if low:
                 s = ((low & -low).bit_length() - 1) // w
                 tab.pivot(i, s, tab.column(s))
-    del tab.rows[m]  # the phase-1 row is not read again
+    tab.rows[m] = (tab.det * sum(map(lshift, costs, offsets))
+                   - sum(costs[j] * row for row, j in zip(tab.rows, basis) if j < n))
 
     if not tab.optimize(m, n):
         return "unbounded", None, None

@@ -51,7 +51,9 @@ class PeriodicSchedule:
         return self.rows[link_index][t % self.period]
 
     def slab(self, T: int, k: int, num_links: int) -> int:
-        """Pack columns ``kT .. (k+1)T - 1`` into a block int."""
+        """Columns ``kT .. (k+1)T - 1`` as a block int; ``num_links`` must be the row count."""
+        if len(self.rows) != num_links:
+            raise ValueError(f"schedule has {len(self.rows)} rows for {num_links} links")
         return sum(self.active(l, k * T + j) << bit_position(l, j, num_links, T)
                    for l in range(num_links) for j in range(T))
 

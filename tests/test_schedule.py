@@ -332,6 +332,13 @@ def test_schedule_rows_must_match_the_network_links(line41, count):
             check()
 
 
+@pytest.mark.parametrize("num_links", [1, 3], ids=["fewer", "more"])
+def test_slab_rows_must_match_the_link_count(num_links):
+    s = PeriodicSchedule(1, ((1,), (0,)))
+    with pytest.raises(ValueError, match=f"schedule has 2 rows for {num_links} links"):
+        s.slab(1, 0, num_links)
+
+
 @pytest.mark.parametrize("T_F", [3.0, True], ids=["float", "bool"])
 def test_framed_schedule_rejects_a_frame_length_that_is_not_an_int(T_F):
     # No delays, so D* = 0 and any frame length of at least 1 would pass.
