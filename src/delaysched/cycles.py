@@ -126,6 +126,15 @@ def closed_path_rate(path: Sequence[int], T: int, num_links: int) -> tuple[Fract
     return tuple(Fraction(c, den) for c in numerator)
 
 
+def _length(name: str, value: int, least: int) -> int:
+    """``value`` if it is an int (not a bool) >= ``least``, else ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"bad {name} {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return value
+
+
 def _stop_check(budget: float | None):
     """A search's stop check, started now: None without a budget."""
     if budget is None:
@@ -158,10 +167,7 @@ def johnson_cycles(
     out), the root's own step included; a search it stops is flagged
     incomplete.
     """
-    if max_len is None:
-        max_len = len(graph.vertices)
-    elif max_len < 0:
-        raise ValueError("max_len must be >= 0")
+    max_len = len(graph.vertices) if max_len is None else _length("max_len", max_len, 0)
     adj = graph.adjacency
     expired = _stop_check(budget)
     found: list[tuple[int, ...]] = []
@@ -374,8 +380,7 @@ def build_layered(network: Network, T: int, k: int) -> tuple[Rows, ...]:
     The successor rows between consecutive layers, keys and rows
     ascending; for k = 1 these are the maximal edge set's rows.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _length("k", k, 1)
     *_, layers = _layer_chain(build_maximal(network, T).edges, k)
     return tuple(layers)
 
@@ -383,7 +388,7 @@ def build_layered(network: Network, T: int, k: int) -> tuple[Rows, ...]:
 def iter_layered_paths(layers: Sequence[Rows]) -> Iterator[tuple[int, ...]]:
     """Paths through consecutive successor rows, depth first, ascending."""
     last = len(layers)
-    for start, row in layers[0].items():
+    for start, row in layers[0].items() if layers else ():
         path = [start]
         stack = [iter(row)]
         while stack:
@@ -525,8 +530,7 @@ def algorithm_a(
     most ``k_max`` is dominated by some retained cycle.  The budget's
     clock starts before E* is built.
     """
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
+    _length("k_max", k_max, 0)
     expired = _stop_check(budget)
     return _search(_layer_chain(build_maximal(network, T).edges, k_max), expired)
 
@@ -543,8 +547,7 @@ def algorithm_b(
     length first; retained cycles are the dominance-maximal ones per length.
     The budget's clock starts before E* is built.
     """
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
+    _length("k_max", k_max, 0)
     expired = _stop_check(budget)
     rows = _rows(build_maximal(network, T).edges)
     return _search(([rows] * k for k in range(1, k_max + 1)), expired)

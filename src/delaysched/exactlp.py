@@ -202,8 +202,8 @@ def max_symmetric_scale(
     """max a such that (a, ..., a) <= factor * (some convex combination).
 
     Entries and ``factor`` are read as :func:`simplex_min` reads them
-    (ints, Fractions or bools).  Vectors with no coordinates bound nothing,
-    so they raise ValueError, as do vectors of differing lengths.
+    (ints, Fractions or bools).  Vectors with no coordinates or of differing
+    lengths raise ValueError, as do ones with no scaled convex combination >= 0.
     """
     if not vectors:
         return Fraction(0)
@@ -217,6 +217,7 @@ def max_symmetric_scale(
     scaled = [[factor * x for x in v] for v in vectors]
     A, b = _convex_cover(scaled, [0] * dims, [[-1] * dims + [0]])
     status, x, _ = simplex_min([0] * n + [-1] + [0] * dims, A, b)
-    if status != "optimal":
-        raise AssertionError(f"symmetric-rate LP came back {status}")
+    if status != "optimal":  # a >= 0 is feasible iff some scaled combination is >= 0
+        raise ValueError(
+            "no convex combination of the scaled vectors is >= 0 in every coordinate")
     return x[n]

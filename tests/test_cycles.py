@@ -192,6 +192,13 @@ def test_johnson_negative_length_rejected(line41):
         johnson_cycles(build(line41, 1), max_len=-1)
 
 
+@pytest.mark.parametrize("max_len", [2.5, 3.5, True], ids=["2.5", "3.5", "bool"])
+def test_johnson_rejects_a_length_that_is_not_an_int(line41, max_len):
+    # A float was taken as its floor and True as 1.
+    with pytest.raises(ValueError, match=f"bad max_len {max_len!r}"):
+        johnson_cycles(build(line41, 1), max_len=max_len)
+
+
 def test_johnson_full_enumeration_count(line41):
     g = build(line41, 1)
     res = johnson_cycles(g)
@@ -433,6 +440,12 @@ def test_path_to_cycles_trivial_paths():
     # Open walk: the wrap block is the AND of the endpoints.
     out = path_to_cycles((v(6), v(5), v(8)))
     assert (v(6) & v(8), v(5), v(6) & v(8)) in out
+
+
+@pytest.mark.parametrize("path", [(), (v(5),)], ids=["empty", "one-block"])
+def test_path_to_cycles_rejects_a_path_with_no_edge(path):
+    with pytest.raises(ValueError, match="path must have length >= 1"):
+        path_to_cycles(path)
 
 
 def test_path_to_cycles_resolves_duplicates():
@@ -880,6 +893,12 @@ def test_edge_path_walk_matches_recursive_walk(L, T, k):
         assert len(paths) > 0
 
 
+def test_no_layers_hold_no_path():
+    # The walk agrees with the count: it used to raise IndexError here.
+    assert list(iter_layered_paths(())) == []
+    assert count_layered_paths(()) == 0
+
+
 def test_layer_containment_bound(line41):
     # Every later layer's edge sets sit inside the ones derived from the
     # unfiltered second-step triples.
@@ -1260,6 +1279,21 @@ def test_layered_search_rejects_negative_k_max(line41, search):
     with pytest.raises(ValueError, match="k_max must be >= 0"):
         search(line41, 1, -1)
     assert search(line41, 1, 0) == CycleSearchResult((), True)
+
+
+@pytest.mark.parametrize("k_max", [2.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize("search", [algorithm_a, algorithm_b])
+def test_layered_search_rejects_a_k_max_that_is_not_an_int(line41, search, k_max):
+    with pytest.raises(ValueError, match=f"bad k_max {k_max!r}"):
+        search(line41, 1, k_max)
+
+
+@pytest.mark.parametrize("k, message", [
+    (0, "k must be >= 1"), (-1, "k must be >= 1"), (True, "bad k True"), (2.5, "bad k 2.5"),
+], ids=["zero", "negative", "bool", "float"])
+def test_build_layered_rejects_a_bad_k(line41, k, message):
+    with pytest.raises(ValueError, match=message):
+        build_layered(line41, 1, k)
 
 
 # ------------------------------------------------------------------ retention

@@ -156,6 +156,7 @@ def test_max_symmetric_scale_simplex_vertexes():
     assert max_symmetric_scale(gens, F(1)) == F(1, 2)
     assert max_symmetric_scale(gens, F(1, 2)) == F(1, 4)
     assert max_symmetric_scale([(F(0), F(0))], F(1)) == 0
+    assert max_symmetric_scale([], F(1)) == 0
 
 
 def test_max_symmetric_scale_rejects_vectors_with_no_coordinates():
@@ -390,6 +391,15 @@ def test_dominating_combination_rejects_ragged_generators():
         dominating_combination([(1, 1, 0)], (1, 1))
     with pytest.raises(ValueError, match="len\\(target\\) = 2"):
         dominating_combination([(1, 1), (1,)], (1, 1))
+
+
+@pytest.mark.parametrize("vectors, factor", [
+    ([(1, 0), (0, 1)], -1), ([(-1, -1)], 1),
+], ids=["negative-factor", "negative-vector"])
+def test_max_symmetric_scale_rejects_vectors_with_no_nonnegative_combination(vectors, factor):
+    # a >= 0 needs some scaled convex combination >= 0 in every coordinate.
+    with pytest.raises(ValueError, match="no convex combination of the scaled vectors is >= 0"):
+        max_symmetric_scale(vectors, factor)
 
 
 def test_max_symmetric_scale_rejects_ragged_vectors():

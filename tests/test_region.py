@@ -18,6 +18,7 @@ from delaysched import (
     rate_vector,
     region_from_cycles,
     region_regime,
+    sandwich_check,
     schedule_from_closed_path,
     validate,
     verify,
@@ -201,8 +202,6 @@ def test_framed_region_free_and_single_domain():
 
 def test_sandwich_reference(line41, cycle_region):
     framed = framed_region(line41)
-    from delaysched import sandwich_check
-
     assert sandwich_check(framed, cycle_region)
     assert sandwich_check(cycle_region, cycle_region)
     assert not sandwich_check(cycle_region, framed)
@@ -355,6 +354,14 @@ def test_region_from_json_rejects_a_string_where_a_list_belongs(doc):
         region_from_json({"T": 1, **doc})
 
 
+def test_region_from_json_takes_a_generator_without_a_witness():
+    doc = {"links": ["a", "b"], "T": 1, "generators": [
+        {"rate": ["1/2", "1/2"]}, {"rate": ["1", "0"], "witness": [["1", "0"], ["1", "0"]]}]}
+    region = region_from_json(doc)
+    assert region.generators == ((F(1, 2), F(1, 2)), (F(1), F(0)))
+    assert region.witnesses == (None, (0b10, 0b10))
+
+
 def test_region_from_json_rejects_a_non_binary_witness_row():
     doc = {"links": ["a", "b"], "T": 1,
            "generators": [{"rate": ["1", "0"], "witness": [["1", "2"]]}]}
@@ -373,6 +380,19 @@ def test_region_from_json_rejects_a_non_binary_witness_row():
 def test_region_from_json_rejects_an_impossible_generator(generator, message):
     with pytest.raises(ValueError, match=message):
         region_from_json({"links": ["a", "b"], "T": 1, "generators": [generator]})
+
+
+@pytest.mark.parametrize("witnesses", [(), (None, None)], ids=["fewer", "more"])
+def test_region_description_needs_one_witness_slot_per_generator(witnesses):
+    with pytest.raises(ValueError, match="one witness slot per generator required"):
+        RegionDescription(("l1",), 1, ((F(1),),), witnesses, {})
+
+
+def test_sandwich_check_rejects_regions_on_different_links():
+    inner = RegionDescription(("a",), 1, ((F(1),),), (None,), {})
+    outer = RegionDescription(("b",), 1, ((F(1),),), (None,), {})
+    with pytest.raises(ValueError, match="regions live on different link sets"):
+        sandwich_check(inner, outer)
 
 
 @pytest.mark.parametrize("T", [0, -2, 1.9, 2.0, True, "2", None], ids=repr)

@@ -140,6 +140,9 @@ def test_schedule_from_closed_path_shapes():
     assert const.period == 1 and const.rows == ((1,), (1,), (0,), (0,))
     with pytest.raises(ValueError, match="not closed"):
         schedule_from_closed_path((v(5), v(6)), 1, 4)
+    for short in ((), (v(5),)):
+        with pytest.raises(ValueError, match="closed path needs at least two entries"):
+            schedule_from_closed_path(short, 1, 4)
 
 
 def _text_schedule(path, T, num_links):
@@ -317,6 +320,12 @@ def test_schedule_rejects_a_period_that_is_not_an_int(period, rows):
         PeriodicSchedule(period, rows)
 
 
+@pytest.mark.parametrize("rows", [((1, 0), (0,)), ((1, 0, 1), (0, 1))], ids=["short", "long"])
+def test_schedule_rejects_a_row_whose_length_is_not_the_period(rows):
+    with pytest.raises(ValueError, match="row length does not match period"):
+        PeriodicSchedule(2, rows)
+
+
 @pytest.mark.parametrize("entry", [2, -1, True, 1.0], ids=["two", "negative", "bool", "float"])
 def test_schedule_rejects_an_entry_other_than_0_or_1(entry):
     with pytest.raises(ValueError, match="must be 0 or 1"):
@@ -353,6 +362,15 @@ def test_framed_schedule_rejects_a_bad_repeat_count(repeats):
     line = line_network(4, 1)
     with pytest.raises(ValueError, match=f"bad repeat count {repeats!r}"):
         build_framed_schedule(line, [({"l1"}, 1), ({"l4"}, repeats)], 3)
+
+
+@pytest.mark.parametrize("frames, message", [
+    ([({"l1"}, 0), ({"l4"}, 0)], "frame list has no repeats"),
+    ([({"l1", "l9"}, 1)], r"frame references unknown links \['l9'\]"),
+], ids=["all-zero-repeats", "unknown-link"])
+def test_framed_schedule_rejects_a_bad_frame_list(line41, frames, message):
+    with pytest.raises(ValueError, match=message):
+        build_framed_schedule(line41, frames, 3)
 
 
 def test_framed_schedule_takes_a_zero_repeat_count(line41):
