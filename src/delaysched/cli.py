@@ -5,16 +5,23 @@ pipe into each other.  Every output document embeds a run manifest with
 the command, its parameters, the input fingerprint, and a completeness
 flag.  Rationals are serialized as "p/q" strings.
 
-Exit codes: 0 success, 2 input error, 3 budget-truncated result under
-``--strict``.
+A subcommand is one entry of ``COMMANDS``: its help, arguments and handler.
+``main`` alone reads the input, fingerprints it and writes the manifest,
+which records every argument that is not ``None``: a new flag defaults to
+``None``, or it moves every pinned digest.
+
+Exit codes: 0 success, 1 standard output closed before the result was
+written, 2 input error, 3 budget-truncated result under ``--strict``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+from typing import Callable, NamedTuple
 
 from . import cycles as cyc
 from . import region as reg
@@ -36,12 +43,9 @@ from .schedule import active_slots, rate_vector, schedule_from_json, verify
 from .window import CapExceededError, block_to_rows
 
 EXIT_OK = 0
+EXIT_CLOSED = 1
 EXIT_INPUT = 2
 EXIT_TRUNCATED = 3
-
-
-# What a subcommand hands to ``_emit``: payload, input fingerprint, complete.
-_Result = tuple[dict, str, bool]
 
 
 def _read_json(path: str | None):
@@ -54,48 +58,19 @@ def _read_json(path: str | None):
         raise ValueError(f"cannot read JSON input: {exc}") from exc
 
 
-def _load_network(args) -> Network:
-    doc = _read_json(getattr(args, "network", None))
-    return network_from_json(doc)
-
-
-def _emit(args, payload: dict, fingerprint: str, complete: bool, t0: float) -> int:
-    params = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("func", "network", "command") and v is not None
-    }
-    payload["manifest"] = {
-        "command": args.command,
-        "parameters": params,
-        "network_sha256": fingerprint,
-        "complete": complete,
-        "wall_time_ms": int((time.monotonic() - t0) * 1000),
-    }
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
-    if not complete and getattr(args, "strict", False):
-        return EXIT_TRUNCATED
-    return EXIT_OK
-
-
 def _blocks_json(blocks, num_links: int, T: int) -> list:
     return [block_to_rows(b, num_links, T) for b in blocks]
 
 
-def _cmd_gen_line(args) -> _Result:
-    net = line_network(args.L, args.K)
-    payload = network_to_json(net)
-    return payload, network_fingerprint(net), True
+def _cmd_gen_line(args, net: Network) -> dict:
+    return network_to_json(net)
 
 
-def _cmd_character(args) -> _Result:
-    net = _load_network(args)
-    return {"character": character(net)}, network_fingerprint(net), True
+def _cmd_character(args, net: Network) -> dict:
+    return {"character": character(net)}
 
 
-def _cmd_reduce(args) -> _Result:
-    source = net = _load_network(args)
+def _cmd_reduce(args, net: Network) -> dict:
     assignment = None
     if args.assignment is not None:
         try:
@@ -107,36 +82,27 @@ def _cmd_reduce(args) -> _Result:
         assignment = dict(zip(net.links, shifts))
         net = apply_vertex_assignment(net, assignment)
     reduced, g = gcd_reduce(net)
-    payload = network_to_json(reduced)
-    payload["g"] = g
-    payload["character"] = character(reduced)
+    payload = network_to_json(reduced) | {"g": g, "character": character(reduced)}
     if assignment is not None:
         payload["assignment"] = [assignment[l] for l in reduced.links]
-    return payload, network_fingerprint(source), True
+    return payload
 
 
-def _cmd_schedgraph(args) -> _Result:
-    net = _load_network(args)
+def _cmd_schedgraph(args, net: Network) -> dict:
     num_links = len(net.links)
-    payload: dict = {}
     if args.maximal:
         mx = sg.build_maximal(net, args.T)
-        payload["left"] = len(mx.left)
-        payload["right"] = len(mx.right)
-        payload["maximal_edges"] = len(mx.edges)
+        payload = {"left": len(mx.left), "right": len(mx.right), "maximal_edges": len(mx.edges)}
         if args.dump:
             payload["edges"] = [_blocks_json(edge, num_links, args.T) for edge in mx.edges]
-    else:
-        graph = sg.build(net, args.T)
-        payload["vertices"] = len(graph.vertices)
-        payload["edges"] = graph.edge_count
-        if args.dump:
-            index = {v: i for i, v in enumerate(graph.vertices)}
-            payload["vertex_list"] = _blocks_json(graph.vertices, num_links, args.T)
-            payload["adjacency"] = [
-                [index[b] for b in graph.adjacency[a]] for a in graph.vertices
-            ]
-    return payload, network_fingerprint(net), True
+        return payload
+    graph = sg.build(net, args.T)
+    payload = {"vertices": len(graph.vertices), "edges": graph.edge_count}
+    if args.dump:
+        index = {v: i for i, v in enumerate(graph.vertices)}
+        payload["vertex_list"] = _blocks_json(graph.vertices, num_links, args.T)
+        payload["adjacency"] = [[index[b] for b in graph.adjacency[a]] for a in graph.vertices]
+    return payload
 
 
 def _run_cycle_algorithm(net, args) -> cyc.CycleSearchResult:
@@ -149,64 +115,45 @@ def _run_cycle_algorithm(net, args) -> cyc.CycleSearchResult:
     return search(net, args.T, args.max_length, budget=args.budget)
 
 
-def _cmd_cycles(args) -> _Result:
-    net = _load_network(args)
+def _cmd_cycles(args, net: Network) -> tuple[dict, bool]:
     num_links = len(net.links)
     result = _run_cycle_algorithm(net, args)
-    payload = {
-        "complete": result.complete,
-        "cycles": [
-            {
-                "blocks": _blocks_json(c, num_links, args.T),
-                "rate": [format_rate(r) for r in cyc.closed_path_rate(c, args.T, num_links)],
-            }
-            for c in result.cycles
-        ],
-    }
-    return payload, network_fingerprint(net), result.complete
+    cycles = [
+        {"blocks": _blocks_json(c, num_links, args.T),
+         "rate": [format_rate(r) for r in cyc.closed_path_rate(c, args.T, num_links)]}
+        for c in result.cycles
+    ]
+    return {"complete": result.complete, "cycles": cycles}, result.complete
 
 
-def _cmd_rate_region(args) -> _Result:
-    net = _load_network(args)
+def _cmd_rate_region(args, net: Network) -> tuple[dict, bool]:
     result = _run_cycle_algorithm(net, args)
-    provenance = {
-        "algorithm": args.algorithm,
-        "k_max": args.max_length,
-        "complete": result.complete,
-    }
+    provenance = {"algorithm": args.algorithm, "k_max": args.max_length,
+                  "complete": result.complete}
     region = reg.region_from_cycles(net, result.cycles, args.T, provenance)
-    payload = reg.region_to_json(region)
-    return payload, network_fingerprint(net), result.complete
+    return reg.region_to_json(region), result.complete
 
 
-def _cmd_framed_region(args) -> _Result:
-    net = _load_network(args)
-    region = reg.framed_region(net)
-    payload = reg.region_to_json(region)
-    return payload, network_fingerprint(net), True
+def _cmd_framed_region(args, net: Network) -> dict:
+    return reg.region_to_json(reg.framed_region(net))
 
 
-def _cmd_verify_schedule(args) -> _Result:
-    net = _load_network(args)
+def _cmd_verify_schedule(args, net: Network) -> dict:
     sched_doc = _read_json(args.schedule)
     try:
         sched = schedule_from_json(net, sched_doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad schedule document: {exc}") from exc
-    diagnoses = [
-        {"link": net.links[li], "t": t, "collision_free": free}
-        for li, t, free in active_slots(net, sched)
-    ]
-    payload = {
+    diagnoses = [{"link": net.links[li], "t": t, "collision_free": free}
+                 for li, t, free in active_slots(net, sched)]
+    return {
         "collision_free": verify(net, sched),
         "diagnoses": diagnoses,
         "rate": [format_rate(r) for r in rate_vector(net, sched)],
     }
-    return payload, network_fingerprint(net), True
 
 
-def _cmd_achievable(args) -> _Result:
-    doc = _read_json(args.region)
+def _cmd_achievable(args, doc: dict) -> dict:
     try:
         region = reg.region_from_json(doc)
     except (KeyError, TypeError, ValueError) as exc:
@@ -222,95 +169,110 @@ def _cmd_achievable(args) -> _Result:
             "weights": [format_rate(w) for w in weights],
             "generators": [[format_rate(r) for r in g] for g in region.generators],
         }
-    return payload, json_sha256(doc), True
+    return payload
 
 
-def _cmd_window_rate(args) -> _Result:
-    net = _load_network(args)
+def _cmd_window_rate(args, net: Network) -> dict:
     value = reg.window_symmetric_rate(net, args.T)
-    payload = {"T": args.T, "character": character(net), "rate": format_rate(value)}
-    return payload, network_fingerprint(net), True
+    return {"T": args.T, "character": character(net), "rate": format_rate(value)}
+
+
+class Command(NamedTuple):
+    """A subcommand.  ``reads`` names the input ``main`` hands to ``run``: "network"
+    (``--network`` or stdin), "line" (``--L`` and ``--K``) or "region" (``--region``)."""
+
+    help: str
+    arguments: tuple  # (flag, add_argument keywords) pairs
+    run: Callable  # (args, input) -> payload, or (payload, complete)
+    reads: str = "network"
+
+
+_REQUIRED_INT = {"type": int, "required": True}
+_T = (("--T", _REQUIRED_INT),)
+_SEARCH = _T + (
+    ("--algorithm", {"choices": ["johnson", "incremental", "maximal-subgraph"], "required": True}),
+    ("--max-length", {"type": int}),
+    ("--budget", {"type": float, "help": "wall-clock seconds"}),
+    ("--strict", {"action": "store_true", "help": "exit 3 when the result is budget-truncated"}),
+    ("--threads", {"type": int, "default": 1,
+                   "help": "reserved; results are identical for any value"}),
+)
+
+COMMANDS = {
+    "gen-line": Command("generate a multihop line network", (
+        ("--L", _REQUIRED_INT), ("--K", _REQUIRED_INT),
+    ), _cmd_gen_line, reads="line"),
+    "character": Command("maximum absolute support delay", (), _cmd_character),
+    "reduce": Command("apply a vertex assignment and divide by the delay GCD", (
+        ("--assignment", {"help": "comma-separated per-link integer shifts"}),
+    ), _cmd_reduce),
+    "schedgraph": Command("materialize the scheduling graph", _T + (
+        ("--maximal", {"action": "store_true", "help": "maximal edge structure instead"}),
+        ("--dump", {"action": "store_true", "help": "include vertices/edges in the output"}),
+    ), _cmd_schedgraph),
+    "cycles": Command("cycles of the scheduling graph", _SEARCH, _cmd_cycles),
+    "rate-region": Command("rate region spanned by the cycles", _SEARCH, _cmd_rate_region),
+    "framed-region": Command("region achieved by framed scheduling", (), _cmd_framed_region),
+    "verify-schedule": Command("collision diagnostics and rate vector", (
+        ("--schedule", {"required": True, "help": "schedule JSON file"}),
+    ), _cmd_verify_schedule),
+    "achievable": Command("convex-dominance membership query", (
+        ("--region", {"required": True, "help": "region JSON file"}),
+        ("--rate", {"required": True, "help": 'comma-separated rationals, e.g. "1/2,1/2"'}),
+    ), _cmd_achievable, reads="region"),
+    "window-rate": Command("max symmetric rate of the scaled window region", _T, _cmd_window_rate),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="delaysched",
-        description="Link scheduling with integer propagation delays.",
-    )
+    parser = argparse.ArgumentParser(prog="delaysched",
+                                     description="Link scheduling with integer propagation delays.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_network_arg(p):
-        p.add_argument("--network", help="network JSON file (default: stdin)")
-
-    p = sub.add_parser("gen-line", help="generate a multihop line network")
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--K", type=int, required=True)
-    p.set_defaults(func=_cmd_gen_line)
-
-    p = sub.add_parser("character", help="maximum absolute support delay")
-    add_network_arg(p)
-    p.set_defaults(func=_cmd_character)
-
-    p = sub.add_parser("reduce", help="apply a vertex assignment and divide by the delay GCD")
-    add_network_arg(p)
-    p.add_argument("--assignment", help="comma-separated per-link integer shifts")
-    p.set_defaults(func=_cmd_reduce)
-
-    p = sub.add_parser("schedgraph", help="materialize the scheduling graph")
-    add_network_arg(p)
-    p.add_argument("--T", type=int, required=True)
-    p.add_argument("--maximal", action="store_true", help="maximal edge structure instead")
-    p.add_argument("--dump", action="store_true", help="include vertices/edges in the output")
-    p.set_defaults(func=_cmd_schedgraph)
-
-    for name, func in (("cycles", _cmd_cycles), ("rate-region", _cmd_rate_region)):
-        p = sub.add_parser(name)
-        add_network_arg(p)
-        p.add_argument("--T", type=int, required=True)
-        p.add_argument(
-            "--algorithm",
-            choices=["johnson", "incremental", "maximal-subgraph"],
-            required=True,
-        )
-        p.add_argument("--max-length", type=int)
-        p.add_argument("--budget", type=float, help="wall-clock seconds")
-        p.add_argument("--strict", action="store_true",
-                       help="exit 3 when the result is budget-truncated")
-        p.add_argument("--threads", type=int, default=1,
-                       help="reserved; results are identical for any value")
-        p.set_defaults(func=func)
-
-    p = sub.add_parser("framed-region", help="region achieved by framed scheduling")
-    add_network_arg(p)
-    p.set_defaults(func=_cmd_framed_region)
-
-    p = sub.add_parser("verify-schedule", help="collision diagnostics and rate vector")
-    add_network_arg(p)
-    p.add_argument("--schedule", required=True, help="schedule JSON file")
-    p.set_defaults(func=_cmd_verify_schedule)
-
-    p = sub.add_parser("achievable", help="convex-dominance membership query")
-    p.add_argument("--region", required=True, help="region JSON file")
-    p.add_argument("--rate", required=True, help='comma-separated rationals, e.g. "1/2,1/2"')
-    p.set_defaults(func=_cmd_achievable)
-
-    p = sub.add_parser("window-rate", help="max symmetric rate of the scaled window region")
-    add_network_arg(p)
-    p.add_argument("--T", type=int, required=True)
-    p.set_defaults(func=_cmd_window_rate)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if command.reads == "network":
+            p.add_argument("--network", help="network JSON file (default: stdin)")
+        for flag, options in command.arguments:
+            p.add_argument(flag, **options)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     t0 = time.monotonic()
+    command = COMMANDS[args.command]
     try:
-        payload, fingerprint, complete = args.func(args)
+        if command.reads == "region":
+            doc = _read_json(args.region)
+            out = command.run(args, doc)
+            fingerprint = json_sha256(doc)
+        else:
+            net = (line_network(args.L, args.K) if command.reads == "line"
+                   else network_from_json(_read_json(args.network)))
+            out = command.run(args, net)
+            fingerprint = network_fingerprint(net)
     except (ValueError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    return _emit(args, payload, fingerprint, complete, t0)
+    payload, complete = out if isinstance(out, tuple) else (out, True)
+    payload["manifest"] = {
+        "command": args.command,
+        "parameters": {
+            k: v for k, v in vars(args).items() if k not in ("network", "command") and v is not None
+        },
+        "network_sha256": fingerprint,
+        "complete": complete,
+        "wall_time_ms": int((time.monotonic() - t0) * 1000),
+    }
+    try:
+        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone: point stdout at devnull so the flush at exit raises no second error.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED
+    return EXIT_TRUNCATED if not complete and getattr(args, "strict", False) else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .network import Network
 from .schedgraph import SchedulingGraph, build_maximal
-from .window import check_block, link_row_masks
+from .window import check_block, check_window_length, link_row_masks
 
 __all__ = [
     "CycleSearchResult",
@@ -117,9 +117,10 @@ def rate_numerators(
 def closed_path_rate(path: Sequence[int], T: int, num_links: int) -> tuple[Fraction, ...]:
     """Per-link average activation per timeslot of a closed block path.
 
-    A block with a bit outside the ``num_links * T`` bits of a T-window
-    raises ValueError.
+    A ``T`` that is not an int >= 1, or a block with a bit outside the
+    ``num_links * T`` bits of a T-window, raises ValueError.
     """
+    check_window_length(T)
     for block in path:
         check_block(block, num_links, T)
     (numerator,), den = rate_numerators([path], T, num_links)

@@ -186,6 +186,8 @@ def line_network(L: int, K: int) -> Network:
     set holds every other link within ``K`` hops of its receiver, and the
     delay toward such a link ``j`` is ``1 - |j - i - 1|``.
     """
+    if type(L) is not int or type(K) is not int:
+        raise InvalidNetworkError(f"line network needs int L and K, got {L!r} and {K!r}")
     if L < 1 or K < 1:
         raise InvalidNetworkError("line network needs L >= 1 and K >= 1")
     links = tuple(f"l{i}" for i in range(1, L + 1))

@@ -24,6 +24,7 @@ __all__ = [
     "block_from_rows",
     "block_to_rows",
     "check_block",
+    "check_window_length",
     "join_pair",
     "link_row_masks",
     "split_pair",
@@ -242,6 +243,14 @@ def _certified(bits: int, certificates) -> bool:
     )
 
 
+def check_window_length(T: int) -> None:
+    """Raise ValueError unless ``T`` is an int (not a bool) >= 1."""
+    if type(T) is not int:
+        raise ValueError(f"window length must be an int, got {T!r}")
+    if T < 1:
+        raise ValueError("window length must be >= 1")
+
+
 def build_window(network: Network, T: int) -> WindowGraph:
     """Materialize the induced window graph on timeslots ``0..T-1``.
 
@@ -250,8 +259,7 @@ def build_window(network: Network, T: int) -> WindowGraph:
     induced-subgraph definition.  Masks are listed once each, by link name,
     then slot, then collision set in profile order.
     """
-    if T < 1:
-        raise ValueError("window length must be >= 1")
+    check_window_length(T)
     L = len(network.links)
     masks = []
     for link in sorted(network.links):

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -107,6 +108,26 @@ def test_ladder_outputs_unchanged(capsys, monkeypatch, hyper_n4, case):
     assert code == 0
     doc["manifest"].pop("wall_time_ms")
     assert doc == LADDER_OUTPUTS[case]
+
+
+# gen-line, character, reduce --assignment, framed-region, verify-schedule
+# and achievable outputs recorded before the subcommands moved to one
+# command table.  Each case holds its argv, its standard-input network (or
+# null), the files it reads (written to the working directory, so their
+# names in the manifest stay fixed) and its output (``wall_time_ms`` aside).
+CLI_OUTPUTS = json.loads((Path(__file__).parent / "data" / "cli_outputs.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(CLI_OUTPUTS), ids=lambda c: c.replace(" ", "-"))
+def test_cli_outputs_unchanged(capsys, monkeypatch, tmp_path, case):
+    pin = CLI_OUTPUTS[case]
+    monkeypatch.chdir(tmp_path)
+    for name, file_doc in pin["files"].items():
+        (tmp_path / name).write_text(json.dumps(file_doc))
+    code, doc = run_cli(capsys, monkeypatch, pin["argv"], stdin_doc=pin["network"])
+    assert code == 0
+    doc["manifest"].pop("wall_time_ms")
+    assert doc == pin["output"]
 
 
 # The benchmark's line-ladder jobs with their traced counts; read, never written.
@@ -645,6 +666,34 @@ def test_unknown_flag_exits_2(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["character", "--bogus"])
     assert exc.value.code == 2
+
+
+def test_every_subcommand_has_a_description_in_help(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    names = re.search(r"\{([a-z,-]+)\}", text).group(1).split(",")
+    assert len(names) == 10
+    for name in names:
+        assert re.search(rf"^ +{name} +\S", text, re.M), name
+
+
+def test_a_closed_stdout_exits_1_without_a_traceback():
+    # The reader of the pipe is gone before the output is written, as after
+    # ``delaysched gen-line --L 30 --K 1 | head -c 10``.
+    src = os.path.dirname(os.path.dirname(delaysched.__file__))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "delaysched.cli", "gen-line", "--L", "30", "--K", "1"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def test_import_loads_only_the_standard_library():

@@ -128,6 +128,14 @@ def test_network_from_json_rejects_a_malformed_document(doc, message):
         network_from_json(doc)
 
 
+@pytest.mark.parametrize("L, K", [(4, 1.5), (2.0, 1), (True, 1), (4, True), ("4", 1)],
+                         ids=repr)
+def test_line_network_rejects_a_size_that_is_not_an_int(L, K):
+    # A float K would silently build the network of its floor.
+    with pytest.raises(InvalidNetworkError, match="line network needs int L and K"):
+        line_network(L, K)
+
+
 def test_line_network_rejects_no_links():
     with pytest.raises(InvalidNetworkError, match="line network needs L >= 1 and K >= 1"):
         line_network(0, 1)

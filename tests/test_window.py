@@ -26,7 +26,8 @@ from delaysched.window import (
 )
 
 from delaysched.network import is_binary
-from delaysched.schedgraph import build_maximal
+from delaysched.region import window_symmetric_rate
+from delaysched.schedgraph import build, build_maximal, schedule_is_path
 
 from conftest import hyper_chain, random_network
 
@@ -114,6 +115,31 @@ def test_pair_juxtaposes_the_rows_of_its_blocks(net, T):
         pair = join_pair(a, b, nbits)
         assert pair == block_from_rows(rows, 2 * T)
         assert split_pair(pair, nbits) == (a, b)
+
+
+NOT_INT_WINDOWS = [True, 1.5, 2.0, "2", None]
+
+
+@pytest.mark.parametrize("T", NOT_INT_WINDOWS, ids=repr)
+@pytest.mark.parametrize("builder", [build_window, build, build_maximal, window_symmetric_rate],
+                         ids=lambda f: f.__name__)
+def test_a_window_length_that_is_not_an_int_is_rejected(builder, T):
+    # A bool would run as T=1, a float would fail inside ``range``.
+    with pytest.raises(ValueError, match="window length must be an int"):
+        builder(line_network(4, 1), T)
+
+
+@pytest.mark.parametrize("T", NOT_INT_WINDOWS, ids=repr)
+@pytest.mark.parametrize("call", [
+    lambda T: closed_path_rate([0, 0], T, 4),
+    lambda T: is_vertex(line_network(4, 1), 0, T),
+    lambda T: has_edge(line_network(4, 1), 0, 0, T),
+    lambda T: schedule_is_path(line_network(4, 1), schedule_from_closed_path([0, 0], 1, 4), T),
+], ids=["closed_path_rate", "is_vertex", "has_edge", "schedule_is_path"])
+def test_a_block_function_rejects_a_window_length_that_is_not_an_int(call, T):
+    # The length is checked before the blocks are, which would shift by a float.
+    with pytest.raises(ValueError, match="window length must be an int"):
+        call(T)
 
 
 def test_line41_single_slot_window(line41):
