@@ -6,9 +6,10 @@ the command, its parameters, the input fingerprint, and a completeness
 flag.  Rationals are serialized as "p/q" strings.
 
 A subcommand is one entry of ``COMMANDS``: its help, arguments and handler.
-``main`` alone reads the input, fingerprints it and writes the manifest,
-which records every argument that is not ``None``: a new flag defaults to
-``None``, or it moves every pinned digest.
+``main`` alone reads the input, fingerprints the canonical JSON form of
+what it parsed (network or region) and writes the manifest, which records
+every argument that is not ``None``: a new flag defaults to ``None``, or
+it moves every pinned digest.
 
 Exit codes: 0 success, 1 standard output closed before the result was
 written, 2 input error, 3 budget-truncated result under ``--strict``.
@@ -153,11 +154,7 @@ def _cmd_verify_schedule(args, net: Network) -> dict:
     }
 
 
-def _cmd_achievable(args, doc: dict) -> dict:
-    try:
-        region = reg.region_from_json(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"bad region document: {exc}") from exc
+def _cmd_achievable(args, region: reg.RegionDescription) -> dict:
     try:
         rate = tuple(parse_rate(x) for x in args.rate.split(","))
     except ValueError as exc:
@@ -244,13 +241,16 @@ def main(argv=None) -> int:
     try:
         if command.reads == "region":
             doc = _read_json(args.region)
-            out = command.run(args, doc)
-            fingerprint = json_sha256(doc)
+            try:
+                subject = reg.region_from_json(doc)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"bad region document: {exc}") from exc
+            fingerprint = json_sha256(reg.region_to_json(subject))
         else:
-            net = (line_network(args.L, args.K) if command.reads == "line"
-                   else network_from_json(_read_json(args.network)))
-            out = command.run(args, net)
-            fingerprint = network_fingerprint(net)
+            subject = (line_network(args.L, args.K) if command.reads == "line"
+                       else network_from_json(_read_json(args.network)))
+            fingerprint = network_fingerprint(subject)
+        out = command.run(args, subject)
     except (ValueError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

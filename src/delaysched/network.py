@@ -150,11 +150,15 @@ def apply_vertex_assignment(network: Network, b: Mapping[str, int]) -> Network:
 
     The resulting network is isomorphic to the input: same links, same
     collision profile, and entry ``(l, l')`` becomes ``d + b[l] - b[l']``.
-    Unspecified entries stay unspecified.
+    Unspecified entries stay unspecified.  Every shift must be a non-bool
+    int: a float shift would make the delays floats.
     """
     missing = [l for l in network.links if l not in b]
     if missing:
         raise InvalidNetworkError(f"vertex assignment missing links {missing}")
+    for l in network.links:
+        if type(b[l]) is not int:
+            raise InvalidNetworkError(f"vertex assignment shift of {l!r} is not an int: {b[l]!r}")
     delays = {
         (l, lp): d + b[l] - b[lp] for (l, lp), d in network.delays.items()
     }
@@ -280,7 +284,7 @@ def network_from_json(doc: Mapping) -> Network:
         try:
             for l, support in collision_support(network).items():
                 s_l, r_l = map(node, endpoints[l])
-                for lp in support:
+                for lp in sorted(support):  # set order varies with the hash seed
                     s_lp, _ = map(node, endpoints[lp])
                     delays[(l, lp)] = entry(s_l, r_l) - entry(s_lp, r_l)
         except (KeyError, IndexError, TypeError, ValueError) as exc:

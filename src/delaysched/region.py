@@ -95,29 +95,29 @@ def region_from_cycles(
     return RegionDescription(network.links, T, generators, witnesses, prov)
 
 
-def achievability_certificate(
-    region: RegionDescription, rate: Sequence[Fraction]
-) -> list[Fraction] | None:
-    if len(rate) != len(region.links):
-        raise ValueError("rate dimension does not match region links")
-    return dominating_combination(region.generators, tuple(Fraction(r) for r in rate))
+def achievability_certificate(region: RegionDescription,
+                              rate: Sequence[Fraction]) -> list[Fraction] | None:
+    """Weights of a convex combination of the generators dominating the rate, or None.
 
-
-def is_achievable(region: RegionDescription, rate: Sequence[Fraction]) -> bool:
-    """Is the vector dominated by a convex combination of the generators?
-
-    A generator covering the rate answers yes, and a coordinate above
-    every generator's answers no, without an LP.
+    The first generator covering the rate is its own certificate (unit
+    weight), and a coordinate above every generator's answers no, both
+    without an LP.
     """
     if len(rate) != len(region.links):
         raise ValueError("rate dimension does not match region links")
     rate = tuple(Fraction(r) for r in rate)
     gens = region.generators
-    if any(all(g >= r for g, r in zip(gen, rate)) for gen in gens):
-        return True
+    for i, gen in enumerate(gens):
+        if all(g >= r for g, r in zip(gen, rate)):
+            return [Fraction(int(j == i)) for j in range(len(gens))]
     if not gens or any(r > max(col) for r, col in zip(rate, zip(*gens))):
-        return False
-    return dominating_combination(gens, rate) is not None
+        return None
+    return dominating_combination(gens, rate)
+
+
+def is_achievable(region: RegionDescription, rate: Sequence[Fraction]) -> bool:
+    """Is the vector dominated by a convex combination of the generators?"""
+    return achievability_certificate(region, rate) is not None
 
 
 def framed_region(network: Network) -> RegionDescription:

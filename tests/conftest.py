@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
-from delaysched import line_network, make_network, validate
+from delaysched import line_network, make_network, rate_vector, validate, verify
+from delaysched.region import RegionDescription
+from delaysched.schedule import PeriodicSchedule
 from delaysched.window import block_from_rows
 
 # Single-column blocks of the 4-link line network, in the customary order.
@@ -169,3 +172,22 @@ def random_network(rng: random.Random, regime_T: int | None = None):
     net = make_network(links, collisions, delays)
     validate(net)
     return net
+
+
+def schedule_region(network, P: int) -> RegionDescription:
+    """Reference region with no window, bitset or scheduling graph.
+
+    Enumerates every 0/1 schedule of each period p <= P (2^(|L|·p) of
+    them), keeps the ones ``verify`` finds collision-free and takes the
+    Pareto front of their rate vectors as generators.
+    """
+    num_links = len(network.links)
+    rates = set()
+    for p in range(1, P + 1):
+        for bits in itertools.product((0, 1), repeat=num_links * p):
+            s = PeriodicSchedule(p, [bits[i * p:(i + 1) * p] for i in range(num_links)])
+            if verify(network, s):
+                rates.add(rate_vector(network, s))
+    front = sorted(r for r in rates
+                   if not any(o != r and all(a >= b for a, b in zip(o, r)) for o in rates))
+    return RegionDescription(network.links, 1, tuple(front), (None,) * len(front), {})

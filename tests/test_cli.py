@@ -521,12 +521,46 @@ def test_achievable_rejects_wrong_rate_dimension(capsys, monkeypatch, tmp_path):
 
 
 def test_achievable_records_the_region_document_hash(capsys, monkeypatch, tmp_path):
+    # The hash of the parsed region document's canonical form, as networks get theirs.
     argv, _ = _subcommand_argv(capsys, monkeypatch, tmp_path, "achievable")
     code, out = run_cli(capsys, monkeypatch, argv)
     assert code == 0
-    region_doc = json.loads(Path(argv[2]).read_text())
-    blob = json.dumps(region_doc, sort_keys=True, separators=(",", ":"))
+    region = delaysched.region.region_from_json(json.loads(Path(argv[2]).read_text()))
+    blob = json.dumps(delaysched.region.region_to_json(region), sort_keys=True,
+                      separators=(",", ":"))
     assert out["manifest"]["network_sha256"] == hashlib.sha256(blob.encode()).hexdigest()
+
+
+def test_achievable_output_ignores_the_region_run_time(capsys, monkeypatch, tmp_path):
+    # Two runs of one rate-region differ only in their manifest's wall time.
+    argv, _ = _subcommand_argv(capsys, monkeypatch, tmp_path, "achievable")
+    region_doc = json.loads(Path(argv[2]).read_text())
+    outputs = []
+    for wall_time_ms in (0, 12345):
+        region_doc["manifest"]["wall_time_ms"] = wall_time_ms
+        Path(argv[2]).write_text(json.dumps(region_doc))
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        doc["manifest"].pop("wall_time_ms")
+        outputs.append(doc)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("rate, weights", [
+    ("0,0,0,0", ["1/1", "0/1", "0/1"]),
+    ("1/2,0,0,0", ["0/1", "0/1", "1/1"]),
+], ids=["every-generator-covers", "one-generator-covers"])
+def test_achievable_gives_unit_weight_to_the_first_covering_generator(
+    capsys, monkeypatch, tmp_path, rate, weights
+):
+    # The framed L4 T1 generators, in order: (0,0,1,0), (0,1,0,0), (1,0,0,1).
+    argv, _ = _subcommand_argv(capsys, monkeypatch, tmp_path, "achievable")
+    code, doc = run_cli(capsys, monkeypatch, argv[:-1] + [rate])
+    assert code == 0 and doc["achievable"] is True
+    assert doc["combination"]["generators"] == [
+        ["0/1", "0/1", "1/1", "0/1"], ["0/1", "1/1", "0/1", "0/1"], ["1/1", "0/1", "0/1", "1/1"],
+    ]
+    assert doc["combination"]["weights"] == weights
 
 
 @pytest.mark.parametrize("generator", [

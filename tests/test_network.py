@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 import delaysched
@@ -128,6 +133,31 @@ def test_network_from_json_rejects_a_malformed_document(doc, message):
         network_from_json(doc)
 
 
+def test_node_delays_error_names_the_same_endpoint_under_every_hash_seed():
+    # Link a collides with b and c, whose senders 9 and 7 lie outside the
+    # 2x2 matrix; walking a's support as a set named either one by seed.
+    doc = {"links": ["a", "b", "c"], "collisions": {"a": [["b"], ["c"]]},
+           "node_delays": [[0, 1], [1, 0]],
+           "link_endpoints": {"a": [0, 1], "b": [9, 0], "c": [7, 0]}}
+    probe = (
+        "import json, sys\n"
+        "from delaysched import network_from_json\n"
+        "try:\n"
+        "    network_from_json(json.loads(sys.argv[1]))\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(delaysched.__file__))
+    messages = {
+        subprocess.run(
+            [sys.executable, "-c", probe, json.dumps(doc)], capture_output=True, text=True,
+            check=True, env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed)),
+        ).stdout
+        for seed in range(6)
+    }
+    assert messages == {"bad node_delays/link_endpoints: node index 9 not in range(2)\n"}
+
+
 @pytest.mark.parametrize("L, K", [(4, 1.5), (2.0, 1), (True, 1), (4, True), ("4", 1)],
                          ids=repr)
 def test_line_network_rejects_a_size_that_is_not_an_int(L, K):
@@ -209,6 +239,14 @@ def test_apply_vertex_assignment_identity(line41):
 def test_apply_vertex_assignment_requires_all_links(line41):
     with pytest.raises(InvalidNetworkError, match="missing links"):
         apply_vertex_assignment(line41, {"l1": 1})
+
+
+@pytest.mark.parametrize("shift", [0.5, 1.0, True, "1", None], ids=repr)
+def test_apply_vertex_assignment_rejects_a_shift_that_is_not_an_int(line41, shift):
+    # A float shift would give float delays, which build and gcd_reduce reject late.
+    b = {l: 0 for l in line41.links} | {"l2": shift}
+    with pytest.raises(InvalidNetworkError, match="vertex assignment shift of 'l2' is not an int"):
+        apply_vertex_assignment(line41, b)
 
 
 def test_gcd_pipeline_reference(gcd_example):

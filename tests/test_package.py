@@ -1,4 +1,11 @@
-"""The package's public names are its modules' ``__all__`` lists, re-exported."""
+"""The package's public names are its modules' ``__all__`` lists, re-exported; its imports
+are the standard library's."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
 
 import delaysched
 from delaysched import cycles, exactlp, network, region, schedgraph, schedule, window
@@ -50,3 +57,23 @@ def test_modules_stay_package_attributes_outside_all():
 def test_every_earlier_export_is_still_exported():
     assert len(EARLIER_EXPORTS) == 53
     assert set(EARLIER_EXPORTS) <= set(delaysched.__all__)
+
+
+def test_the_package_imports_only_the_standard_library():
+    # No runtime dependency is pulled in, not even for a single call.
+    tomllib = pytest.importorskip("tomllib")
+    package = Path(delaysched.__file__).parent
+    foreign = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign |= {(path.name, n) for n in names
+                        if n.partition(".")[0] not in sys.stdlib_module_names}
+    assert not foreign
+    pyproject = tomllib.loads((package.parents[1] / "pyproject.toml").read_text())
+    assert pyproject["project"]["dependencies"] == []

@@ -26,7 +26,7 @@ from delaysched import (
 )
 from delaysched import exactlp
 from delaysched.cycles import _pareto_front
-from delaysched.exactlp import max_symmetric_scale, simplex_min
+from delaysched.exactlp import dominating_combination, max_symmetric_scale, simplex_min
 from delaysched.network import character, is_binary
 from delaysched.region import (
     RegionDescription,
@@ -36,7 +36,7 @@ from delaysched.region import (
 )
 from delaysched.window import build_window, link_row_masks
 
-from conftest import random_network, v
+from conftest import random_network, schedule_region, v
 
 F = Fraction
 
@@ -142,11 +142,19 @@ def test_is_achievable_matches_the_certificate():
         net = random_network(rng, regime_T=T)
         if sum(1 for _ in build_window(net, T).independent_sets()) <= 48:
             regions.append(region_from_cycles(net, algorithm_a(net, T, 3).cycles, T))
+    # The certificate skips the LP on trivial queries: its answer must be
+    # the LP's, and its weights a convex combination dominating the query.
     answers = set()
     for region in regions:
+        gens = region.generators
         for q in _membership_queries(region, rng):
-            want = achievability_certificate(region, q) is not None
-            assert is_achievable(region, q) == want, (region.generators, q)
+            weights = achievability_certificate(region, q)
+            want = dominating_combination(gens, q) is not None
+            assert (weights is not None) == is_achievable(region, q) == want, (gens, q)
+            if weights is not None:
+                assert min(weights) >= 0 and sum(weights) == 1
+                assert all(sum(w * g[d] for w, g in zip(weights, gens)) >= x
+                           for d, x in enumerate(q))
             answers.add(want)
     assert answers == {True, False}
 
@@ -163,6 +171,11 @@ def test_is_achievable_answers_trivial_queries_without_an_lp(monkeypatch, cycle_
     assert is_achievable(cycle_region, ("1/2", F(1, 2), F(1, 3), 0))
     assert not is_achievable(cycle_region, (F(0), F(0), F(0), F(11, 10)))
     assert not is_achievable(cycle_region, ("0", "0", "9/8", "0"))
+    # The certificate answers the same two cases: unit weight on the first
+    # covering generator (the generators are R2, R1, R4, R3), or None.
+    assert achievability_certificate(cycle_region, (F(0),) * 4) == [1, 0, 0, 0]
+    assert achievability_certificate(cycle_region, (F(1, 2), 0, 0, F(1, 2))) == [0, 0, 1, 0]
+    assert achievability_certificate(cycle_region, (F(0), F(0), F(0), F(11, 10))) is None
     assert solves == []
     inside = (F(3, 4), F(1, 4), F(1, 4), F(3, 4))  # between R3 and R4, under neither
     assert is_achievable(cycle_region, inside)
@@ -386,6 +399,48 @@ def test_region_from_json_rejects_an_impossible_generator(generator, message):
 def test_region_description_needs_one_witness_slot_per_generator(witnesses):
     with pytest.raises(ValueError, match="one witness slot per generator required"):
         RegionDescription(("l1",), 1, ((F(1),),), witnesses, {})
+
+
+def _tiny_draw(seed: int, regime_T: int | None = None):
+    """The first draw of at most 3 links, so that |L|·P stays at most 12."""
+    rng = random.Random(seed)
+    net = random_network(rng, regime_T=regime_T)
+    while len(net.links) > 3:
+        net = random_network(rng, regime_T=regime_T)
+    return net
+
+
+def _cycle_region(net, T: int, max_len: int) -> RegionDescription:
+    return region_from_cycles(net, johnson_cycles(build(net, T), max_len=max_len).cycles, T)
+
+
+def test_schedule_region_lies_between_cycle_regions_in_the_exact_regime():
+    # cycles(k) ⊆ schedules(k·T) ⊆ cycles(k·T): a cycle is a schedule, and a
+    # schedule of period p is a closed walk of length p.  At T = 1 both are
+    # equalities; at T = 2 a period-3 schedule can beat every cycle of length 2.
+    strict = 0
+    for T, k, seeds in ((1, 4, range(4)), (2, 2, (7, 8, 9))):
+        for seed in seeds:
+            net = _tiny_draw(seed, regime_T=T)
+            assert region_regime(net, T) == "exact"
+            schedules = schedule_region(net, k * T)
+            inner, outer = _cycle_region(net, T, k), _cycle_region(net, T, k * T)
+            assert sandwich_check(inner, schedules) and sandwich_check(schedules, outer)
+            strict += not sandwich_check(schedules, inner) or not sandwich_check(outer, schedules)
+    assert strict
+
+
+def test_schedule_region_lies_inside_the_cycle_region_below_the_regime():
+    # Below the regime the window misses some collisions: the cycle region
+    # is only an outer bound, and on some draws a strictly larger one.
+    strict = 0
+    for seed in range(8):
+        net = _tiny_draw(seed)
+        assert region_regime(net, 1) == "outer-bound"
+        schedules, cycles = schedule_region(net, 4), _cycle_region(net, 1, 4)
+        assert sandwich_check(schedules, cycles)
+        strict += not sandwich_check(cycles, schedules)
+    assert strict
 
 
 def test_sandwich_check_rejects_regions_on_different_links():
