@@ -80,6 +80,36 @@ def cycle_dominates(a: Sequence[int], b: Sequence[int]) -> bool:
     )
 
 
+def _packed_rates(
+    paths: Sequence[Sequence[int]], T: int, num_links: int
+) -> tuple[list[int], int, int]:
+    """Each closed path's rate numerators over one denominator, packed into one int.
+
+    Returns the packed numerators, ``den = lcm(path lengths) * T`` and the
+    field width ``den.bit_length() + 1``: one field per link, link 0
+    lowest.  A path's scaled count is at most ``den`` on every link, so no
+    field carries into the next and each field's top bit, its guard, is
+    clear.  Blocks are not checked: callers pass blocks of a
+    ``num_links x T`` window.
+    """
+    if any(len(p) < 2 or p[0] != p[-1] for p in paths):
+        raise ValueError("path is not closed")
+    masks = link_row_masks(num_links, T)
+    lengths = {len(p) for p in paths}
+    period = lcm(*(n - 1 for n in lengths))
+    width = (period * T).bit_length() + 1
+    packed: dict[int, int] = {}
+    for block in {b for p in paths for b in p}:
+        fields = 0
+        for m in reversed(masks):
+            fields = fields << width | (block & m).bit_count()
+        packed[block] = fields
+    get = packed.__getitem__
+    scale = {n: period // (n - 1) for n in lengths}
+    rates = [(sum(map(get, p)) - get(p[0])) * scale[len(p)] for p in paths]
+    return rates, period * T, width
+
+
 def rate_numerators(
     paths: Sequence[Sequence[int]], T: int, num_links: int
 ) -> tuple[list[tuple[int, ...]], int]:
@@ -87,31 +117,15 @@ def rate_numerators(
 
     The rate of ``paths[i]`` is ``numerators[i] / den`` component-wise,
     with ``den = lcm(path lengths) * T``, so integer comparisons order the
-    rates exactly as their fractions.  Each distinct block's per-link
-    counts are packed into one int, a field of ``den.bit_length()`` bits
-    per link, link 0 lowest; a path's scaled sum of them is at most ``den``
-    in every field, so no field carries into the next.  Blocks are not
+    rates exactly as their fractions.  A path's numerators are the fields
+    of the one int ``_packed_rates`` packs for it, the form
+    ``pareto_filter`` compares, unpacked link by link.  Blocks are not
     checked: callers pass blocks of a ``num_links x T`` window.
     """
-    if any(len(p) < 2 or p[0] != p[-1] for p in paths):
-        raise ValueError("path is not closed")
-    masks = link_row_masks(num_links, T)
-    period = lcm(*(len(p) - 1 for p in paths))
-    width = (period * T).bit_length()
-    packed: dict[int, int] = {}
-    for block in {b for p in paths for b in p}:
-        fields = 0
-        for m in reversed(masks):
-            fields = fields << width | (block & m).bit_count()
-        packed[block] = fields
+    rates, den, width = _packed_rates(paths, T, num_links)
     field = (1 << width) - 1
     shifts = range(0, width * num_links, width)
-    numerators = []
-    for p in paths:
-        total = sum(map(packed.__getitem__, p)) - packed[p[0]]
-        total *= period // (len(p) - 1)
-        numerators.append(tuple([total >> s & field for s in shifts]))
-    return numerators, period * T
+    return [tuple([r >> s & field for s in shifts]) for r in rates], den
 
 
 def closed_path_rate(path: Sequence[int], T: int, num_links: int) -> tuple[Fraction, ...]:
@@ -561,39 +575,29 @@ def pareto_filter(
 ) -> list[tuple[int, ...]]:
     """Keep cycles whose rate vectors are not strictly dominated.
 
-    Distinct integer rate numerators are taken by decreasing sum; one is
-    dominated iff an earlier undominated one covers it.  Cycles sharing a
-    maximal rate vector are all retained, so every surviving vector keeps
-    its witnesses retrievable.
+    Each cycle's rate is packed once; the distinct packed rates go through
+    the front, and the kept cycles come out sorted and distinct.  Cycles
+    sharing a maximal rate vector are all retained, so every surviving
+    vector keeps its witnesses retrievable.
     """
-    items = sorted(set(cycles))
-    numerators, _ = rate_numerators(items, T, num_links)
-    maximal = set(_pareto_front(numerators))
-    return [c for c, r in zip(items, numerators) if r in maximal]
+    items = tuple(cycles)
+    rates, _, width = _packed_rates(items, T, num_links)
+    guards = sum(1 << (width * j + width - 1) for j in range(num_links))
+    front = set(_pareto_front(rates, guards))
+    return sorted({c for c, r in zip(items, rates) if r in front})
 
 
-def _pareto_front(vectors: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The distinct vectors that no other one strictly dominates.
+def _pareto_front(rates: Iterable[int], guards: int) -> list[int]:
+    """The distinct packed rates that no other one strictly dominates, largest first.
 
-    Taken by decreasing sum, a vector is dominated iff an earlier kept one
-    covers it: a dominator has a larger sum, and is itself kept or covered
-    by a kept one.  Entries are non-negative ints, packed one field each
-    with a guard bit on top (Lamport, CACM 18(8), 1975): ``f`` covers
-    ``u`` iff subtracting ``u`` from ``f`` with every guard set borrows
-    from none of them.
+    Fields are non-negative ints with a clear guard bit on top, one per
+    bit of ``guards``.  A dominator is the larger int, so taken in
+    decreasing order, a rate is dominated iff an earlier kept one covers
+    it.  ``f`` covers ``u`` iff subtracting ``u`` from ``f`` with every
+    guard set borrows from none of them (Lamport, CACM 18(8), 1975).
     """
-    ordered = sorted(set(vectors), key=sum, reverse=True)
-    if not ordered:
-        return []
-    width = max(max(r, default=0) for r in ordered).bit_length() + 1
-    guards = sum(1 << (width * j + width - 1) for j in range(len(ordered[0])))
-    front: list[tuple[int, ...]] = []
-    kept: list[int] = []  # each kept vector packed, guards set
-    for r in ordered:
-        packed = 0
-        for x in reversed(r):
-            packed = packed << width | x
-        if not any((g - packed) & guards == guards for g in kept):
-            front.append(r)
-            kept.append(packed | guards)
-    return front
+    kept: list[int] = []  # each kept rate with its guards set
+    for r in sorted(set(rates), reverse=True):
+        if not any((g - r) & guards == guards for g in kept):
+            kept.append(r | guards)
+    return [g ^ guards for g in kept]

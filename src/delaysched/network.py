@@ -139,10 +139,7 @@ def character(network: Network) -> int:
 
 def collision_support(network: Network) -> dict[str, frozenset[str]]:
     """Flatten the collision profile: the union of each link's collision sets."""
-    return {
-        link: frozenset().union(*network.profile(link)) if network.profile(link) else frozenset()
-        for link in network.links
-    }
+    return {link: frozenset().union(*network.profile(link)) for link in network.links}
 
 
 def apply_vertex_assignment(network: Network, b: Mapping[str, int]) -> Network:

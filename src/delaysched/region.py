@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .cycles import _pareto_front, closed_path_rate, pareto_filter, rate_numerators
+from .cycles import closed_path_rate, pareto_filter, rate_numerators
 from .exactlp import dominating_combination, max_symmetric_scale
 from .network import Network, character, format_rate, is_binary, parse_rate
 from .window import block_from_rows, block_to_rows, build_window
@@ -46,8 +46,16 @@ class RegionDescription:
             raise ValueError("one witness slot per generator required")
         if any(len(g) != len(self.links) for g in self.generators):
             raise ValueError("every generator needs one rate per link")
-        if type(self.T) is not int or self.T < 1:
-            raise ValueError(f"T must be an integer >= 1, got {self.T!r}")
+        if len(set(self.links)) != len(self.links):
+            raise ValueError(f"duplicate link names in {list(self.links)}")
+        _check_T(self.T)
+
+
+def _check_T(T) -> int:
+    """``T`` if it is an int (not a bool) >= 1, else ValueError."""
+    if type(T) is not int or T < 1:
+        raise ValueError(f"T must be an integer >= 1, got {T!r}")
+    return T
 
 
 def region_regime(network: Network, T: int) -> str:
@@ -151,20 +159,20 @@ def window_symmetric_rate(network: Network, T: int) -> Fraction:
     """Largest a with (a, ..., a) in the scaled window-region hull.
 
     Takes the activation-count vectors of the maximal independent sets of
-    the T-window (every independent set lies inside a maximal one, whose
-    count vector covers its own, so the Pareto front is that of all the
-    independent sets), and maximizes the symmetric coordinate by exact LP
-    under the T/(T+D*) guard-time factor.  The window is held to the
-    brute-force cap, although the binary maximal-set search needs none.
+    the T-window, as the one-block closed paths ``(b, b)`` that
+    ``pareto_filter`` keeps (every independent set lies inside a maximal
+    one, whose count vector covers its own, so the Pareto front is that of
+    all the independent sets), and maximizes the symmetric coordinate by
+    exact LP under the T/(T+D*) guard-time factor.  The window is held to
+    the brute-force cap, although the binary maximal-set search needs none.
     """
     window = build_window(network, T)
     window.check_cap()
-    sums, _ = rate_numerators(
-        [(bits, bits) for bits in window.maximal_independent_sets()], T, len(network.links)
-    )
+    num_links = len(network.links)
     # Dominated count vectors never help a >=-feasibility problem.
-    loose = sorted(_pareto_front(sums))
-    return max_symmetric_scale(loose, Fraction(1, T + character(network)))
+    kept = pareto_filter([(b, b) for b in window.maximal_independent_sets()], T, num_links)
+    sums, _ = rate_numerators(kept, T, num_links)
+    return max_symmetric_scale(sorted(set(sums)), Fraction(1, T + character(network)))
 
 
 def region_to_json(region: RegionDescription) -> dict:
@@ -194,7 +202,7 @@ def _as_list(value, what: str) -> list:
 
 def region_from_json(doc: Mapping) -> RegionDescription:
     links = tuple(str(l) for l in _as_list(doc["links"], "links"))
-    T = doc["T"]
+    T = _check_T(doc["T"])
     generators = []
     witnesses = []
     for entry in _as_list(doc["generators"], "generators"):

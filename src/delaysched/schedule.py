@@ -59,7 +59,11 @@ class PeriodicSchedule:
 
 
 def is_collision_free_at(network: Network, s: PeriodicSchedule, link: str, t: int) -> bool:
-    """True iff every collision set of ``link`` has an inactive member at its offset."""
+    """True iff every collision set of ``link`` has an inactive member at its offset.
+
+    A link the network does not have raises InvalidNetworkError.
+    """
+    network.link_index(link)
     for phi in network.profile(link):
         if all(
             s.active(network.link_index(lp), t + network.delay(link, lp))

@@ -112,7 +112,10 @@ class WindowGraph:
     def check_cap(self) -> None:
         """Raise ``CapExceededError`` if the window is past the brute-force cap."""
         env = os.environ.get("DELAYSCHED_CAP_BITS")
-        cap = int(env) if env else DEFAULT_CAP_BITS
+        try:
+            cap = int(env) if env else DEFAULT_CAP_BITS
+        except ValueError:
+            raise ValueError(f"DELAYSCHED_CAP_BITS must be an int, got {env!r}") from None
         if self.nbits > cap:
             raise CapExceededError(f"{self.nbits} bits exceeds brute-force cap {cap}")
 

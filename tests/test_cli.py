@@ -469,6 +469,16 @@ def test_cap_override_via_environment(capsys, monkeypatch):
     assert code == 2  # line network L4 T4: 16 bits over the tightened cap
 
 
+def test_cap_bits_that_is_not_an_int_exits_2_naming_the_variable(capsys, monkeypatch):
+    net_doc = gen_line(capsys, monkeypatch, 4, 1)
+    monkeypatch.setenv("DELAYSCHED_CAP_BITS", "abc")
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(net_doc)))
+    assert main(["schedgraph", "--T", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: DELAYSCHED_CAP_BITS must be an int, got 'abc'" in err
+
+
 def test_maximal_window_past_the_recursion_limit(capsys, monkeypatch):
     # One free link at T 600: a 1,200-bit doubled window, one maximal edge.
     free_doc = {"links": ["a"], "collisions": {}, "delays": []}

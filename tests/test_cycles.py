@@ -39,6 +39,7 @@ from delaysched.cycles import (
     _layer_chain,
     _maximal,
     _next_layer,
+    _packed_rates,
     _pareto_front,
     _retain_maximal,
     _rotations,
@@ -1478,6 +1479,24 @@ def test_rate_numerators_match_the_per_link_sum():
         rate_numerators([(1, 1), (1, 2)], 1, 2)
 
 
+def _guards(width, dim):
+    return sum(1 << (width * j + width - 1) for j in range(dim))
+
+
+def _unpack(packed, width, dim):
+    return tuple(packed >> width * j & (1 << width) - 1 for j in range(dim))
+
+
+def _packed_front(vectors, dim):
+    """``_pareto_front`` on the vectors packed as ``_packed_rates`` packs
+    them (link 0 lowest, a clear guard bit atop each field), unpacked."""
+    width = max((x for r in vectors for x in r), default=0).bit_length() + 1
+    packed = [sum(x << width * j for j, x in enumerate(r)) for r in vectors]
+    front = _pareto_front(packed, _guards(width, dim))
+    assert front == sorted(set(front), reverse=True)
+    return [_unpack(f, width, dim) for f in front]
+
+
 def test_pareto_front_matches_quadratic_filter():
     # The quadratic scan window_symmetric_rate used before the shared front.
     rng = random.Random(8100)
@@ -1494,7 +1513,7 @@ def test_pareto_front_matches_quadratic_filter():
                 s2 != s and all(a >= b for a, b in zip(s2, s)) for s2 in distinct
             )
         ]
-        front = _pareto_front(vectors)
+        front = _packed_front(vectors, dim)
         assert len(front) == len(set(front))
         assert sorted(front) == sorted(quadratic)
 
@@ -1514,17 +1533,22 @@ def _loop_pareto_front(vectors):
     (4, 1, 4, algorithm_b), (5, 2, 3, algorithm_b),
 ])
 def test_packed_pareto_front_matches_loop_on_ladder(L, T, k, search):
-    # The rate numerators pareto_filter hands the front on each benchmark rung.
-    cycles = sorted(set(search(line_network(L, 1), T, k).cycles))
+    # The packed rates pareto_filter hands the front on each benchmark rung.
+    cycles = search(line_network(L, 1), T, k).cycles
+    rates, den, width = _packed_rates(cycles, T, L)
     numerators, _ = rate_numerators(cycles, T, L)
-    assert _pareto_front(numerators) == _loop_pareto_front(numerators)
+    assert [_unpack(r, width, L) for r in rates] == numerators
+    assert width == den.bit_length() + 1
+    front = _pareto_front(rates, _guards(width, L))
+    assert front == sorted(set(front), reverse=True)
+    assert sorted(_unpack(f, width, L) for f in front) == sorted(_loop_pareto_front(numerators))
 
 
 def test_packed_pareto_front_matches_loop_on_random_vectors():
     # Zeros, equal sums and duplicates; entries wide enough to span fields
     # of different widths, and the empty and zero-length cases.
     rng = random.Random(1313)
-    assert _pareto_front([]) == [] and _pareto_front([(), ()]) == [()]
+    assert _pareto_front([], _guards(3, 2)) == [] and _pareto_front([0, 0], 0) == [0]
     for _ in range(400):
         dim = rng.randint(1, 7)
         top = rng.choice((1, 2, 7, 100, 2**40))
@@ -1534,7 +1558,21 @@ def test_packed_pareto_front_matches_loop_on_random_vectors():
         ]
         vectors += rng.sample(vectors, len(vectors) // 3)
         vectors += [tuple(rng.sample(r, dim)) for r in vectors[:5]]  # ties in sum
-        assert _pareto_front(vectors) == _loop_pareto_front(vectors)
+        assert sorted(_packed_front(vectors, dim)) == sorted(_loop_pareto_front(vectors))
+
+
+def test_pareto_filter_returns_sorted_distinct_kept_cycles():
+    # Unsorted input with duplicates, and the same cycles from a generator.
+    two = (0b10, 0b01, 0b10)
+    four = (0b00, 0b10, 0b01, 0b11, 0b00)
+    three = (0b00, 0b10, 0b01, 0b00)
+    solo = (0b10, 0b10)
+    low = (0b01, 0b01)
+    cycles = [solo, four, three, two, low, solo, two, four, three]
+    kept = sorted({two, four, solo, low})
+    assert pareto_filter(cycles, 1, 2) == kept
+    assert pareto_filter((c for c in cycles), 1, 2) == kept
+    assert pareto_filter(iter([]), 1, 2) == []
 
 
 def test_pareto_filter_drops_zero_cycle(line41):

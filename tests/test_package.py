@@ -77,3 +77,15 @@ def test_the_package_imports_only_the_standard_library():
     assert not foreign
     pyproject = tomllib.loads((package.parents[1] / "pyproject.toml").read_text())
     assert pyproject["project"]["dependencies"] == []
+
+
+def test_no_module_imports_another_modules_private_name():
+    # A name with a leading underscore stays inside the module that defines it.
+    package = Path(delaysched.__file__).parent
+    private = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                private |= {(path.name, node.module, alias.name) for alias in node.names
+                            if alias.name.startswith("_")}
+    assert not private

@@ -25,7 +25,6 @@ from delaysched import (
     window_symmetric_rate,
 )
 from delaysched import exactlp
-from delaysched.cycles import _pareto_front
 from delaysched.exactlp import dominating_combination, max_symmetric_scale, simplex_min
 from delaysched.network import character, is_binary
 from delaysched.region import (
@@ -229,14 +228,19 @@ def test_window_symmetric_rate_reference(line41, T, expected):
 
 
 def _ref_window_symmetric_rate(network, T):
-    """The count vectors of every independent set of the T-window."""
+    """The count vectors of every independent set of the T-window, less
+    those another one strictly dominates, by a quadratic scan."""
     window = build_window(network, T)
     row_masks = link_row_masks(len(network.links), T)
     sums = {
         tuple((bits & m).bit_count() for m in row_masks)
         for bits in window.independent_sets()
     }
-    vectors = [tuple(F(x, T) for x in s) for s in sorted(_pareto_front(sums))]
+    front = [
+        s for s in sums
+        if not any(s2 != s and all(a >= b for a, b in zip(s2, s)) for s2 in sums)
+    ]
+    vectors = [tuple(F(x, T) for x in s) for s in sorted(front)]
     return max_symmetric_scale(vectors, F(T, T + character(network)))
 
 
@@ -454,3 +458,19 @@ def test_sandwich_check_rejects_regions_on_different_links():
 def test_region_description_rejects_a_bad_T(T):
     with pytest.raises(ValueError, match="T must be an integer >= 1"):
         RegionDescription(("l1",), T, ((F(1),),), (None,), {})
+
+
+@pytest.mark.parametrize("T", [0, 1.0, True, "1", None], ids=repr)
+def test_region_from_json_checks_T_before_reading_a_witness(T):
+    doc = {"links": ["a"], "T": T,
+           "generators": [{"rate": ["1"], "witness": [["1"], ["1"]]}]}
+    with pytest.raises(ValueError, match="T must be an integer >= 1"):
+        region_from_json(doc)
+
+
+def test_region_description_rejects_duplicate_link_names():
+    with pytest.raises(ValueError, match="duplicate link names"):
+        RegionDescription(("l1", "l1"), 1, ((F(1), F(0)),), (None,), {})
+    doc = {"links": ["l1", "l1"], "T": 1, "generators": [{"rate": ["1", "0"]}]}
+    with pytest.raises(ValueError, match="duplicate link names"):
+        region_from_json(doc)

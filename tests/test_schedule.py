@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from delaysched import (
+    InvalidNetworkError,
     PeriodicSchedule,
     active_slots,
     build_framed_schedule,
@@ -45,6 +46,12 @@ def test_hyper_collision_at_reference_slot(hyper_n4):
     assert is_collision_free_at(hyper_n4, s, "l2", 0)
     assert not is_collision_free_at(hyper_n4, s, "l3", 1)
     assert is_collision_free_at(hyper_n4, s, "l3", 2)
+
+
+def test_collision_check_rejects_a_link_the_network_lacks():
+    s = PeriodicSchedule(1, ((1,), (0,), (1,)))
+    with pytest.raises(InvalidNetworkError, match="unknown link 'zz'"):
+        is_collision_free_at(line_network(3, 1), s, "zz", 0)
 
 
 def test_collision_check_wraps_modulo_period(line41):

@@ -213,6 +213,13 @@ def test_enumeration_cap(monkeypatch, hyper_n4):
     assert next(gen) == 0
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5", "12 bits"])
+def test_cap_bits_that_is_not_an_int_names_the_variable(monkeypatch, line41, value):
+    monkeypatch.setenv("DELAYSCHED_CAP_BITS", value)
+    with pytest.raises(ValueError, match=f"DELAYSCHED_CAP_BITS must be an int, got '{value}'"):
+        build_window(line41, 1).check_cap()
+
+
 # Random draws whose window stays within 14 bits, so brute force is cheap.
 ORACLE_RANDOM_WINDOWS = [
     (seed, T, w)
