@@ -15,11 +15,12 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from numbers import Real
 from typing import Iterable, Iterator, Sequence
 
 from .network import Network
 from .schedgraph import SchedulingGraph, build_maximal
-from .window import check_block, check_window_length, link_row_masks
+from .window import check_block, check_int, link_row_masks
 
 __all__ = [
     "CycleSearchResult",
@@ -134,28 +135,18 @@ def closed_path_rate(path: Sequence[int], T: int, num_links: int) -> tuple[Fract
     A ``T`` that is not an int >= 1, or a block with a bit outside the
     ``num_links * T`` bits of a T-window, raises ValueError.
     """
-    check_window_length(T)
     for block in path:
         check_block(block, num_links, T)
     (numerator,), den = rate_numerators([path], T, num_links)
     return tuple(Fraction(c, den) for c in numerator)
 
 
-def _length(name: str, value: int, least: int) -> int:
-    """``value`` if it is an int (not a bool) >= ``least``, else ValueError."""
-    if type(value) is not int:
-        raise ValueError(f"bad {name} {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}")
-    return value
-
-
 def _stop_check(budget: float | None):
     """A search's stop check, started now: None without a budget."""
     if budget is None:
         return None
-    if not budget >= 0:
-        raise ValueError(f"budget must be a non-negative number of seconds, got {budget}")
+    if type(budget) is bool or not isinstance(budget, Real) or not budget >= 0:
+        raise ValueError(f"budget must be a non-negative number of seconds, got {budget!r}")
     at = time.monotonic() + budget
     return lambda: time.monotonic() > at
 
@@ -182,7 +173,7 @@ def johnson_cycles(
     out), the root's own step included; a search it stops is flagged
     incomplete.
     """
-    max_len = len(graph.vertices) if max_len is None else _length("max_len", max_len, 0)
+    max_len = len(graph.vertices) if max_len is None else check_int("max_len", max_len, 0)
     adj = graph.adjacency
     expired = _stop_check(budget)
     found: list[tuple[int, ...]] = []
@@ -395,7 +386,7 @@ def build_layered(network: Network, T: int, k: int) -> tuple[Rows, ...]:
     The successor rows between consecutive layers, keys and rows
     ascending; for k = 1 these are the maximal edge set's rows.
     """
-    _length("k", k, 1)
+    check_int("k", k, 1)
     *_, layers = _layer_chain(build_maximal(network, T).edges, k)
     return tuple(layers)
 
@@ -545,7 +536,7 @@ def algorithm_a(
     most ``k_max`` is dominated by some retained cycle.  The budget's
     clock starts before E* is built.
     """
-    _length("k_max", k_max, 0)
+    check_int("k_max", k_max, 0)
     expired = _stop_check(budget)
     return _search(_layer_chain(build_maximal(network, T).edges, k_max), expired)
 
@@ -562,7 +553,7 @@ def algorithm_b(
     length first; retained cycles are the dominance-maximal ones per length.
     The budget's clock starts before E* is built.
     """
-    _length("k_max", k_max, 0)
+    check_int("k_max", k_max, 0)
     expired = _stop_check(budget)
     rows = _rows(build_maximal(network, T).edges)
     return _search(([rows] * k for k in range(1, k_max + 1)), expired)

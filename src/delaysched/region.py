@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 from .cycles import closed_path_rate, pareto_filter, rate_numerators
 from .exactlp import dominating_combination, max_symmetric_scale
 from .network import Network, character, format_rate, is_binary, parse_rate
-from .window import block_from_rows, block_to_rows, build_window
+from .window import block_from_rows, block_to_rows, build_window, check_int
 
 __all__ = [
     "RegionDescription",
@@ -48,18 +48,12 @@ class RegionDescription:
             raise ValueError("every generator needs one rate per link")
         if len(set(self.links)) != len(self.links):
             raise ValueError(f"duplicate link names in {list(self.links)}")
-        _check_T(self.T)
-
-
-def _check_T(T) -> int:
-    """``T`` if it is an int (not a bool) >= 1, else ValueError."""
-    if type(T) is not int or T < 1:
-        raise ValueError(f"T must be an integer >= 1, got {T!r}")
-    return T
+        check_int("window length", self.T, 1)
 
 
 def region_regime(network: Network, T: int) -> str:
     """Whether cycle rates at this window length are achievable or only a bound."""
+    check_int("window length", T, 1)
     dstar = character(network)
     exact = T >= dstar if is_binary(network) else T >= 2 * dstar
     return "exact" if exact else "outer-bound"
@@ -89,6 +83,7 @@ def region_from_cycles(
     provenance: Mapping | None = None,
 ) -> RegionDescription:
     """Collapse a cycle set to the maximal rate vectors generating its hull."""
+    regime = region_regime(network, T)  # checks T before any work
     num_links = len(network.links)
     kept = pareto_filter(cycles, T, num_links)
     numerators, den = rate_numerators(kept, T, num_links)
@@ -99,7 +94,7 @@ def region_from_cycles(
     generators = tuple(tuple(Fraction(x, den) for x in rate) for rate in hull)
     witnesses = tuple(by_rate[rate] for rate in hull)
     prov = dict(provenance or {})
-    prov.setdefault("regime", region_regime(network, T))
+    prov.setdefault("regime", regime)
     return RegionDescription(network.links, T, generators, witnesses, prov)
 
 
@@ -202,7 +197,7 @@ def _as_list(value, what: str) -> list:
 
 def region_from_json(doc: Mapping) -> RegionDescription:
     links = tuple(str(l) for l in _as_list(doc["links"], "links"))
-    T = _check_T(doc["T"])
+    T = check_int("window length", doc["T"], 1)
     generators = []
     witnesses = []
     for entry in _as_list(doc["generators"], "generators"):

@@ -18,7 +18,7 @@ from typing import Mapping
 
 from .network import Network
 from .schedule import PeriodicSchedule
-from .window import build_window, check_block, check_window_length, join_pair, split_pair
+from .window import build_window, check_block, check_int, join_pair, split_pair
 
 __all__ = [
     "SchedulingGraph",
@@ -57,13 +57,11 @@ class MaximalEdgeGraph:
 
 
 def is_vertex(network: Network, block: int, T: int) -> bool:
-    check_window_length(T)
     check_block(block, len(network.links), T)
     return build_window(network, T).is_independent(block)
 
 
 def has_edge(network: Network, a: int, b: int, T: int) -> bool:
-    check_window_length(T)
     check_block(a, len(network.links), T)
     check_block(b, len(network.links), T)
     pair = join_pair(a, b, len(network.links) * T)
@@ -132,7 +130,7 @@ def build(network: Network, T: int) -> SchedulingGraph:
 
 def build_maximal(network: Network, T: int) -> MaximalEdgeGraph:
     """Compute the maximal edges via the doubled window's maximal sets."""
-    check_window_length(T)
+    check_int("window length", T, 1)
     double = build_window(network, 2 * T)
     nbits = len(network.links) * T
     pairs = sorted(split_pair(m, nbits) for m in double.maximal_independent_sets())
@@ -149,7 +147,7 @@ def schedule_is_path(network: Network, s: PeriodicSchedule, T: int) -> bool:
     link of the network, else ValueError.
     """
     num_links = len(network.links)
-    check_window_length(T)
+    check_int("window length", T, 1)
     double = build_window(network, 2 * T)
     nbits = num_links * T
     slabs = math.lcm(s.period, T) // T

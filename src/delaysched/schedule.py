@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .network import Network, character, is_binary
-from .window import bit_position, check_block
+from .window import bit_position, check_block, check_int
 
 __all__ = [
     "PeriodicSchedule",
@@ -37,8 +37,7 @@ class PeriodicSchedule:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if type(self.period) is not int or self.period < 1:
-            raise ValueError(f"bad period {self.period!r}")
+        check_int("period", self.period, 1)
         # Tuple rows keep the frozen schedule hashable and equal to its tuple form.
         object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
         for row in self.rows:
@@ -122,15 +121,13 @@ def build_framed_schedule(
     ``3 D* + 1`` otherwise, and every frame's link set must be independent
     in the static conflict structure; both are enforced.
     """
-    if type(T_F) is not int:
-        raise ValueError(f"bad frame length {T_F!r}")
+    check_int("frame length", T_F, 1)
     dstar = character(network)
     minimum = 2 * dstar + 1 if is_binary(network) else 3 * dstar + 1
     if T_F < minimum:
         raise ValueError(f"frame length {T_F} below minimum {minimum}")
     for _, repeats in frames:
-        if type(repeats) is not int or repeats < 0:
-            raise ValueError(f"bad repeat count {repeats!r}")
+        check_int("repeat count", repeats, 0)
     total_frames = sum(rep for _, rep in frames)
     if total_frames == 0:
         raise ValueError("frame list has no repeats")
@@ -184,9 +181,7 @@ def schedule_to_json(network: Network, s: PeriodicSchedule) -> dict:
 
 
 def schedule_from_json(network: Network, doc: Mapping) -> PeriodicSchedule:
-    period = doc["period"]
-    if type(period) is not int or period < 1:
-        raise ValueError(f"bad period {period!r}")
+    period = check_int("period", doc["period"], 1)
     active = doc.get("active", {})
     if not isinstance(active, Mapping):
         raise ValueError(f"bad active map {active!r}")

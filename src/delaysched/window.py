@@ -24,7 +24,7 @@ __all__ = [
     "block_from_rows",
     "block_to_rows",
     "check_block",
-    "check_window_length",
+    "check_int",
     "join_pair",
     "link_row_masks",
     "split_pair",
@@ -42,11 +42,27 @@ def bit_position(link_index: int, t: int, num_links: int, T: int) -> int:
     return (T - 1 - t) * num_links + (num_links - 1 - link_index)
 
 
+def check_int(name: str, value: int, least: int) -> int:
+    """``value`` if it is an int (not a bool) >= ``least``, else ValueError.
+
+    The one check of a window length, search length, period, frame length
+    or repeat count: delays are whole multiples of one timeslot, so each
+    of these counts slots or blocks.
+    """
+    if type(value) is not int:
+        raise ValueError(f"bad {name} {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return value
+
+
 def check_block(bits: int, num_links: int, T: int) -> None:
-    """Raise ValueError unless ``bits`` is a block of a T-window: not
-    negative, and no bit at or above ``num_links * T``."""
-    if bits < 0 or bits >> num_links * T:
-        raise ValueError(f"block {bits} is not a {num_links} x {T} block")
+    """Raise ValueError unless ``T`` is a window length and ``bits`` a block
+    of a T-window: an int (not a bool), not negative, and no bit at or
+    above ``num_links * T``."""
+    check_int("window length", T, 1)
+    if type(bits) is not int or bits < 0 or bits >> num_links * T:
+        raise ValueError(f"block {bits!r} is not a {num_links} x {T} block")
 
 
 def link_row_masks(num_links: int, T: int) -> list[int]:
@@ -57,6 +73,7 @@ def link_row_masks(num_links: int, T: int) -> list[int]:
 
 def block_from_rows(rows, T: int) -> int:
     """Pack per-link 0/1 strings (one per link, length T) into an int."""
+    check_int("window length", T, 1)
     L = len(rows)
     bits = 0
     for l, row in enumerate(rows):
@@ -246,14 +263,6 @@ def _certified(bits: int, certificates) -> bool:
     )
 
 
-def check_window_length(T: int) -> None:
-    """Raise ValueError unless ``T`` is an int (not a bool) >= 1."""
-    if type(T) is not int:
-        raise ValueError(f"window length must be an int, got {T!r}")
-    if T < 1:
-        raise ValueError("window length must be >= 1")
-
-
 def build_window(network: Network, T: int) -> WindowGraph:
     """Materialize the induced window graph on timeslots ``0..T-1``.
 
@@ -262,7 +271,7 @@ def build_window(network: Network, T: int) -> WindowGraph:
     induced-subgraph definition.  Masks are listed once each, by link name,
     then slot, then collision set in profile order.
     """
-    check_window_length(T)
+    check_int("window length", T, 1)
     L = len(network.links)
     masks = []
     for link in sorted(network.links):

@@ -1087,6 +1087,21 @@ def test_layered_search_rejects_a_bad_budget_before_building_estar(monkeypatch, 
         search(line41, 1, 4, budget=-1.0)
 
 
+@pytest.mark.parametrize("budget", [True, "1"], ids=repr)
+@pytest.mark.parametrize("search", [
+    algorithm_a, algorithm_b,
+    lambda net, T, k_max, budget: johnson_cycles(build(net, T), budget=budget),
+], ids=["algorithm_a", "algorithm_b", "johnson_cycles"])
+def test_search_rejects_a_budget_that_is_not_a_number(monkeypatch, line41, search, budget):
+    # True ran as a 1 s budget; a string failed inside the comparison.
+    def no_build(network, T):
+        raise AssertionError("E* built before the budget was checked")
+
+    monkeypatch.setattr(cycles_mod, "build_maximal", no_build)
+    with pytest.raises(ValueError, match="budget must be a non-negative number"):
+        search(line41, 1, 4, budget=budget)
+
+
 @pytest.mark.parametrize("search", [algorithm_a, algorithm_b])
 def test_layered_search_walks_paths_deeper_than_the_recursion_limit(search):
     # One link and no collisions: one path per length, every block the

@@ -26,7 +26,7 @@ from delaysched.window import (
 )
 
 from delaysched.network import is_binary
-from delaysched.region import window_symmetric_rate
+from delaysched.region import region_from_cycles, window_symmetric_rate
 from delaysched.schedgraph import build, build_maximal, schedule_is_path
 
 from conftest import hyper_chain, random_network
@@ -121,11 +121,13 @@ NOT_INT_WINDOWS = [True, 1.5, 2.0, "2", None]
 
 
 @pytest.mark.parametrize("T", NOT_INT_WINDOWS, ids=repr)
-@pytest.mark.parametrize("builder", [build_window, build, build_maximal, window_symmetric_rate],
-                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("builder", [
+    build_window, build, build_maximal, window_symmetric_rate,
+    lambda net, T: region_from_cycles(net, [], T),
+], ids=["build_window", "build", "build_maximal", "window_symmetric_rate", "region_from_cycles"])
 def test_a_window_length_that_is_not_an_int_is_rejected(builder, T):
     # A bool would run as T=1, a float would fail inside ``range``.
-    with pytest.raises(ValueError, match="window length must be an int"):
+    with pytest.raises(ValueError, match=f"bad window length {T!r}"):
         builder(line_network(4, 1), T)
 
 
@@ -135,10 +137,13 @@ def test_a_window_length_that_is_not_an_int_is_rejected(builder, T):
     lambda T: is_vertex(line_network(4, 1), 0, T),
     lambda T: has_edge(line_network(4, 1), 0, 0, T),
     lambda T: schedule_is_path(line_network(4, 1), schedule_from_closed_path([0, 0], 1, 4), T),
-], ids=["closed_path_rate", "is_vertex", "has_edge", "schedule_is_path"])
+    lambda T: schedule_from_closed_path([0, 0], T, 4),
+    lambda T: block_from_rows(["0"] * 4, T),
+], ids=["closed_path_rate", "is_vertex", "has_edge", "schedule_is_path",
+        "schedule_from_closed_path", "block_from_rows"])
 def test_a_block_function_rejects_a_window_length_that_is_not_an_int(call, T):
     # The length is checked before the blocks are, which would shift by a float.
-    with pytest.raises(ValueError, match="window length must be an int"):
+    with pytest.raises(ValueError, match=f"bad window length {T!r}"):
         call(T)
 
 
@@ -504,6 +509,15 @@ def test_check_block_takes_exactly_the_blocks_of_a_window():
         for bad in (-1, 1 << L * T, (1 << L * T + 3) | 1):
             with pytest.raises(ValueError, match=f"is not a {L} x {T} block"):
                 check_block(bad, L, T)
+
+
+@pytest.mark.parametrize("bits", [True, 1.0, "1"], ids=repr)
+def test_a_block_that_is_not_an_int_is_rejected(bits):
+    # A bool would pass as 1; a float or a string would fail inside the bit test.
+    with pytest.raises(ValueError, match="is not a 1 x 1 block"):
+        check_block(bits, 1, 1)
+    with pytest.raises(ValueError, match="is not a 1 x 1 block"):
+        closed_path_rate((bits, bits), 1, 1)
 
 
 def test_block_arguments_outside_the_window_are_rejected():
