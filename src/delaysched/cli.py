@@ -140,11 +140,7 @@ def _cmd_framed_region(args, net: Network) -> dict:
 
 
 def _cmd_verify_schedule(args, net: Network) -> dict:
-    sched_doc = _read_json(args.schedule)
-    try:
-        sched = schedule_from_json(net, sched_doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"bad schedule document: {exc}") from exc
+    sched = schedule_from_json(net, _read_json(args.schedule))
     diagnoses = [{"link": net.links[li], "t": t, "collision_free": free}
                  for li, t, free in active_slots(net, sched)]
     return {
@@ -240,11 +236,7 @@ def main(argv=None) -> int:
     command = COMMANDS[args.command]
     try:
         if command.reads == "region":
-            doc = _read_json(args.region)
-            try:
-                subject = reg.region_from_json(doc)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"bad region document: {exc}") from exc
+            subject = reg.region_from_json(_read_json(args.region))
             fingerprint = json_sha256(reg.region_to_json(subject))
         else:
             subject = (line_network(args.L, args.K) if command.reads == "line"

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .network import Network
 from .schedgraph import SchedulingGraph, build_maximal
-from .window import check_block, check_int, link_row_masks
+from .window import check_block, check_closed, check_int, link_row_masks
 
 __all__ = [
     "CycleSearchResult",
@@ -59,12 +59,12 @@ def dominates(a: Sequence[int], b: Sequence[int]) -> bool:
 
 
 def canonical_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
-    """Rotate a closed block sequence so the smallest block comes first.
+    """Rotate a closed block path so the smallest block comes first.
 
-    A tuple that already starts with its smallest block is returned as is.
+    A tuple that already starts with its smallest block is returned as is;
+    a sequence that is not closed raises ValueError (``check_closed``).
     """
-    if len(cycle) < 2 or cycle[0] != cycle[-1]:
-        raise ValueError("cycle is not closed")
+    check_closed("cycle", cycle)
     if type(cycle) is tuple and cycle[0] == min(cycle):
         return cycle
     return _rotations(tuple(cycle[1:-1]), [cycle[0]])[0]
@@ -90,11 +90,12 @@ def _packed_rates(
     field width ``den.bit_length() + 1``: one field per link, link 0
     lowest.  A path's scaled count is at most ``den`` on every link, so no
     field carries into the next and each field's top bit, its guard, is
-    clear.  Blocks are not checked: callers pass blocks of a
-    ``num_links x T`` window.
+    clear.  A path that is not closed raises ValueError (``check_closed``);
+    blocks are not checked: callers pass blocks of a ``num_links x T``
+    window.
     """
-    if any(len(p) < 2 or p[0] != p[-1] for p in paths):
-        raise ValueError("path is not closed")
+    for p in paths:
+        check_closed("path", p)
     masks = link_row_masks(num_links, T)
     lengths = {len(p) for p in paths}
     period = lcm(*(n - 1 for n in lengths))
@@ -132,8 +133,9 @@ def rate_numerators(
 def closed_path_rate(path: Sequence[int], T: int, num_links: int) -> tuple[Fraction, ...]:
     """Per-link average activation per timeslot of a closed block path.
 
-    A ``T`` that is not an int >= 1, or a block with a bit outside the
-    ``num_links * T`` bits of a T-window, raises ValueError.
+    A ``T`` that is not an int >= 1, a path that is not closed, or a block
+    with a bit outside the ``num_links * T`` bits of a T-window, raises
+    ValueError.
     """
     for block in path:
         check_block(block, num_links, T)

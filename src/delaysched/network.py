@@ -147,12 +147,16 @@ def apply_vertex_assignment(network: Network, b: Mapping[str, int]) -> Network:
 
     The resulting network is isomorphic to the input: same links, same
     collision profile, and entry ``(l, l')`` becomes ``d + b[l] - b[l']``.
-    Unspecified entries stay unspecified.  Every shift must be a non-bool
-    int: a float shift would make the delays floats.
+    Unspecified entries stay unspecified.  ``b`` names every link and
+    nothing else, and every shift must be a non-bool int: a float shift
+    would make the delays floats.
     """
     missing = [l for l in network.links if l not in b]
     if missing:
         raise InvalidNetworkError(f"vertex assignment missing links {missing}")
+    unknown = [l for l in b if l not in network.links]
+    if unknown:
+        raise InvalidNetworkError(f"vertex assignment names unknown links {unknown}")
     for l in network.links:
         if type(b[l]) is not int:
             raise InvalidNetworkError(f"vertex assignment shift of {l!r} is not an int: {b[l]!r}")

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 from .cycles import closed_path_rate, pareto_filter, rate_numerators
 from .exactlp import dominating_combination, max_symmetric_scale
 from .network import Network, character, format_rate, is_binary, parse_rate
-from .window import block_from_rows, block_to_rows, build_window, check_int
+from .window import block_from_rows, block_to_rows, build_window, check_closed, check_int
 
 __all__ = [
     "RegionDescription",
@@ -102,12 +102,16 @@ def achievability_certificate(region: RegionDescription,
                               rate: Sequence[Fraction]) -> list[Fraction] | None:
     """Weights of a convex combination of the generators dominating the rate, or None.
 
-    The first generator covering the rate is its own certificate (unit
+    Rate entries are ints, Fractions or "p/q" strings, read exactly; a
+    float entry, which holds only its binary value, raises TypeError.  The
+    first generator covering the rate is its own certificate (unit
     weight), and a coordinate above every generator's answers no, both
     without an LP.
     """
     if len(rate) != len(region.links):
         raise ValueError("rate dimension does not match region links")
+    if any(isinstance(r, float) for r in rate):
+        raise TypeError(f"rate entries must be int, Fraction or 'p/q' strings, got {rate!r}")
     rate = tuple(Fraction(r) for r in rate)
     gens = region.generators
     for i, gen in enumerate(gens):
@@ -196,32 +200,38 @@ def _as_list(value, what: str) -> list:
 
 
 def region_from_json(doc: Mapping) -> RegionDescription:
-    links = tuple(str(l) for l in _as_list(doc["links"], "links"))
-    T = check_int("window length", doc["T"], 1)
-    generators = []
-    witnesses = []
-    for entry in _as_list(doc["generators"], "generators"):
-        rate = tuple(parse_rate(r) for r in _as_list(entry["rate"], "rate"))
-        if not all(0 <= r <= 1 for r in rate):
-            raise ValueError(f"generator rate {entry['rate']} is not in [0, 1]")
-        generators.append(rate)
-        witness = entry.get("witness")
-        if witness is not None:
-            for rows in _as_list(witness, "witness"):
-                if len(_as_list(rows, "witness block")) != len(links):
-                    raise ValueError("every witness block needs one row per link")
-            witness = tuple(block_from_rows(rows, T) for rows in witness)
-            if len(witness) < 2 or witness[0] != witness[-1]:
-                raise ValueError("witness is not a closed block path")
-        witnesses.append(witness)
-    region = RegionDescription(
-        links, T, tuple(generators), tuple(witnesses), dict(doc.get("provenance", {}))
-    )
-    for rate, witness in zip(region.generators, region.witnesses):
-        if witness is None:
-            continue
-        made = closed_path_rate(witness, T, len(links))
-        if made != rate:
-            raise ValueError(f"witness rate {[format_rate(r) for r in made]} is not"
-                             f" its generator's {[format_rate(r) for r in rate]}")
-    return region
+    """Parse a region document; every witness must give its generator's rate.
+
+    Every malformed document, a missing key or a member of the wrong type
+    included, raises ValueError as ``bad region document: ...``.
+    """
+    try:
+        links = tuple(str(l) for l in _as_list(doc["links"], "links"))
+        T = check_int("window length", doc["T"], 1)
+        generators = []
+        witnesses = []
+        for entry in _as_list(doc["generators"], "generators"):
+            rate = tuple(parse_rate(r) for r in _as_list(entry["rate"], "rate"))
+            if not all(0 <= r <= 1 for r in rate):
+                raise ValueError(f"generator rate {entry['rate']} is not in [0, 1]")
+            generators.append(rate)
+            witness = entry.get("witness")
+            if witness is not None:
+                for rows in _as_list(witness, "witness"):
+                    if len(_as_list(rows, "witness block")) != len(links):
+                        raise ValueError("every witness block needs one row per link")
+                witness = check_closed("witness", tuple(block_from_rows(b, T) for b in witness))
+            witnesses.append(witness)
+        region = RegionDescription(
+            links, T, tuple(generators), tuple(witnesses), dict(doc.get("provenance", {}))
+        )
+        for rate, witness in zip(region.generators, region.witnesses):
+            if witness is None:
+                continue
+            made = closed_path_rate(witness, T, len(links))
+            if made != rate:
+                raise ValueError(f"witness rate {[format_rate(r) for r in made]} is not"
+                                 f" its generator's {[format_rate(r) for r in rate]}")
+        return region
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise ValueError(f"bad region document: {exc}") from exc

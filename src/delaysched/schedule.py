@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .network import Network, character, is_binary
-from .window import bit_position, check_block, check_int
+from .window import bit_position, check_block, check_closed, check_int
 
 __all__ = [
     "PeriodicSchedule",
@@ -51,17 +51,24 @@ class PeriodicSchedule:
 
     def slab(self, T: int, k: int, num_links: int) -> int:
         """Columns ``kT .. (k+1)T - 1`` as a block int; ``num_links`` must be the row count."""
-        if len(self.rows) != num_links:
-            raise ValueError(f"schedule has {len(self.rows)} rows for {num_links} links")
+        _check_rows(self, num_links)
         return sum(self.active(l, k * T + j) << bit_position(l, j, num_links, T)
                    for l in range(num_links) for j in range(T))
+
+
+def _check_rows(s: PeriodicSchedule, num_links: int) -> None:
+    # The one row-count check of every function reading a schedule against a network.
+    if len(s.rows) != num_links:
+        raise ValueError(f"schedule has {len(s.rows)} rows for {num_links} links")
 
 
 def is_collision_free_at(network: Network, s: PeriodicSchedule, link: str, t: int) -> bool:
     """True iff every collision set of ``link`` has an inactive member at its offset.
 
-    A link the network does not have raises InvalidNetworkError.
+    A link the network does not have raises InvalidNetworkError, and a
+    schedule without one row per link of the network ValueError.
     """
+    _check_rows(s, len(network.links))
     network.link_index(link)
     for phi in network.profile(link):
         if all(
@@ -78,8 +85,7 @@ def active_slots(network: Network, s: PeriodicSchedule) -> Iterator[tuple[int, i
     Links come in network order, slots ascending.  The schedule must have
     one row per link of the network, else ValueError.
     """
-    if len(s.rows) != len(network.links):
-        raise ValueError(f"schedule has {len(s.rows)} rows for {len(network.links)} links")
+    _check_rows(s, len(network.links))
     return (
         (li, t, is_collision_free_at(network, s, link, t))
         for li, link in enumerate(network.links)
@@ -154,14 +160,12 @@ def build_framed_schedule(
 def schedule_from_closed_path(path: Sequence[int], T: int, num_links: int) -> PeriodicSchedule:
     """Period ``k*T`` schedule whose i-th length-T slab is the i-th block.
 
-    ``path`` is a closed block sequence (first equals last); the closing
-    block is not repeated in the period.  A block with a bit outside the
-    ``num_links * T`` bits of a T-window raises ValueError.
+    ``path`` is a closed block path (``check_closed``); the closing block
+    is not repeated in the period.  A path that is not closed, or a block
+    with a bit outside the ``num_links * T`` bits of a T-window, raises
+    ValueError.
     """
-    if len(path) < 2:
-        raise ValueError("closed path needs at least two entries")
-    if path[0] != path[-1]:
-        raise ValueError("path is not closed")
+    check_closed("path", path)
     for block in path:
         check_block(block, num_links, T)
     rows = [[b >> bit_position(l, t, num_links, T) & 1 for b in path[:-1] for t in range(T)]
@@ -170,6 +174,8 @@ def schedule_from_closed_path(path: Sequence[int], T: int, num_links: int) -> Pe
 
 
 def schedule_to_json(network: Network, s: PeriodicSchedule) -> dict:
+    """The schedule's document: its period and each active link's active slots."""
+    _check_rows(s, len(network.links))
     return {
         "period": s.period,
         "active": {
@@ -181,15 +187,23 @@ def schedule_to_json(network: Network, s: PeriodicSchedule) -> dict:
 
 
 def schedule_from_json(network: Network, doc: Mapping) -> PeriodicSchedule:
-    period = check_int("period", doc["period"], 1)
-    active = doc.get("active", {})
-    if not isinstance(active, Mapping):
-        raise ValueError(f"bad active map {active!r}")
-    rows = [[0] * period for _ in network.links]
-    for link, slots in active.items():
-        li = network.link_index(link)
-        for t in slots:
-            if type(t) is not int:
-                raise ValueError(f"bad slot {t!r} for link {link!r}")
-            rows[li][t % period] = 1
-    return PeriodicSchedule(period, rows)
+    """Parse a schedule document against ``network``.
+
+    Every malformed document, a missing key or a member of the wrong type
+    included, raises ValueError as ``bad schedule document: ...``.
+    """
+    try:
+        period = check_int("period", doc["period"], 1)
+        active = doc.get("active", {})
+        if not isinstance(active, Mapping):
+            raise ValueError(f"bad active map {active!r}")
+        rows = [[0] * period for _ in network.links]
+        for link, slots in active.items():
+            li = network.link_index(link)
+            for t in slots:
+                if type(t) is not int:
+                    raise ValueError(f"bad slot {t!r} for link {link!r}")
+                rows[li][t % period] = 1
+        return PeriodicSchedule(period, rows)
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise ValueError(f"bad schedule document: {exc}") from exc

@@ -24,6 +24,7 @@ __all__ = [
     "block_from_rows",
     "block_to_rows",
     "check_block",
+    "check_closed",
     "check_int",
     "join_pair",
     "link_row_masks",
@@ -63,6 +64,17 @@ def check_block(bits: int, num_links: int, T: int) -> None:
     check_int("window length", T, 1)
     if type(bits) is not int or bits < 0 or bits >> num_links * T:
         raise ValueError(f"block {bits!r} is not a {num_links} x {T} block")
+
+
+def check_closed(name: str, path):
+    """``path`` if it is a closed block path, else ValueError.
+
+    The one check of a witness, cycle or schedule path: at least two
+    blocks, the last equal to the first.  Its blocks are not checked.
+    """
+    if len(path) < 2 or path[0] != path[-1]:
+        raise ValueError(f"{name} is not a closed block path")
+    return path
 
 
 def link_row_masks(num_links: int, T: int) -> list[int]:

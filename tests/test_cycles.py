@@ -87,7 +87,7 @@ def test_canonical_cycle_rotation():
 
 @pytest.mark.parametrize("cycle", [(), [], (5,), (1, 2), [1, 2, 3]])
 def test_canonical_cycle_rejects_open_sequences(cycle):
-    with pytest.raises(ValueError, match="cycle is not closed"):
+    with pytest.raises(ValueError, match="cycle is not a closed block path"):
         canonical_cycle(cycle)
 
 
@@ -1490,7 +1490,7 @@ def test_rate_numerators_match_the_per_link_sum():
     ones = (1 << 12) - 1
     assert rate_numerators([(ones,) * 7, (ones, ones)], 3, 4) == ([(18,) * 4] * 2, 18)
     assert rate_numerators([], 2, 3) == ([], 2)
-    with pytest.raises(ValueError, match="path is not closed"):
+    with pytest.raises(ValueError, match="path is not a closed block path"):
         rate_numerators([(1, 1), (1, 2)], 1, 2)
 
 

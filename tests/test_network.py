@@ -241,6 +241,12 @@ def test_apply_vertex_assignment_requires_all_links(line41):
         apply_vertex_assignment(line41, {"l1": 1})
 
 
+def test_apply_vertex_assignment_rejects_a_name_that_is_no_link():
+    b = {"l1": 0, "l2": 0, "l3": 0, "zz": 1}
+    with pytest.raises(InvalidNetworkError, match=r"names unknown links \['zz'\]"):
+        apply_vertex_assignment(line_network(3, 1), b)
+
+
 @pytest.mark.parametrize("shift", [0.5, 1.0, True, "1", None], ids=repr)
 def test_apply_vertex_assignment_rejects_a_shift_that_is_not_an_int(line41, shift):
     # A float shift would give float delays, which build and gcd_reduce reject late.

@@ -58,7 +58,7 @@ def test_rate_of_closed_path_reference():
     assert closed_path_rate((0, 0), 1, 4) == (F(0),) * 4
     assert closed_path_rate((v(5), v(8), v(7), v(6), v(5)), 1, 4) == R4
     assert closed_path_rate((v(2), v(2)), 1, 4) == R1
-    with pytest.raises(ValueError, match="not closed"):
+    with pytest.raises(ValueError, match="path is not a closed block path"):
         closed_path_rate((v(2), v(3)), 1, 4)
 
 
@@ -186,6 +186,18 @@ def test_is_achievable_answers_trivial_queries_without_an_lp(monkeypatch, cycle_
     for region, rate in [(cycle_region, (F(0),) * 3), (empty, (F(0),))]:
         with pytest.raises(ValueError, match="rate dimension does not match region links"):
             is_achievable(region, rate)
+
+
+def test_membership_rejects_a_float_rate_entry():
+    # 0.1 is read at its binary value, just above 1/10, so it would answer no.
+    region = RegionDescription(("a",), 1, ((F(1, 10),),), (None,), {})
+    assert is_achievable(region, ("1/10",)) and is_achievable(region, (F(1, 10),))
+    assert is_achievable(region, (0,))
+    for rate in [(0.1,), (0.0,)]:
+        with pytest.raises(TypeError, match="rate entries must be int, Fraction or 'p/q'"):
+            is_achievable(region, rate)
+        with pytest.raises(TypeError, match="rate entries must be int, Fraction or 'p/q'"):
+            achievability_certificate(region, rate)
 
 
 def test_framed_region_reference(line41):

@@ -145,10 +145,10 @@ def test_schedule_from_closed_path_shapes():
     assert zero.period == 2 and zero.rows == ((0, 0),) * 3
     const = schedule_from_closed_path((v(6), v(6)), 1, 4)
     assert const.period == 1 and const.rows == ((1,), (1,), (0,), (0,))
-    with pytest.raises(ValueError, match="not closed"):
+    with pytest.raises(ValueError, match="path is not a closed block path"):
         schedule_from_closed_path((v(5), v(6)), 1, 4)
     for short in ((), (v(5),)):
-        with pytest.raises(ValueError, match="closed path needs at least two entries"):
+        with pytest.raises(ValueError, match="path is not a closed block path"):
             schedule_from_closed_path(short, 1, 4)
 
 
@@ -346,6 +346,24 @@ def test_schedule_rows_must_match_the_network_links(line41, count):
                   lambda: rate_vector(line41, s), lambda: schedule_is_path(line41, s, 1)):
         with pytest.raises(ValueError, match=f"schedule has {count} rows for 4 links"):
             check()
+
+
+@pytest.mark.parametrize("count", [2, 4], ids=["fewer", "more"])
+@pytest.mark.parametrize("read", [
+    lambda net, s: is_collision_free_at(net, s, "l2", 0),  # reads l3's row
+    lambda net, s: list(active_slots(net, s)),
+    verify,
+    rate_vector,
+    schedule_to_json,
+    lambda net, s: s.slab(1, 0, len(net.links)),
+], ids=["is_collision_free_at", "active_slots", "verify", "rate_vector", "schedule_to_json",
+        "slab"])
+def test_every_schedule_reader_checks_the_row_count(read, count):
+    # Fewer rows once read past the last one; more were answered or dropped.
+    net = line_network(3, 1)
+    s = PeriodicSchedule(2, ((1, 0), (0, 1), (0, 0), (1, 1))[:count])
+    with pytest.raises(ValueError, match=f"schedule has {count} rows for 3 links"):
+        read(net, s)
 
 
 @pytest.mark.parametrize("num_links", [1, 3], ids=["fewer", "more"])

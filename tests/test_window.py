@@ -21,6 +21,7 @@ from delaysched.window import (
     block_from_rows,
     block_to_rows,
     check_block,
+    check_closed,
     join_pair,
     split_pair,
 )
@@ -500,6 +501,14 @@ def test_free_vertices_start_in_every_maximal_set():
     # One free link over 1,200 bits: a single level, not one per bit.
     lone = build_window(make_network(["a"], {}, {}), 1200)
     assert lone.maximal_independent_sets() == [(1 << 1200) - 1]
+
+
+def test_check_closed_takes_exactly_the_closed_paths():
+    for path in [(0, 0), [5, 3, 5], (7,) * 4]:
+        assert check_closed("path", path) is path
+    for path in [(), [], (5,), (1, 2), [1, 2, 3]]:
+        with pytest.raises(ValueError, match="^witness is not a closed block path$"):
+            check_closed("witness", path)
 
 
 def test_check_block_takes_exactly_the_blocks_of_a_window():
