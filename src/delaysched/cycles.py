@@ -14,6 +14,7 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import lcm
 from numbers import Real
 from typing import Iterable, Iterator, Sequence
@@ -477,6 +478,41 @@ def _rotations(mid: tuple[int, ...], wraps: Iterable[int]) -> list[tuple[int, ..
     return [(w, *mid, w) if w <= lo else (*head, w, *tail, lo) for w in wraps]
 
 
+def _interiors(
+    layers: Sequence[Rows],
+) -> Iterator[tuple[tuple[int, ...], Sequence[int], Sequence[int]]]:
+    """The paths through a chain of successor rows, one interior at a time.
+
+    Yields ``(mid, heads, tails)``: the paths through the interior
+    ``mid = (p1, ..., p(k-1))`` are ``(p0, *mid, pk)`` for each p0 in
+    ``heads``, the first layer's predecessors of p1, and each pk in
+    ``tails``, the last layer's successors of p(k-1).  Together they are
+    the paths ``iter_layered_paths(layers)`` yields, each once.  The first
+    layer is indexed by successor, and each interior is walked once through
+    the middle layers by ``iter_layered_paths``, so without recursion.  For
+    k = 1 the interior is empty, and each first-layer row is a group of its
+    own, with its key the one head.
+    """
+    if len(layers) == 1:
+        for p0, row in layers[0].items():
+            yield (), (p0,), row
+        return
+    heads: dict[int, list[int]] = defaultdict(list)
+    for p0, row in layers[0].items():
+        for p1 in row:
+            heads[p1].append(p0)
+    *middle, last = layers[1:]
+    if middle:
+        starts = {p1: row for p1, row in middle[0].items() if p1 in heads}
+        mids = iter_layered_paths([starts, *middle[1:]])
+    else:
+        mids = ((p1,) for p1 in heads)
+    for mid in mids:
+        tails = last.get(mid[-1])
+        if tails:
+            yield mid, heads[mid[0]], tails
+
+
 def _search(layer_seqs, expired) -> CycleSearchResult:
     """Extract, filter, rotate and retain the cycles of each chain of
     successor rows.
@@ -485,7 +521,6 @@ def _search(layer_seqs, expired) -> CycleSearchResult:
     length is retained before the next is walked.  The stop check
     ``expired`` (None for no budget) is tested before each path, so a cut
     run retains every shorter length in full and the cut one in part.
-    Paths of one length share a memo of their repeated-block tuples.
 
     Every extracted cycle is ``(w, m1, ..., w)``: its wrap block ``w``
     first and last, its interior between.  Of the distinct raw cycles with
@@ -497,21 +532,38 @@ def _search(layer_seqs, expired) -> CycleSearchResult:
     retention's order, and whatever kept cycle covers that one covers the
     dropped cycle too.  A dropped cycle is never kept, so it covers nothing
     that is not covered anyway.
+
+    A length is walked interior by interior (``_interiors``), so no set of
+    a whole length's raw cycles is held.  The paths of one interior share
+    a memo of their repeated-block tuples (every memo key holds the
+    interior, so no hit is lost) and a set of their raw cycles, whose
+    wraps are reduced to the maximal ones before the next interior is
+    walked.  A path that repeats a block can give a cycle with another
+    interior (bits were cleared); its wrap joins that interior's list, and
+    every list is reduced once more when the length is done.
     """
     kept: list[tuple[int, ...]] = []
     complete = True
     for layers in layer_seqs:
-        raw: set[tuple[int, ...]] = set()
-        memo: dict[tuple[int, ...], frozenset[tuple[int, ...]]] = {}
-        for path in iter_layered_paths(layers):
-            if expired and expired():
-                complete = False
-                break
-            raw.update(path_to_cycles(path, memo=memo))
         wraps: dict[tuple[int, ...], list[int]] = defaultdict(list)
-        for c in raw:
-            wraps[c[1:-1]].append(c[0])
-        del raw, memo
+        for mid, heads, tails in _interiors(layers):
+            raw: set[tuple[int, ...]] = set()
+            memo: dict[tuple[int, ...], frozenset[tuple[int, ...]]] = {}
+            for p0, pk in product(heads, tails):
+                if expired and expired():
+                    complete = False
+                    break
+                raw.update(path_to_cycles((p0, *mid, pk), memo=memo))
+            own = []
+            for c in raw:
+                if c[1:-1] == mid:
+                    own.append(c[0])
+                else:
+                    wraps[c[1:-1]].append(c[0])
+            if own:
+                wraps[mid] += _maximal(own) if len(own) > 1 else own
+            if not complete:
+                break
         group = set()
         for mid, ws in wraps.items():
             if len(ws) > 1:

@@ -315,9 +315,15 @@ def format_rate(value: Fraction) -> str:
 
 
 def parse_rate(text: str) -> Fraction:
-    """A "p/q" (or decimal) string as a Fraction; ValueError for anything else."""
+    """A "p/q" (or decimal) string as a Fraction; ValueError for anything else.
+
+    Exponent notation is refused before ``Fraction`` reads it, since it
+    computes ``10**exponent`` exactly: "1e10000000" took seconds.
+    """
     if not isinstance(text, str):
         raise ValueError(f"rate must be a string, got {text!r}")
+    if "e" in text or "E" in text:
+        raise ValueError(f"rate {text!r} uses exponent notation")
     try:
         return Fraction(text.strip())
     except ZeroDivisionError as exc:

@@ -205,5 +205,5 @@ def schedule_from_json(network: Network, doc: Mapping) -> PeriodicSchedule:
                     raise ValueError(f"bad slot {t!r} for link {link!r}")
                 rows[li][t % period] = 1
         return PeriodicSchedule(period, rows)
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
         raise ValueError(f"bad schedule document: {exc}") from exc

@@ -2,8 +2,9 @@ import hashlib
 import inspect
 import random
 import sys
+import tracemalloc
 from array import array
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import chain, count, product
 from math import lcm
@@ -30,6 +31,7 @@ from delaysched import (
     make_network,
     pareto_filter,
     path_to_cycles,
+    region_from_cycles,
     validate,
 )
 from delaysched import cycles as cycles_mod
@@ -1152,6 +1154,72 @@ def test_layered_searches_match_unfiltered_retention_on_random_networks(search):
                 assert search(net, T, k) == _ref_search(net, T, chains[:k]), (seed, T, k)
     assert checked >= 100 and hyper >= 20
 
+
+
+@pytest.mark.parametrize("search", [algorithm_a, algorithm_b])
+def test_layered_searches_extract_each_walked_path_once(monkeypatch, search):
+    # A length is walked interior by interior, yet extraction is handed the
+    # paths the plain walk yields, each as often as the walk yields it.
+    # Draws with more than 5,000 paths of length 3 are left to the ladder.
+    handed = Counter()
+
+    def extract(path, **kwargs):
+        handed[path] += 1
+        return path_to_cycles(path, **kwargs)
+
+    def check(net, T, chains):
+        handed.clear()
+        search(net, T, len(chains))
+        assert handed == Counter(p for layers in chains for p in iter_layered_paths(layers))
+
+    monkeypatch.setattr(cycles_mod, "path_to_cycles", extract)
+    for L, T, k in LADDER_RUNGS:
+        net = line_network(L, 1)
+        check(net, T, _chains(search, net, T, k))
+    checked = hyper = 0
+    for seed in range(9400, 9440):
+        net = random_network(random.Random(seed))
+        for T in (1, 2):
+            chains = _chains(search, net, T, 3)
+            if count_layered_paths(chains[-1]) <= 5000:
+                check(net, T, chains)
+                checked += 1
+                hyper += not is_binary(net)
+    assert checked >= 60 and hyper >= 10
+
+
+@pytest.mark.parametrize("net, T, k", [
+    (line_network(4, 1), 2, 4),
+    (hyper_chain(4), 2, 3),
+], ids=["line-L4-T2-k4", "hyper-chain4-T2-k3"])
+def test_layered_search_memory_peak(net, T, k):
+    # No set of a whole length's raw cycles is held: with one, the peak of
+    # these two searches was 2.6 and 2.2 MB; walked by interior, 0.7 MB.
+    tracemalloc.start()
+    try:
+        algorithm_a(net, T, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
+
+
+@pytest.mark.parametrize("search", [algorithm_a, algorithm_b])
+def test_time_reversal_keeps_the_region(search):
+    # Negating every delay reverses every schedule in time, which keeps its
+    # rate.  The layered cover is not symmetric in time, so the searches
+    # walk other layers on the reversal, and must still find the same region.
+    hyper = 0
+    for seed in range(120):
+        net = random_network(random.Random(seed))
+        rev = make_network(net.links, net.collisions, {p: -d for p, d in net.delays.items()})
+        hyper += not is_binary(net)
+        for T in (1, 2) if seed < 30 else (1,):
+            for k in (1, 2, 3):
+                assert (region_from_cycles(net, search(net, T, k).cycles, T).generators
+                        == region_from_cycles(rev, search(rev, T, k).cycles, T).generators), (
+                    seed, T, k)
+    assert hyper >= 30
 
 def _raw_and_groups(monkeypatch, search, net, T, k):
     """The raw cycles each length extracts and the group it hands to retention."""

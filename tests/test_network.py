@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -366,6 +367,21 @@ def test_parse_rate_rejects_a_zero_denominator(text):
 def test_parse_rate_rejects_a_non_string(value):
     with pytest.raises(ValueError, match="rate must be a string"):
         parse_rate(value)
+
+
+@pytest.mark.parametrize("text", ["1e1000000", "1E-5", " 2.5e3 ", "3/4e2"])
+def test_parse_rate_refuses_exponent_notation(text):
+    # Fraction computes 10**exponent exactly, so "1e1000000" took 0.36 s.
+    with pytest.raises(ValueError, match="exponent notation"):
+        parse_rate(text)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("3/4", Fraction(3, 4)), (" -1/2 ", Fraction(-1, 2)), ("2", Fraction(2)),
+    ("0.25", Fraction(1, 4)), ("1.", Fraction(1)),
+])
+def test_parse_rate_takes_fractions_and_plain_decimals(text, want):
+    assert parse_rate(text) == want
 
 
 def test_malformed_documents_rejected():
