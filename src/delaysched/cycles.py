@@ -358,7 +358,10 @@ def _maximal(masks: Iterable[int]) -> list[int]:
     vectors (Kung, Luccio & Preparata, JACM 1975), one bit per coordinate.
 
     They are taken by decreasing popcount, so a strict superset of a mask
-    comes before it; a mask is kept unless a kept one covers it.
+    comes before it; a mask is kept unless a kept one covers it.  The
+    order also puts the widest kept masks first in the cover loop, so a
+    covered mask tends to stop at its first test.  Plain decreasing int
+    order puts every dominator first too, but measured no faster.
     """
     kept: list[int] = []
     for m in sorted(masks, key=int.bit_count, reverse=True):
@@ -536,11 +539,12 @@ def _search(layer_seqs, expired) -> CycleSearchResult:
     A length is walked interior by interior (``_interiors``), so no set of
     a whole length's raw cycles is held.  The paths of one interior share
     a memo of their repeated-block tuples (every memo key holds the
-    interior, so no hit is lost) and a set of their raw cycles, whose
-    wraps are reduced to the maximal ones before the next interior is
-    walked.  A path that repeats a block can give a cycle with another
-    interior (bits were cleared); its wrap joins that interior's list, and
-    every list is reduced once more when the length is done.
+    interior, so no hit is lost) and a set of their raw cycles.  Every raw
+    cycle's wrap joins the list of its own interior, which is the walked
+    one unless a repeated block had bits cleared; the walked interior's
+    list is then reduced to its maximal wraps before the next interior is
+    walked.  A wrap can join an interior's list after that interior was
+    walked, so every list is reduced once more when the length is done.
     """
     kept: list[tuple[int, ...]] = []
     complete = True
@@ -554,14 +558,10 @@ def _search(layer_seqs, expired) -> CycleSearchResult:
                     complete = False
                     break
                 raw.update(path_to_cycles((p0, *mid, pk), memo=memo))
-            own = []
             for c in raw:
-                if c[1:-1] == mid:
-                    own.append(c[0])
-                else:
-                    wraps[c[1:-1]].append(c[0])
-            if own:
-                wraps[mid] += _maximal(own) if len(own) > 1 else own
+                wraps[c[1:-1]].append(c[0])
+            if len(wraps.get(mid, ())) > 1:
+                wraps[mid] = _maximal(wraps[mid])
             if not complete:
                 break
         group = set()

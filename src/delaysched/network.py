@@ -23,6 +23,7 @@ __all__ = [
     "validate",
     "is_binary",
     "character",
+    "span_slots",
     "apply_vertex_assignment",
     "collision_support",
     "gcd_reduce",
@@ -135,6 +136,21 @@ def _support_pairs(network: Network):
 def character(network: Network) -> int:
     """Maximum absolute delay over the collision support (0 if empty)."""
     return max((abs(network.delay(l, lp)) for l, lp in _support_pairs(network)), default=0)
+
+
+def span_slots(network: Network) -> int:
+    """S: one less than the most slots any collision set spans with its link.
+
+    A collision set of ``l`` spans ``max - min + 1`` slots over ``{0}``
+    and its delays ``d(l, l')``; S is 0 with no collision set.  S equals
+    D* on binary profiles and is at most 2 D* on any.
+    """
+    spans = [0]
+    for link in network.links:
+        for phi in network.profile(link):
+            offsets = [0, *(network.delay(link, lp) for lp in phi)]
+            spans.append(max(offsets) - min(offsets))
+    return max(spans)
 
 
 def collision_support(network: Network) -> dict[str, frozenset[str]]:

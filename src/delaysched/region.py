@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .cycles import closed_path_rate, pareto_filter, rate_numerators
 from .exactlp import dominating_combination, max_symmetric_scale
-from .network import Network, character, format_rate, is_binary, parse_rate
+from .network import Network, character, format_rate, parse_rate, span_slots
 from .window import block_from_rows, block_to_rows, build_window, check_closed, check_int
 
 __all__ = [
@@ -52,11 +52,16 @@ class RegionDescription:
 
 
 def region_regime(network: Network, T: int) -> str:
-    """Whether cycle rates at this window length are achievable or only a bound."""
+    """Whether cycle rates at this window length are achievable or only a bound.
+
+    ``exact`` iff ``T >= span_slots(network)``: every collision set, which
+    spans at most ``T + 1`` slots with its link, then fits inside two
+    consecutive T-blocks wherever it starts, so the scheduling graph's
+    edges check every collision and each cycle is a collision-free
+    schedule.
+    """
     check_int("window length", T, 1)
-    dstar = character(network)
-    exact = T >= dstar if is_binary(network) else T >= 2 * dstar
-    return "exact" if exact else "outer-bound"
+    return "exact" if T >= span_slots(network) else "outer-bound"
 
 
 def _drop_convex_redundant(rates: list[tuple[int, ...]]) -> list[tuple[int, ...]]:

@@ -50,7 +50,11 @@ class PeriodicSchedule:
         return self.rows[link_index][t % self.period]
 
     def slab(self, T: int, k: int, num_links: int) -> int:
-        """Columns ``kT .. (k+1)T - 1`` as a block int; ``num_links`` must be the row count."""
+        """Columns ``kT .. (k+1)T - 1`` as a block int; ``num_links`` must be the row count.
+
+        ``T`` is a window length (``check_int``); ``k`` is any int slab index.
+        """
+        check_int("window length", T, 1)
         _check_rows(self, num_links)
         return sum(self.active(l, k * T + j) << bit_position(l, j, num_links, T)
                    for l in range(num_links) for j in range(T))

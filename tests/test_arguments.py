@@ -1,5 +1,6 @@
 """Every public callable that takes a window length, search length, period or
 frame length checks it through ``window.check_int``, or is exempt by name.
+The public methods of exported classes count too, as ``Class.method``.
 
 A new public function with one of these parameters fails
 ``test_every_count_parameter_is_checked_or_exempt`` until it joins one table.
@@ -67,6 +68,7 @@ CHECKED = {
     ("region_from_cycles", "T"): lambda v: region_from_cycles(LINE, [], v),
     ("window_symmetric_rate", "T"): lambda v: window_symmetric_rate(LINE, v),
     ("region_regime", "T"): lambda v: region_regime(LINE, v),
+    ("PeriodicSchedule.slab", "T"): lambda v: PeriodicSchedule(2, [[1, 0], [0, 1]]).slab(v, 0, 2),
 }
 
 EXEMPT = {
@@ -76,15 +78,26 @@ EXEMPT = {
     ("WindowGraph", "T"): "a record that build_window fills after checking T",
     ("rate_numerators", "T"): "hot path over blocks its caller vouches for, T included",
     ("pareto_filter", "T"): "hot path over blocks its caller vouches for, T included",
+    ("PeriodicSchedule.slab", "k"): "a slab index: any int",
 }
 
 
-def _count_parameters():
-    found = set()
+def _public_callables():
+    """Every exported callable, and every public method an exported class defines."""
     for name in delaysched.__all__:
         obj = getattr(delaysched, name)
         if not callable(obj):
             continue
+        yield name, obj
+        if inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if not attr.startswith("_") and inspect.isfunction(member):
+                    yield f"{name}.{attr}", member
+
+
+def _count_parameters():
+    found = set()
+    for name, obj in _public_callables():
         try:
             params = inspect.signature(obj).parameters
         except ValueError:  # an exception class takes no such parameter

@@ -824,6 +824,21 @@ def test_antichain_layer_step_matches_quadratic_step():
     assert hyper >= 10 and steps == 3 + 2 + 40 * 2
 
 
+def test_maximal_masks_match_the_quadratic_maxima():
+    # The distinct masks that no other mask strictly contains, by pairwise
+    # scan; inputs with duplicates, zeros, nested chains and no mask at all.
+    rng = random.Random(7300)
+    cases = [[], [0], [0, 0], [5, 5, 1], [1, 3, 7, 7, 3]]
+    for _ in range(400):
+        bits = rng.randint(1, 10)
+        pool = [rng.getrandbits(bits) for _ in range(rng.randint(1, 8))]
+        cases.append([rng.choice(pool) for _ in range(rng.randint(1, 25))])
+    for masks in cases:
+        ref = sorted({m for m in masks if not any(o != m and o & m == m for o in masks)})
+        assert sorted(_maximal(masks)) == ref
+        assert sorted(_maximal(iter(masks))) == ref
+
+
 def _ref_per_pair_next_layer(uprime_rows, into):
     """The layer step before keys were grouped by row: one maxima pass per
     pair of keys."""

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,10 +20,13 @@ from delaysched import (
     make_network,
     network_from_json,
     network_to_json,
+    span_slots,
     validate,
 )
 from delaysched import network as network_mod, window as window_mod
 from delaysched.network import parse_rate
+
+from conftest import random_network
 
 
 def test_error_types_are_importable_from_the_package_with_their_bases():
@@ -216,6 +220,30 @@ def test_character_hyper_and_degenerate(hyper_n4):
     zero = make_network(["a", "b"], {"a": [["b"]]}, {("a", "b"): 0})
     assert character(zero) == 0
     assert character(make_network(["a"], {}, {})) == 0
+
+
+def test_span_slots_reference(line41, hyper_n4):
+    # One less than the most slots a collision set spans with its own link.
+    assert span_slots(line41) == character(line41) == 1
+    assert span_slots(hyper_n4) == 2 * character(hyper_n4) == 2  # offsets -1 and +1
+    assert span_slots(make_network(["a"], {}, {})) == 0
+    assert span_slots(make_network(["a", "b"], {"a": [["b"]]}, {("a", "b"): 0})) == 0
+    # b with {a, c} at +1 and +2: slots 0..2, so S = 2 = D*, where 2 D* = 4.
+    chain = make_network(["a", "b", "c", "d"], {"b": [["a", "c"]], "c": [["b", "d"]]},
+                         {("b", "a"): 1, ("b", "c"): 2, ("c", "b"): 1, ("c", "d"): 2})
+    assert span_slots(chain) == character(chain) == 2
+    # A set's span counts its link's own slot: {b} at +3 alone spans 0..3.
+    far = make_network(["a", "b", "c"], {"a": [["b", "c"]]}, {("a", "b"): 3, ("a", "c"): 1})
+    assert span_slots(far) == 3
+
+
+def test_span_slots_is_the_character_on_binary_profiles_and_at_most_twice_it():
+    for seed in range(200):
+        net = random_network(random.Random(seed))
+        if is_binary(net):
+            assert span_slots(net) == character(net)
+        else:
+            assert character(net) <= span_slots(net) <= 2 * character(net)
 
 
 def test_apply_vertex_assignment_reference(shifted_example):

@@ -20,6 +20,7 @@ from delaysched import (
     region_regime,
     sandwich_check,
     schedule_from_closed_path,
+    span_slots,
     validate,
     verify,
     window_symmetric_rate,
@@ -457,6 +458,41 @@ def test_schedule_region_lies_inside_the_cycle_region_below_the_regime():
         assert sandwich_check(schedules, cycles)
         strict += not sandwich_check(cycles, schedules)
     assert strict
+
+
+def test_a_window_as_wide_as_the_widest_collision_span_is_exact():
+    # b collides with {a, c} and c with {b, d}, at +1 and +2: D* = 2 and S = 2.
+    # T 2 needs no 2 D* = 4 (a 32-bit window, past the cap): every witness
+    # of A's region at T 2 is a collision-free schedule of its rate.
+    net = make_network(["a", "b", "c", "d"], {"b": [["a", "c"]], "c": [["b", "d"]]},
+                       {("b", "a"): 1, ("b", "c"): 2, ("c", "b"): 1, ("c", "d"): 2})
+    assert region_regime(net, 1) == "outer-bound"
+    assert region_regime(net, 2) == "exact"
+    reg = region_from_cycles(net, algorithm_a(net, 2, 2).cycles, 2)
+    assert reg.provenance["regime"] == "exact"
+    for gen, wit in zip(reg.generators, reg.witnesses):
+        s = schedule_from_closed_path(wit, 2, 4)
+        assert verify(net, s) and rate_vector(net, s) == gen
+
+
+def test_schedule_region_lies_between_cycle_regions_at_the_span_of_a_general_draw():
+    # The first six general draws with 0 < S < 2 D* and S <= 2 are exact at
+    # T = S, below 2 D*: cycles(k) ⊆ schedules(k·S) ⊆ cycles(k·S), |L|·k·S <= 12.
+    spans = []
+    for seed in range(40):
+        net = _tiny_draw(seed)
+        S = span_slots(net)
+        if is_binary(net) or not 0 < S <= 2 or S >= 2 * character(net):
+            continue
+        assert region_regime(net, S) == "exact"
+        k = 12 // (len(net.links) * S)
+        schedules = schedule_region(net, k * S)
+        inner, outer = _cycle_region(net, S, k), _cycle_region(net, S, k * S)
+        assert sandwich_check(inner, schedules) and sandwich_check(schedules, outer)
+        spans.append(S)
+        if len(spans) == 6:
+            break
+    assert sorted(set(spans)) == [1, 2] and len(spans) == 6
 
 
 def test_sandwich_check_rejects_regions_on_different_links():

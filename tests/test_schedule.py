@@ -373,6 +373,14 @@ def test_slab_rows_must_match_the_link_count(num_links):
         s.slab(1, 0, num_links)
 
 
+@pytest.mark.parametrize("T", [0, -1])
+def test_slab_rejects_a_window_length_below_one(T):
+    # Read as the empty block before; tests/test_arguments.py covers True and 2.0.
+    s = PeriodicSchedule(2, [[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="window length must be >= 1"):
+        s.slab(T, 0, 2)
+
+
 @pytest.mark.parametrize("T_F", [3.0, True], ids=["float", "bool"])
 def test_framed_schedule_rejects_a_frame_length_that_is_not_an_int(T_F):
     # No delays, so D* = 0 and any frame length of at least 1 would pass.
