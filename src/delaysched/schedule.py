@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .network import Network, character, is_binary
-from .window import bit_position, check_block, check_closed, check_int
+from .window import bit_position, check_block, check_closed, check_int, link_row_masks
 
 __all__ = [
     "PeriodicSchedule",
@@ -47,6 +47,15 @@ class PeriodicSchedule:
                 raise ValueError(f"schedule entries must be 0 or 1, got row {row!r}")
 
     def active(self, link_index: int, t: int) -> int:
+        """Bit of ``(link_index, t)``: ``t`` is any int slot, read modulo the period.
+
+        A link index that is not an int (not a bool) in ``range(len(rows))``,
+        or a slot that is not an int (not a bool), raises ValueError.
+        """
+        if check_int("link index", link_index, 0) >= len(self.rows):
+            raise ValueError(f"link index {link_index} is out of range for {len(self.rows)} rows")
+        if type(t) is not int:
+            raise ValueError(f"bad slot {t!r}")
         return self.rows[link_index][t % self.period]
 
     def slab(self, T: int, k: int, num_links: int) -> int:
@@ -129,7 +138,8 @@ def build_framed_schedule(
     repeat count must be an int >= 0 (not a bool), else ValueError.  The
     frame length must be at least ``2 D* + 1`` for binary profiles and
     ``3 D* + 1`` otherwise, and every frame's link set must be independent
-    in the static conflict structure; both are enforced.
+    in the static conflict structure; both are enforced.  Each frame is
+    one ``T_F``-block, and the schedule is the closed path of the frames.
     """
     check_int("frame length", T_F, 1)
     dstar = character(network)
@@ -138,12 +148,13 @@ def build_framed_schedule(
         raise ValueError(f"frame length {T_F} below minimum {minimum}")
     for _, repeats in frames:
         check_int("repeat count", repeats, 0)
-    total_frames = sum(rep for _, rep in frames)
-    if total_frames == 0:
+    if sum(rep for _, rep in frames) == 0:
         raise ValueError("frame list has no repeats")
-    period = T_F * total_frames
-    rows = [[0] * period for _ in network.links]
-    frame_no = 0
+    L = len(network.links)
+    masks = link_row_masks(L, T_F)
+    # Column 0 is the most significant: keep the first T_F - D* columns.
+    lit = ((1 << (T_F - dstar) * L) - 1) << dstar * L
+    path = []
     for links, repeats in frames:
         linkset = frozenset(links)
         unknown = linkset - set(network.links)
@@ -151,14 +162,8 @@ def build_framed_schedule(
             raise ValueError(f"frame references unknown links {sorted(unknown)}")
         if not _static_independent(network, linkset):
             raise ValueError(f"frame link set {sorted(linkset)} is not independent")
-        for _ in range(repeats):
-            base = frame_no * T_F
-            for link in linkset:
-                li = network.link_index(link)
-                for j in range(T_F - dstar):
-                    rows[li][base + j] = 1
-            frame_no += 1
-    return PeriodicSchedule(period, rows)
+        path += [sum(masks[network.link_index(link)] for link in linkset) & lit] * repeats
+    return schedule_from_closed_path([*path, path[0]], T_F, L)
 
 
 def schedule_from_closed_path(path: Sequence[int], T: int, num_links: int) -> PeriodicSchedule:

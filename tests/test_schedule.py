@@ -9,6 +9,7 @@ from delaysched import (
     active_slots,
     build_framed_schedule,
     build_window,
+    character,
     is_binary,
     is_collision_free_at,
     line_network,
@@ -411,6 +412,79 @@ def test_framed_schedule_rejects_a_bad_frame_list(line41, frames, message):
 def test_framed_schedule_takes_a_zero_repeat_count(line41):
     s = build_framed_schedule(line41, [({"l1"}, 0), ({"l4"}, 2)], 3)
     assert s == build_framed_schedule(line41, [({"l4"}, 2)], 3)
+
+
+def _dense_framed(network, frames, T_F):
+    """Framed schedule filled slot by slot, with the builder's checks in its order."""
+    if type(T_F) is not int:
+        raise ValueError(f"bad frame length {T_F!r}")
+    if T_F < 1:
+        raise ValueError("frame length must be >= 1")
+    dstar = character(network)
+    minimum = 2 * dstar + 1 if is_binary(network) else 3 * dstar + 1
+    if T_F < minimum:
+        raise ValueError(f"frame length {T_F} below minimum {minimum}")
+    for _, repeats in frames:
+        if type(repeats) is not int:
+            raise ValueError(f"bad repeat count {repeats!r}")
+        if repeats < 0:
+            raise ValueError("repeat count must be >= 0")
+    total = sum(rep for _, rep in frames)
+    if total == 0:
+        raise ValueError("frame list has no repeats")
+    rows = [[0] * (T_F * total) for _ in network.links]
+    frame_no = 0
+    for links, repeats in frames:
+        linkset = frozenset(links)
+        unknown = linkset - set(network.links)
+        if unknown:
+            raise ValueError(f"frame references unknown links {sorted(unknown)}")
+        if any(phi <= linkset for l in linkset for phi in network.profile(l)):
+            raise ValueError(f"frame link set {sorted(linkset)} is not independent")
+        for _ in range(repeats):
+            for link in linkset:
+                for j in range(T_F - dstar):
+                    rows[network.link_index(link)][frame_no * T_F + j] = 1
+            frame_no += 1
+    return PeriodicSchedule(T_F * total, rows)
+
+
+def _outcome(build, *args):
+    try:
+        s = build(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return s.period, s.rows
+
+
+def test_framed_schedule_matches_a_dense_reference():
+    built = hyper = 0
+    for seed in range(500):
+        rng = random.Random(seed)
+        net = random_network(rng)
+        frames = [(set(rng.sample([*net.links, "x"], rng.randint(0, 2))), rng.randint(0, 2))
+                  for _ in range(rng.randint(1, 3))]
+        dstar = character(net)
+        minimum = 2 * dstar + 1 if is_binary(net) else 3 * dstar + 1
+        T_F = rng.randint(minimum - 1, minimum + 2)
+        want = _outcome(_dense_framed, net, frames, T_F)
+        assert _outcome(build_framed_schedule, net, frames, T_F) == want, (seed, frames, T_F)
+        if type(want[0]) is int:
+            built += 1
+            hyper += not is_binary(net)
+    assert built >= 120 and hyper >= 30
+
+
+@pytest.mark.parametrize("args, message", [
+    ((-1, 0), "link index must be >= 0"),
+    ((True, 1), "bad link index True"),
+    ((2, 0), "link index 2 is out of range for 2 rows"),
+    ((0, 1.5), "bad slot 1.5"),
+    ((0, True), "bad slot True"),
+], ids=["negative-link", "bool-link", "link-past-the-rows", "float-slot", "bool-slot"])
+def test_active_rejects_a_bad_link_index_or_slot(args, message):
+    with pytest.raises(ValueError, match=message):
+        PeriodicSchedule(2, [[1, 0], [0, 1]]).active(*args)
 
 
 def test_schedule_stores_list_rows_as_tuples():
