@@ -1,8 +1,10 @@
 """Periodic schedules, collision checking and exact rate vectors.
 
 A schedule assigns each link an activity bit per timeslot over all of Z;
-only periodic schedules are representable, so the activity of ``(l, t)``
-is read from column ``t mod P``.  Rates are exact rationals: the limit
+only periodic schedules are representable.  Each link's row is the set of
+its active slots in ``range(P)``, so ``(l, t)`` is active iff ``t mod P``
+is in row ``l``, and a schedule costs memory per active slot, not per
+slot of its period.  Rates are exact rationals: the limit
 defining a link's rate collapses, for a periodic schedule, to the count
 of collision-free active slots in one period over the period.
 """
@@ -31,20 +33,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PeriodicSchedule:
-    """Binary |L| x P matrix interpreted over all integer time."""
+    """Binary |L| x P matrix over all integer time, each row its active slots.
+
+    A row must be a set or frozenset of ints (not bools) in
+    ``range(period)``, else ValueError; a dense 0/1 row is refused.
+    """
 
     period: int
-    rows: tuple[tuple[int, ...], ...]
+    rows: tuple[frozenset[int], ...]
 
     def __post_init__(self):
         check_int("period", self.period, 1)
-        # Tuple rows keep the frozen schedule hashable and equal to its tuple form.
-        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
-        for row in self.rows:
-            if len(row) != self.period:
-                raise ValueError("row length does not match period")
-            if any(type(v) is not int or v not in (0, 1) for v in row):
-                raise ValueError(f"schedule entries must be 0 or 1, got row {row!r}")
+        rows = tuple(self.rows)
+        for row in rows:
+            if not isinstance(row, (set, frozenset)) or any(
+                    type(t) is not int or not 0 <= t < self.period for t in row):
+                raise ValueError(f"bad schedule row {row!r} for period {self.period}")
+        # Frozenset rows keep the frozen schedule hashable and equal to its set form.
+        object.__setattr__(self, "rows", tuple(map(frozenset, rows)))
 
     def active(self, link_index: int, t: int) -> int:
         """Bit of ``(link_index, t)``: ``t`` is any int slot, read modulo the period.
@@ -56,14 +62,17 @@ class PeriodicSchedule:
             raise ValueError(f"link index {link_index} is out of range for {len(self.rows)} rows")
         if type(t) is not int:
             raise ValueError(f"bad slot {t!r}")
-        return self.rows[link_index][t % self.period]
+        return 1 if t % self.period in self.rows[link_index] else 0
 
     def slab(self, T: int, k: int, num_links: int) -> int:
         """Columns ``kT .. (k+1)T - 1`` as a block int; ``num_links`` must be the row count.
 
-        ``T`` is a window length (``check_int``); ``k`` is any int slab index.
+        ``T`` is a window length (``check_int``); ``k`` is any int (not a
+        bool) slab index, else ValueError.
         """
         check_int("window length", T, 1)
+        if type(k) is not int:
+            raise ValueError(f"bad slab index {k!r}")
         _check_rows(self, num_links)
         return sum(self.active(l, k * T + j) << bit_position(l, j, num_links, T)
                    for l in range(num_links) for j in range(T))
@@ -78,9 +87,12 @@ def _check_rows(s: PeriodicSchedule, num_links: int) -> None:
 def is_collision_free_at(network: Network, s: PeriodicSchedule, link: str, t: int) -> bool:
     """True iff every collision set of ``link`` has an inactive member at its offset.
 
-    A link the network does not have raises InvalidNetworkError, and a
-    schedule without one row per link of the network ValueError.
+    A slot that is not an int (not a bool) raises ValueError, a link the
+    network does not have InvalidNetworkError, and a schedule without one
+    row per link of the network ValueError.
     """
+    if type(t) is not int:
+        raise ValueError(f"bad slot {t!r}")
     _check_rows(s, len(network.links))
     network.link_index(link)
     for phi in network.profile(link):
@@ -102,8 +114,7 @@ def active_slots(network: Network, s: PeriodicSchedule) -> Iterator[tuple[int, i
     return (
         (li, t, is_collision_free_at(network, s, link, t))
         for li, link in enumerate(network.links)
-        for t, on in enumerate(s.rows[li])
-        if on
+        for t in sorted(s.rows[li])
     )
 
 
@@ -120,12 +131,6 @@ def rate_vector(network: Network, s: PeriodicSchedule) -> tuple[Fraction, ...]:
     return tuple(Fraction(g, s.period) for g in good)
 
 
-def _static_independent(network: Network, linkset: frozenset[str]) -> bool:
-    return not any(
-        phi <= linkset for l in linkset for phi in network.profile(l)
-    )
-
-
 def build_framed_schedule(
     network: Network,
     frames: Sequence[tuple[Iterable[str], int]],
@@ -138,7 +143,8 @@ def build_framed_schedule(
     repeat count must be an int >= 0 (not a bool), else ValueError.  The
     frame length must be at least ``2 D* + 1`` for binary profiles and
     ``3 D* + 1`` otherwise, and every frame's link set must be independent
-    in the static conflict structure; both are enforced.  Each frame is
+    in the static conflict structure; both are enforced.  A frame's links
+    must be an iterable of link names other than a str.  Each frame is
     one ``T_F``-block, and the schedule is the closed path of the frames.
     """
     check_int("frame length", T_F, 1)
@@ -156,11 +162,15 @@ def build_framed_schedule(
     lit = ((1 << (T_F - dstar) * L) - 1) << dstar * L
     path = []
     for links, repeats in frames:
+        if isinstance(links, str):
+            raise ValueError(f"bad frame links {links!r}")
         linkset = frozenset(links)
         unknown = linkset - set(network.links)
         if unknown:
             raise ValueError(f"frame references unknown links {sorted(unknown)}")
-        if not _static_independent(network, linkset):
+        # Static independence: the frame's links, always on, collide nowhere.
+        always_on = PeriodicSchedule(1, [{0} if l in linkset else set() for l in network.links])
+        if not verify(network, always_on):
             raise ValueError(f"frame link set {sorted(linkset)} is not independent")
         path += [sum(masks[network.link_index(link)] for link in linkset) & lit] * repeats
     return schedule_from_closed_path([*path, path[0]], T_F, L)
@@ -177,8 +187,8 @@ def schedule_from_closed_path(path: Sequence[int], T: int, num_links: int) -> Pe
     check_closed("path", path)
     for block in path:
         check_block(block, num_links, T)
-    rows = [[b >> bit_position(l, t, num_links, T) & 1 for b in path[:-1] for t in range(T)]
-            for l in range(num_links)]
+    rows = [{i * T + t for i, b in enumerate(path[:-1]) for t in range(T)
+             if b >> bit_position(l, t, num_links, T) & 1} for l in range(num_links)]
     return PeriodicSchedule((len(path) - 1) * T, rows)
 
 
@@ -187,11 +197,8 @@ def schedule_to_json(network: Network, s: PeriodicSchedule) -> dict:
     _check_rows(s, len(network.links))
     return {
         "period": s.period,
-        "active": {
-            link: [t for t in range(s.period) if s.rows[li][t]]
-            for li, link in enumerate(network.links)
-            if any(s.rows[li])
-        },
+        "active": {link: sorted(s.rows[li]) for li, link in enumerate(network.links)
+                   if s.rows[li]},
     }
 
 
@@ -206,13 +213,13 @@ def schedule_from_json(network: Network, doc: Mapping) -> PeriodicSchedule:
         active = doc.get("active", {})
         if not isinstance(active, Mapping):
             raise ValueError(f"bad active map {active!r}")
-        rows = [[0] * period for _ in network.links]
+        rows = [set() for _ in network.links]
         for link, slots in active.items():
             li = network.link_index(link)
             for t in slots:
                 if type(t) is not int:
                     raise ValueError(f"bad slot {t!r} for link {link!r}")
-                rows[li][t % period] = 1
+                rows[li].add(t % period)
         return PeriodicSchedule(period, rows)
-    except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ValueError(f"bad schedule document: {exc}") from exc

@@ -185,7 +185,8 @@ def schedule_region(network, P: int) -> RegionDescription:
     rates = set()
     for p in range(1, P + 1):
         for bits in itertools.product((0, 1), repeat=num_links * p):
-            s = PeriodicSchedule(p, [bits[i * p:(i + 1) * p] for i in range(num_links)])
+            s = PeriodicSchedule(p, [{t for t in range(p) if bits[i * p + t]}
+                                     for i in range(num_links)])
             if verify(network, s):
                 rates.add(rate_vector(network, s))
     front = sorted(r for r in rates

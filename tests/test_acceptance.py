@@ -226,7 +226,7 @@ def test_criterion_7_hypergraph_boundary():
         assert len(g1.vertices) == 16
         assert g1.edge_count == 256
 
-        s_prime = PeriodicSchedule(3, ((1, 0, 0), (1, 1, 0), (0, 1, 1), (0, 0, 1)))
+        s_prime = PeriodicSchedule(3, ({0}, {0, 1}, {1, 2}, {2}))
         assert schedule_is_path(net, s_prime, 1)
         assert not verify(net, s_prime)
 

@@ -47,7 +47,7 @@ CHECKED = {
     ("build_window", "T"): lambda v: build_window(LINE, v),
     ("block_from_rows", "T"): lambda v: block_from_rows(["0"] * 4, v),
     ("check_block", "T"): lambda v: check_block(0, 4, v),
-    ("PeriodicSchedule", "period"): lambda v: PeriodicSchedule(v, ((1,), (0,))),
+    ("PeriodicSchedule", "period"): lambda v: PeriodicSchedule(v, ({0}, set())),
     ("build_framed_schedule", "T_F"): lambda v: build_framed_schedule(FREE, [({"a"}, 1)], v),
     ("schedule_from_closed_path", "T"): lambda v: schedule_from_closed_path([0, 0], v, 4),
     ("is_vertex", "T"): lambda v: is_vertex(LINE, 0, v),
@@ -68,7 +68,7 @@ CHECKED = {
     ("region_from_cycles", "T"): lambda v: region_from_cycles(LINE, [], v),
     ("window_symmetric_rate", "T"): lambda v: window_symmetric_rate(LINE, v),
     ("region_regime", "T"): lambda v: region_regime(LINE, v),
-    ("PeriodicSchedule.slab", "T"): lambda v: PeriodicSchedule(2, [[1, 0], [0, 1]]).slab(v, 0, 2),
+    ("PeriodicSchedule.slab", "T"): lambda v: PeriodicSchedule(2, [{0}, {1}]).slab(v, 0, 2),
 }
 
 EXEMPT = {
@@ -78,7 +78,7 @@ EXEMPT = {
     ("WindowGraph", "T"): "a record that build_window fills after checking T",
     ("rate_numerators", "T"): "hot path over blocks its caller vouches for, T included",
     ("pareto_filter", "T"): "hot path over blocks its caller vouches for, T included",
-    ("PeriodicSchedule.slab", "k"): "a slab index: any int",
+    ("PeriodicSchedule.slab", "k"): "a slab index: any int, with no least value",
 }
 
 

@@ -28,7 +28,7 @@ READERS = {
         "delays": [{}, "x", [5], [["l1", "l2"]], [["l1", "l2", 1.5]], [["l1", "zz", 0]]],
     }),
     "schedule_from_json": ((NET,), {"period": 2, "active": {"l1": [0], "l3": [1]}}, ("period",), {
-        "period": [0, True, 2.0, "2", None, [], 10**20],
+        "period": [0, True, 2.0, "2", None, []],
         "active": [[], "x", 5, {"zz": [0]}, {"l1": 0}, {"l1": "01"}, {"l1": [None]}],
     }),
     "region_from_json": ((), {"links": ["a", "b"], "T": 1, "generators": [

@@ -225,7 +225,7 @@ def test_schedule_is_path_for_collision_free_schedules(line41):
 
 
 def test_path_without_collision_freedom_below_regime(hyper_n4):
-    s = PeriodicSchedule(3, ((1, 0, 0), (1, 1, 0), (0, 1, 1), (0, 0, 1)))
+    s = PeriodicSchedule(3, ({0}, {0, 1}, {1, 2}, {2}))
     assert schedule_is_path(hyper_n4, s, 1)
     assert not verify(hyper_n4, s)
     assert not schedule_is_path(hyper_n4, s, 2)

@@ -1,4 +1,6 @@
 import random
+import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -31,11 +33,11 @@ F = Fraction
 
 def s_prime_n4():
     """Period-3 schedule around the three-column collision witness."""
-    return PeriodicSchedule(3, ((1, 0, 0), (1, 1, 0), (0, 1, 1), (0, 0, 1)))
+    return PeriodicSchedule(3, ({0}, {0, 1}, {1, 2}, {2}))
 
 
 def test_empty_collision_set_is_always_free(line41):
-    s = PeriodicSchedule(2, ((1, 1), (0, 0), (0, 0), (1, 1)))
+    s = PeriodicSchedule(2, ({0, 1}, set(), set(), {0, 1}))
     for t in range(4):
         assert is_collision_free_at(line41, s, "l4", t)
 
@@ -50,13 +52,13 @@ def test_hyper_collision_at_reference_slot(hyper_n4):
 
 
 def test_collision_check_rejects_a_link_the_network_lacks():
-    s = PeriodicSchedule(1, ((1,), (0,), (1,)))
+    s = PeriodicSchedule(1, ({0}, set(), {0}))
     with pytest.raises(InvalidNetworkError, match="unknown link 'zz'"):
         is_collision_free_at(line_network(3, 1), s, "zz", 0)
 
 
 def test_collision_check_wraps_modulo_period(line41):
-    s = PeriodicSchedule(2, ((1, 0), (0, 1), (0, 1), (1, 0)))
+    s = PeriodicSchedule(2, ({0}, {1}, {1}, {0}))
     # (l1, 0): both collision sets are checked at their offsets mod 2,
     # and negative slots read the same wrapped columns.
     assert not is_collision_free_at(line41, s, "l1", 0)
@@ -69,19 +71,19 @@ def test_collision_check_wraps_modulo_period(line41):
 
 
 def test_verify_reference_cases(line41, hyper_n4):
-    assert verify(line41, PeriodicSchedule(3, ((0,) * 3,) * 4))
+    assert verify(line41, PeriodicSchedule(3, (set(),) * 4))
     assert not verify(hyper_n4, s_prime_n4())
 
 
 def test_rate_vector_zero_and_colliding(hyper_n4):
-    zero = PeriodicSchedule(2, ((0, 0),) * 4)
+    zero = PeriodicSchedule(2, (set(),) * 4)
     assert rate_vector(hyper_n4, zero) == (F(0),) * 4
     # One of each middle link's two active slots collides.
     assert rate_vector(hyper_n4, s_prime_n4()) == (F(1, 3),) * 4
 
 
 def test_rate_vector_counts_only_collision_free_slots(line41):
-    s = PeriodicSchedule(2, ((1, 0), (0, 1), (0, 1), (1, 0)))
+    s = PeriodicSchedule(2, ({0}, {1}, {1}, {0}))
     # (l1,0) collides via l2 one slot later; (l3,1) collides via l4 at wrap.
     assert rate_vector(line41, s) == (F(0), F(1, 2), F(0), F(1, 2))
 
@@ -93,7 +95,7 @@ def test_rate_vector_of_half_rate_cycle_schedule(line41):
     assert rate_vector(line41, s) == (F(1, 2),) * 4
     # Collision-free schedules earn every active slot.
     assert rate_vector(line41, s) == tuple(
-        F(sum(row), s.period) for row in s.rows
+        F(len(row), s.period) for row in s.rows
     )
 
 
@@ -107,7 +109,7 @@ def test_framed_schedule_reference(line41):
 def test_framed_schedule_empty_frame(line41):
     s = build_framed_schedule(line41, [(set(), 1)], 3)
     assert s.period == 3
-    assert s.rows == ((0, 0, 0),) * 4
+    assert s.rows == (frozenset(),) * 4
 
 
 def test_framed_schedule_rejects_dependent_set(line41):
@@ -143,9 +145,9 @@ def test_framed_rate_factor(line41):
 
 def test_schedule_from_closed_path_shapes():
     zero = schedule_from_closed_path((0, 0), 2, 3)
-    assert zero.period == 2 and zero.rows == ((0, 0),) * 3
+    assert zero.period == 2 and zero.rows == (frozenset(),) * 3
     const = schedule_from_closed_path((v(6), v(6)), 1, 4)
-    assert const.period == 1 and const.rows == ((1,), (1,), (0,), (0,))
+    assert const.period == 1 and const.rows == ({0}, {0}, set(), set())
     with pytest.raises(ValueError, match="path is not a closed block path"):
         schedule_from_closed_path((v(5), v(6)), 1, 4)
     for short in ((), (v(5),)):
@@ -154,10 +156,11 @@ def test_schedule_from_closed_path_shapes():
 
 
 def _text_schedule(path, T, num_links):
-    """Reference: each block's text rows, concatenated per link."""
+    """Reference: each block's text rows, concatenated per link, then read as slots."""
     slabs = [block_to_rows(block, num_links, T) for block in path[:-1]]
     rows = ["".join(slab[l] for slab in slabs) for l in range(num_links)]
-    return PeriodicSchedule(len(slabs) * T, [list(map(int, r)) for r in rows])
+    return PeriodicSchedule(len(slabs) * T, [{t for t, c in enumerate(r) if c == "1"}
+                                             for r in rows])
 
 
 def _text_slab(s, T, k, num_links):
@@ -227,10 +230,10 @@ def test_verify_invariant_under_rotation(line41):
     s = build_framed_schedule(line41, [({"l1", "l4"}, 1), ({"l2"}, 1)], 3)
     rows = s.rows
     for shift in range(s.period):
+        # Slot t of the rotation is slot t + shift of the schedule.
         rotated = PeriodicSchedule(
             s.period,
-            tuple(tuple(row[(t + shift) % s.period] for t in range(s.period))
-                  for row in rows),
+            tuple({(t - shift) % s.period for t in row} for row in rows),
         )
         assert verify(line41, rotated) == verify(line41, s)
 
@@ -247,7 +250,7 @@ def test_schedule_json_roundtrip(line41):
 def test_schedule_from_json_wraps_negative_slots(line41):
     doc = {"period": 3, "active": {"l1": [-1], "l3": [-3, 4]}}
     s = schedule_from_json(line41, doc)
-    assert s.rows == ((0, 0, 1), (0, 0, 0), (1, 1, 0), (0, 0, 0))
+    assert s.rows == ({2}, set(), {0, 1}, set())
 
 
 @pytest.mark.parametrize("doc, message", [
@@ -261,20 +264,42 @@ def test_schedule_from_json_rejects_malformed_documents(line41, doc, message):
         schedule_from_json(line41, doc)
 
 
+def test_schedule_from_json_holds_only_the_active_slots():
+    # A dense row per link of a 10**6 period took tens of MB.
+    net = line_network(3, 1)
+    tracemalloc.start()
+    try:
+        s = schedule_from_json(net, {"period": 10**6, "active": {"l1": [5]}})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+    assert s.rows == ({5}, set(), set())
+
+
+def test_schedule_with_a_huge_period_reads_writes_and_rates():
+    net = line_network(3, 1)
+    doc = {"period": 10**20, "active": {"l1": [0]}}
+    s = schedule_from_json(net, doc)
+    assert schedule_to_json(net, s) == doc
+    assert verify(net, s)
+    assert rate_vector(net, s) == (F(1, 10**20), F(0), F(0))
+
+
 def _ref_diagnoses(network, s):
     """The per-link, per-slot loop over a period that ``active_slots`` replaced."""
     return [
         (li, t, is_collision_free_at(network, s, link, t))
         for li, link in enumerate(network.links)
         for t in range(s.period)
-        if s.rows[li][t]
+        if t in s.rows[li]
     ]
 
 
 def _ref_verify(network, s):
     for li, link in enumerate(network.links):
         for t in range(s.period):
-            if s.rows[li][t] and not is_collision_free_at(network, s, link, t):
+            if t in s.rows[li] and not is_collision_free_at(network, s, link, t):
                 return False
     return True
 
@@ -282,7 +307,7 @@ def _ref_verify(network, s):
 def _ref_rate_vector(network, s):
     return tuple(
         F(sum(1 for t in range(s.period)
-              if s.rows[li][t] and is_collision_free_at(network, s, link, t)), s.period)
+              if t in s.rows[li] and is_collision_free_at(network, s, link, t)), s.period)
         for li, link in enumerate(network.links)
     )
 
@@ -296,7 +321,7 @@ def test_active_slots_verify_and_rate_match_the_slot_loops(seed):
         hyper += not is_binary(net)
         period = rng.randint(1, 6)
         rows = tuple(
-            tuple(int(rng.random() < 0.4) for _ in range(period)) for _ in net.links
+            {t for t in range(period) if rng.random() < 0.4} for _ in net.links
         )
         s = PeriodicSchedule(period, rows)
         assert list(active_slots(net, s)) == _ref_diagnoses(net, s)
@@ -307,7 +332,7 @@ def test_active_slots_verify_and_rate_match_the_slot_loops(seed):
 
 def test_verify_stops_at_the_first_collision(monkeypatch, line41):
     # (l1, 0) collides; verify reads no slot after it.
-    s = PeriodicSchedule(2, ((1, 0), (0, 1), (0, 1), (1, 0)))
+    s = PeriodicSchedule(2, ({0}, {1}, {1}, {0}))
     seen = []
 
     def check(network, s, link, t):
@@ -320,29 +345,34 @@ def test_verify_stops_at_the_first_collision(monkeypatch, line41):
 
 
 @pytest.mark.parametrize("period, rows", [
-    (2.0, ((1, 0), (0, 1))),
-    (True, ((1,), (0,))),
+    (2.0, ({0}, {1})),
+    (True, ({0}, set())),
 ], ids=["float", "bool"])
 def test_schedule_rejects_a_period_that_is_not_an_int(period, rows):
     with pytest.raises(ValueError, match=f"bad period {period!r}"):
         PeriodicSchedule(period, rows)
 
 
-@pytest.mark.parametrize("rows", [((1, 0), (0,)), ((1, 0, 1), (0, 1))], ids=["short", "long"])
-def test_schedule_rejects_a_row_whose_length_is_not_the_period(rows):
-    with pytest.raises(ValueError, match="row length does not match period"):
-        PeriodicSchedule(2, rows)
+@pytest.mark.parametrize("period, rows", [
+    (2, ((1, 0), (0,))), (2, ((1, 0, 1), (0, 1))), (2, ([1, 0], [0, 1])), (3, ((1, 0, 0),)),
+], ids=["short", "long", "list", "one-row"])
+def test_schedule_rejects_a_dense_row(period, rows):
+    # A 0/1 row is refused, not read as the slots it holds.
+    message = f"bad schedule row {rows[0]!r} for period {period}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PeriodicSchedule(period, rows)
 
 
-@pytest.mark.parametrize("entry", [2, -1, True, 1.0], ids=["two", "negative", "bool", "float"])
-def test_schedule_rejects_an_entry_other_than_0_or_1(entry):
-    with pytest.raises(ValueError, match="must be 0 or 1"):
-        PeriodicSchedule(2, ((1, 0), (0, entry)))
+@pytest.mark.parametrize("slot", [2, -1, True, 1.0], ids=["two", "negative", "bool", "float"])
+def test_schedule_rejects_a_slot_outside_the_period(slot):
+    message = f"bad schedule row {({slot})!r} for period 2"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PeriodicSchedule(2, ({0}, {slot}))
 
 
 @pytest.mark.parametrize("count", [3, 5], ids=["fewer", "more"])
 def test_schedule_rows_must_match_the_network_links(line41, count):
-    s = PeriodicSchedule(1, ((1,),) * count)
+    s = PeriodicSchedule(1, ({0},) * count)
     for check in (lambda: active_slots(line41, s), lambda: verify(line41, s),
                   lambda: rate_vector(line41, s), lambda: schedule_is_path(line41, s, 1)):
         with pytest.raises(ValueError, match=f"schedule has {count} rows for 4 links"):
@@ -362,14 +392,34 @@ def test_schedule_rows_must_match_the_network_links(line41, count):
 def test_every_schedule_reader_checks_the_row_count(read, count):
     # Fewer rows once read past the last one; more were answered or dropped.
     net = line_network(3, 1)
-    s = PeriodicSchedule(2, ((1, 0), (0, 1), (0, 0), (1, 1))[:count])
+    s = PeriodicSchedule(2, ({0}, {1}, set(), {0, 1})[:count])
     with pytest.raises(ValueError, match=f"schedule has {count} rows for 3 links"):
         read(net, s)
 
 
+@pytest.mark.parametrize("t", ["x", None, 0.0, True, 1.5], ids=repr)
+def test_collision_check_rejects_a_slot_that_is_not_an_int(t):
+    # l4 has no collision set, so no slot was read: every t passed, and True read slot 1.
+    s = PeriodicSchedule(2, ({0}, {1}, {1}, {0}))
+    with pytest.raises(ValueError, match=re.escape(f"bad slot {t!r}")):
+        is_collision_free_at(line_network(4, 1), s, "l4", t)
+
+
+@pytest.mark.parametrize("k", [1.5, "x", True, None], ids=repr)
+def test_slab_rejects_an_index_that_is_not_an_int(k):
+    s = PeriodicSchedule(2, [{0}, {1}])
+    with pytest.raises(ValueError, match=re.escape(f"bad slab index {k!r}")):
+        s.slab(1, k, 2)
+
+
+def test_slab_takes_any_int_index():
+    s = PeriodicSchedule(2, [{0}, {1}])
+    assert [s.slab(1, k, 2) for k in (-1, 0, 1, 2)] == [0b01, 0b10, 0b01, 0b10]
+
+
 @pytest.mark.parametrize("num_links", [1, 3], ids=["fewer", "more"])
 def test_slab_rows_must_match_the_link_count(num_links):
-    s = PeriodicSchedule(1, ((1,), (0,)))
+    s = PeriodicSchedule(1, ({0}, set()))
     with pytest.raises(ValueError, match=f"schedule has 2 rows for {num_links} links"):
         s.slab(1, 0, num_links)
 
@@ -377,7 +427,7 @@ def test_slab_rows_must_match_the_link_count(num_links):
 @pytest.mark.parametrize("T", [0, -1])
 def test_slab_rejects_a_window_length_below_one(T):
     # Read as the empty block before; tests/test_arguments.py covers True and 2.0.
-    s = PeriodicSchedule(2, [[1, 0], [0, 1]])
+    s = PeriodicSchedule(2, [{0}, {1}])
     with pytest.raises(ValueError, match="window length must be >= 1"):
         s.slab(T, 0, 2)
 
@@ -398,6 +448,13 @@ def test_framed_schedule_rejects_a_bad_repeat_count(repeats, message):
     line = line_network(4, 1)
     with pytest.raises(ValueError, match=message):
         build_framed_schedule(line, [({"l1"}, 1), ({"l4"}, repeats)], 3)
+
+
+def test_framed_schedule_rejects_a_frame_whose_links_are_a_string():
+    # Read as the links "a" and "b" before, so both were turned on.
+    free = make_network(["a", "b"], {}, {})
+    with pytest.raises(ValueError, match="bad frame links 'ab'"):
+        build_framed_schedule(free, [("ab", 1)], 1)
 
 
 @pytest.mark.parametrize("frames, message", [
@@ -435,6 +492,8 @@ def _dense_framed(network, frames, T_F):
     rows = [[0] * (T_F * total) for _ in network.links]
     frame_no = 0
     for links, repeats in frames:
+        if isinstance(links, str):
+            raise ValueError(f"bad frame links {links!r}")
         linkset = frozenset(links)
         unknown = linkset - set(network.links)
         if unknown:
@@ -446,7 +505,7 @@ def _dense_framed(network, frames, T_F):
                 for j in range(T_F - dstar):
                     rows[network.link_index(link)][frame_no * T_F + j] = 1
             frame_no += 1
-    return PeriodicSchedule(T_F * total, rows)
+    return PeriodicSchedule(T_F * total, [{t for t, on in enumerate(row) if on} for row in rows])
 
 
 def _outcome(build, *args):
@@ -484,12 +543,12 @@ def test_framed_schedule_matches_a_dense_reference():
 ], ids=["negative-link", "bool-link", "link-past-the-rows", "float-slot", "bool-slot"])
 def test_active_rejects_a_bad_link_index_or_slot(args, message):
     with pytest.raises(ValueError, match=message):
-        PeriodicSchedule(2, [[1, 0], [0, 1]]).active(*args)
+        PeriodicSchedule(2, [{0}, {1}]).active(*args)
 
 
-def test_schedule_stores_list_rows_as_tuples():
-    listed = PeriodicSchedule(2, [[1, 0]] * 4)
-    tupled = PeriodicSchedule(2, ((1, 0),) * 4)
-    assert listed.rows == tupled.rows and type(listed.rows[0]) is tuple
-    assert listed == tupled
-    assert hash(listed) == hash(tupled)
+def test_schedule_stores_set_rows_as_frozensets():
+    listed = PeriodicSchedule(2, [{0}] * 4)
+    frozen = PeriodicSchedule(2, (frozenset({0}),) * 4)
+    assert listed.rows == frozen.rows and type(listed.rows[0]) is frozenset
+    assert listed == frozen
+    assert hash(listed) == hash(frozen)
