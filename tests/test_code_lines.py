@@ -37,7 +37,6 @@ def test_main_prints_each_module_and_their_total(capsys):
               for name, lines, code in rows}
     modules = sorted((REPO / "src" / "delaysched").glob("*.py"))
     assert [name for name, _, _ in rows] == [p.name for p in modules] + ["total"]
-    for path in modules:
-        assert counts[path.name] == code_lines.count(path)
-    assert counts["total"] == tuple(sum(c[i] for name, c in counts.items() if name != "total")
-                                    for i in (0, 1))
+    total = counts.pop("total")
+    assert counts == {path.name: code_lines.count(path) for path in modules}
+    assert total == tuple(map(sum, zip(*counts.values())))
