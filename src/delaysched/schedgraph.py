@@ -133,27 +133,30 @@ def build_maximal(network: Network, T: int) -> MaximalEdgeGraph:
     check_int("window length", T, 1)
     double = build_window(network, 2 * T)
     nbits = len(network.links) * T
-    pairs = sorted(split_pair(m, nbits) for m in double.maximal_independent_sets())
+    # Sorted masks split into sorted pairs: the left block is the high half.
+    pairs = tuple(split_pair(m, nbits) for m in double.maximal_independent_sets())
     left = tuple(sorted({a for a, _ in pairs}))
     right = tuple(sorted({b for _, b in pairs}))
-    return MaximalEdgeGraph(left, right, tuple(pairs))
+    return MaximalEdgeGraph(left, right, pairs)
 
 
 def schedule_is_path(network: Network, s: PeriodicSchedule, T: int) -> bool:
     """Do the schedule's consecutive T-slabs all form scheduling-graph edges?
 
-    The slab sequence has period lcm(P, T) / T, so checking one full slab
-    period covers the whole schedule.  The schedule must have one row per
-    link of the network, else ValueError.
+    The slab sequence has period lcm(P, T) / T, and an active slot t lies
+    in slab (t + jP) // T for each j < lcm(P, T) / P.  Every mask holds
+    its link's own bit, and the masks inside the right half are those of
+    the left half shifted, so a pair whose left slab is all zero is an
+    edge iff its right slab is a vertex, which the pair starting at that
+    slab checks.  So only pairs starting at a busy slab are checked: the
+    cost is per active slot, not per slot of the period.  The schedule
+    must have one row per link of the network, else ValueError.
     """
     num_links = len(network.links)
     check_int("window length", T, 1)
     double = build_window(network, 2 * T)
-    nbits = num_links * T
-    slabs = math.lcm(s.period, T) // T
-    for k in range(slabs):
-        a = s.slab(T, k, num_links)
-        b = s.slab(T, k + 1, num_links)
-        if not double.is_independent(join_pair(a, b, nbits)):
-            return False
-    return True
+    lcm = math.lcm(s.period, T)
+    # Slab 0 always goes, so a schedule with no active slot still has its rows checked.
+    starts = {0} | {(t + j) // T for row in s.rows for t in row for j in range(0, lcm, s.period)}
+    return all(double.is_independent(join_pair(
+        s.slab(T, k, num_links), s.slab(T, k + 1, num_links), num_links * T)) for k in starts)

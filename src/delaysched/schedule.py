@@ -74,8 +74,8 @@ class PeriodicSchedule:
         if type(k) is not int:
             raise ValueError(f"bad slab index {k!r}")
         _check_rows(self, num_links)
-        return sum(self.active(l, k * T + j) << bit_position(l, j, num_links, T)
-                   for l in range(num_links) for j in range(T))
+        return sum(1 << bit_position(l, j, num_links, T) for l, row in enumerate(self.rows)
+                   for j in range(T) if (k * T + j) % self.period in row)
 
 
 def _check_rows(s: PeriodicSchedule, num_links: int) -> None:
@@ -96,10 +96,8 @@ def is_collision_free_at(network: Network, s: PeriodicSchedule, link: str, t: in
     _check_rows(s, len(network.links))
     network.link_index(link)
     for phi in network.profile(link):
-        if all(
-            s.active(network.link_index(lp), t + network.delay(link, lp))
-            for lp in phi
-        ):
+        if all((t + network.delay(link, lp)) % s.period in s.rows[network.link_index(lp)]
+               for lp in phi):
             return False
     return True
 

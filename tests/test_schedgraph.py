@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -16,7 +17,7 @@ from delaysched import (
     validate,
     verify,
 )
-from delaysched.window import block_from_rows, split_pair
+from delaysched.window import bit_position, block_from_rows, join_pair, split_pair
 
 from conftest import (
     EDGE_MATRIX_41,
@@ -166,6 +167,7 @@ def test_maximal_edges_match_reference(line41):
         for i in range(4) for j in range(4) if MAXIMAL_EDGE_MATRIX_41[i][j]
     }
     assert set(mx.edges) == expected
+    assert list(mx.edges) == sorted(mx.edges)
 
 
 def test_maximal_edges_free_network():
@@ -185,7 +187,9 @@ def test_maximal_edges_are_maximal_edges_of_full_graph(line51):
             for (c, d) in all_edges
         )
     }
-    assert set(build_maximal(line51, 1).edges) == brute
+    edges = build_maximal(line51, 1).edges
+    assert set(edges) == brute
+    assert list(edges) == sorted(edges)
 
 
 def test_maximal_edges_closure(line41):
@@ -229,6 +233,59 @@ def test_path_without_collision_freedom_below_regime(hyper_n4):
     assert schedule_is_path(hyper_n4, s, 1)
     assert not verify(hyper_n4, s)
     assert not schedule_is_path(hyper_n4, s, 2)
+
+
+def _dense_is_path(network, s, T):
+    """Every slab pair of one lcm(P, T)/T period, each slab read cell by cell."""
+    L = len(network.links)
+    double = build_window(network, 2 * T)
+
+    def slab(k):
+        return sum(s.active(l, k * T + j) << bit_position(l, j, L, T)
+                   for l in range(L) for j in range(T))
+
+    return all(double.is_independent(join_pair(slab(k), slab(k + 1), L * T))
+               for k in range(math.lcm(s.period, T) // T))
+
+
+def _wide_pair(d):
+    """Two links: ``a`` collides with ``b`` at delay ``d``."""
+    net = make_network(["a", "b"], {"a": [["b"]], "b": []}, {("a", "b"): d})
+    validate(net)
+    return net
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_schedule_is_path_matches_a_dense_slab_walk(seed):
+    # Periods are multiples of T, coprime with T or shorter than T; rows are sparse.
+    # A wide pair's collision may fit a slab pair at one lift of its slots only.
+    rng = random.Random(9100 + seed)
+    outcomes = []
+    for _ in range(60):
+        T = rng.randint(1, 3)
+        L = rng.randint(3, 5)
+        net = rng.choice([line_network(L, rng.randint(1, L - 1)), hyper_chain(L),
+                          _wide_pair(rng.choice([-1, 1]) * rng.randint(T, 2 * T - 1))])
+        kind = rng.choice(["multiple", "coprime", "shorter"] if T > 1 else ["multiple"])
+        if kind == "multiple":
+            period = T * rng.randint(1, 8)
+        elif kind == "coprime":
+            period = rng.choice([p for p in range(1, 25) if math.gcd(p, T) == 1])
+        else:
+            period = rng.randint(1, T - 1)
+        density = rng.choice([0.05, 0.15, 0.3])
+        s = PeriodicSchedule(period, [{t for t in range(period) if rng.random() < density}
+                                      for _ in net.links])
+        outcomes.append(schedule_is_path(net, s, T))
+        assert outcomes[-1] == _dense_is_path(net, s, T), (net.links, period, s.rows, T)
+    assert True in outcomes and False in outcomes
+
+
+def test_schedule_is_path_checks_every_lift_of_a_slot():
+    # a at 1 and b at 1 + 3 collide; the pair holding slots 4 to 7 sees it, 0 to 3 does not.
+    s = PeriodicSchedule(3, ({1}, {1}))
+    assert not schedule_is_path(_wide_pair(3), s, 2)
+    assert not _dense_is_path(_wide_pair(3), s, 2)
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -286,20 +286,60 @@ def test_schedule_with_a_huge_period_reads_writes_and_rates():
     assert rate_vector(net, s) == (F(1, 10**20), F(0), F(0))
 
 
+def test_every_schedule_reader_costs_per_active_slot(monkeypatch):
+    # A reader that walks the period's slots or slabs would make 10**20 calls.
+    net = line_network(3, 1)
+    s = schedule_from_json(net, {"period": 10**20, "active": {"l1": [0]}})
+    calls = []
+
+    def spy(name):
+        real = getattr(PeriodicSchedule, name)
+
+        def counted(self, *args):
+            calls.append(name)
+            if len(calls) > 16:
+                raise AssertionError(f"{len(calls)} calls of {name}")
+            return real(self, *args)
+        return counted
+
+    for name in ("active", "slab"):
+        monkeypatch.setattr(PeriodicSchedule, name, spy(name))
+    for read, expected in [
+        (lambda: s.slab(1, 10**20 - 1, 3), 0),
+        (lambda: s.slab(2, 5 * 10**19, 3), 0b100000),
+        (lambda: list(active_slots(net, s)), [(0, 0, True)]),
+        (lambda: verify(net, s), True),
+        (lambda: rate_vector(net, s), (F(1, 10**20), F(0), F(0))),
+        (lambda: schedule_to_json(net, s), {"period": 10**20, "active": {"l1": [0]}}),
+        (lambda: schedule_is_path(net, s, 1), True),
+        (lambda: schedule_is_path(net, s, 3), True),
+    ]:
+        calls.clear()
+        assert read() == expected
+
+
+def _ref_free(network, s, link, t):
+    """``is_collision_free_at`` read slot by slot through ``PeriodicSchedule.active``."""
+    return not any(
+        all(s.active(network.link_index(lp), t + network.delay(link, lp)) for lp in phi)
+        for phi in network.profile(link)
+    )
+
+
 def _ref_diagnoses(network, s):
     """The per-link, per-slot loop over a period that ``active_slots`` replaced."""
     return [
-        (li, t, is_collision_free_at(network, s, link, t))
+        (li, t, _ref_free(network, s, link, t))
         for li, link in enumerate(network.links)
         for t in range(s.period)
-        if t in s.rows[li]
+        if s.active(li, t)
     ]
 
 
 def _ref_verify(network, s):
     for li, link in enumerate(network.links):
         for t in range(s.period):
-            if t in s.rows[li] and not is_collision_free_at(network, s, link, t):
+            if s.active(li, t) and not _ref_free(network, s, link, t):
                 return False
     return True
 
@@ -307,7 +347,7 @@ def _ref_verify(network, s):
 def _ref_rate_vector(network, s):
     return tuple(
         F(sum(1 for t in range(s.period)
-              if t in s.rows[li] and is_collision_free_at(network, s, link, t)), s.period)
+              if s.active(li, t) and _ref_free(network, s, link, t)), s.period)
         for li, link in enumerate(network.links)
     )
 
@@ -328,6 +368,25 @@ def test_active_slots_verify_and_rate_match_the_slot_loops(seed):
         assert verify(net, s) == _ref_verify(net, s)
         assert rate_vector(net, s) == _ref_rate_vector(net, s)
     assert hyper > 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_collision_check_matches_a_reference_on_active(seed):
+    # Slots run over two periods either side of 0, so negative offsets wrap.
+    rng = random.Random(8900 + seed)
+    hyper = wrapped = 0
+    for _ in range(40):
+        net = random_network(rng)
+        hyper += not is_binary(net)
+        period = rng.randint(1, 6)
+        s = PeriodicSchedule(period, [{t for t in range(period) if rng.random() < 0.5}
+                                      for _ in net.links])
+        for link in net.links:
+            for t in range(-2 * period, 2 * period):
+                wrapped += any(t + net.delay(link, lp) < 0
+                               for phi in net.profile(link) for lp in phi)
+                assert is_collision_free_at(net, s, link, t) == _ref_free(net, s, link, t)
+    assert hyper > 0 and wrapped > 0
 
 
 def test_verify_stops_at_the_first_collision(monkeypatch, line41):
@@ -422,6 +481,17 @@ def test_slab_rows_must_match_the_link_count(num_links):
     s = PeriodicSchedule(1, ({0}, set()))
     with pytest.raises(ValueError, match=f"schedule has 2 rows for {num_links} links"):
         s.slab(1, 0, num_links)
+
+
+@pytest.mark.parametrize("count", [2, 4], ids=["fewer", "more"])
+@pytest.mark.parametrize("read", [
+    lambda net, s: schedule_is_path(net, s, 1),
+    lambda net, s: s.slab(1, 0, len(net.links)),
+], ids=["schedule_is_path", "slab"])
+def test_a_schedule_with_no_active_slot_still_checks_the_row_count(read, count):
+    s = PeriodicSchedule(5, (set(),) * count)
+    with pytest.raises(ValueError, match=f"schedule has {count} rows for 3 links"):
+        read(line_network(3, 1), s)
 
 
 @pytest.mark.parametrize("T", [0, -1])
