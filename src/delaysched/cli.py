@@ -18,6 +18,7 @@ written, 2 input error, 3 budget-truncated result under ``--strict``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -217,7 +218,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built on the first ``main`` call and reused: parsing leaves the parser
+    # as it was, and help reads the terminal width when it is printed.
     parser = argparse.ArgumentParser(prog="delaysched",
                                      description="Link scheduling with integer propagation delays.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 from .cycles import closed_path_rate, pareto_filter, rate_numerators
 from .exactlp import dominating_combination, max_symmetric_scale
 from .network import Network, character, format_rate, parse_rate, span_slots
-from .window import block_from_rows, block_to_rows, build_window, check_closed, check_int
+from .window import block_from_rows, block_to_rows, build_window, check_bits, check_closed, check_int
 
 __all__ = [
     "RegionDescription",
@@ -168,10 +168,12 @@ def window_symmetric_rate(network: Network, T: int) -> Fraction:
     one, whose count vector covers its own, so the Pareto front is that of
     all the independent sets), and maximizes the symmetric coordinate by
     exact LP under the T/(T+D*) guard-time factor.  The window is held to
-    the brute-force cap, although the binary maximal-set search needs none.
+    the brute-force cap, checked before the window is built, although the
+    binary maximal-set search needs none.
     """
+    check_int("window length", T, 1)
+    check_bits(len(network.links) * T)
     window = build_window(network, T)
-    window.check_cap()
     num_links = len(network.links)
     # Dominated count vectors never help a >=-feasibility problem.
     kept = pareto_filter([(b, b) for b in window.maximal_independent_sets()], T, num_links)

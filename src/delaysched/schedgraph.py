@@ -18,7 +18,7 @@ from typing import Mapping
 
 from .network import Network
 from .schedule import PeriodicSchedule
-from .window import build_window, check_block, check_int, join_pair, split_pair
+from .window import build_window, check_bits, check_block, check_int, join_pair, split_pair
 
 __all__ = [
     "SchedulingGraph",
@@ -83,6 +83,9 @@ def build(network: Network, T: int) -> SchedulingGraph:
     ``a & lsupport``, and its successor test runs once per right
     projection ``b & rsupport``.
     """
+    # The cap goes first: the doubled window's masks alone grow as (|L|·T)².
+    check_int("window length", T, 1)
+    check_bits(len(network.links) * T)
     single = build_window(network, T)
     double = build_window(network, 2 * T)
     nbits = single.nbits

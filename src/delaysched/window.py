@@ -23,6 +23,7 @@ __all__ = [
     "bit_position",
     "block_from_rows",
     "block_to_rows",
+    "check_bits",
     "check_block",
     "check_closed",
     "check_int",
@@ -55,6 +56,22 @@ def check_int(name: str, value: int, least: int) -> int:
     if value < least:
         raise ValueError(f"{name} must be >= {least}")
     return value
+
+
+def check_bits(nbits: int) -> None:
+    """Raise ``CapExceededError`` if a window of ``nbits`` bits is past the
+    brute-force cap (``DELAYSCHED_CAP_BITS``, default 24).
+
+    Callers that know their window's size check it before building the
+    window, whose masks grow as its bit count squared.
+    """
+    env = os.environ.get("DELAYSCHED_CAP_BITS")
+    try:
+        cap = int(env) if env else DEFAULT_CAP_BITS
+    except ValueError:
+        raise ValueError(f"DELAYSCHED_CAP_BITS must be an int, got {env!r}") from None
+    if nbits > cap:
+        raise CapExceededError(f"{nbits} bits exceeds brute-force cap {cap}")
 
 
 def check_block(bits: int, num_links: int, T: int) -> None:
@@ -140,13 +157,7 @@ class WindowGraph:
 
     def check_cap(self) -> None:
         """Raise ``CapExceededError`` if the window is past the brute-force cap."""
-        env = os.environ.get("DELAYSCHED_CAP_BITS")
-        try:
-            cap = int(env) if env else DEFAULT_CAP_BITS
-        except ValueError:
-            raise ValueError(f"DELAYSCHED_CAP_BITS must be an int, got {env!r}") from None
-        if self.nbits > cap:
-            raise CapExceededError(f"{self.nbits} bits exceeds brute-force cap {cap}")
+        check_bits(self.nbits)
 
     def independent_sets(self) -> Iterator[int]:
         """Yield every independent assignment once, in ascending bit order."""

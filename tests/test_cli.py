@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import delaysched
+from delaysched import cli
 from delaysched import cycles as cycles_mod
 from delaysched.cli import main
 from delaysched.network import network_fingerprint, network_from_json, network_to_json
@@ -88,8 +89,8 @@ LADDER_OUTPUTS = json.loads(
 )
 
 
-@pytest.mark.parametrize("case", sorted(LADDER_OUTPUTS), ids=lambda c: c.replace(" ", "-"))
-def test_ladder_outputs_unchanged(capsys, monkeypatch, hyper_n4, case):
+def ladder_output(capsys, monkeypatch, hyper_n4, case):
+    """The output of one pinned ladder case, ``wall_time_ms`` aside."""
     command, net, T, *options = case.split()
     if net == "hyper_n4":
         net_doc = network_to_json(hyper_n4)
@@ -107,7 +108,12 @@ def test_ladder_outputs_unchanged(capsys, monkeypatch, hyper_n4, case):
     code, doc = run_cli(capsys, monkeypatch, argv, stdin_doc=net_doc)
     assert code == 0
     doc["manifest"].pop("wall_time_ms")
-    assert doc == LADDER_OUTPUTS[case]
+    return doc
+
+
+@pytest.mark.parametrize("case", sorted(LADDER_OUTPUTS), ids=lambda c: c.replace(" ", "-"))
+def test_ladder_outputs_unchanged(capsys, monkeypatch, hyper_n4, case):
+    assert ladder_output(capsys, monkeypatch, hyper_n4, case) == LADDER_OUTPUTS[case]
 
 
 # gen-line, character, reduce --assignment, framed-region, verify-schedule
@@ -118,16 +124,40 @@ def test_ladder_outputs_unchanged(capsys, monkeypatch, hyper_n4, case):
 CLI_OUTPUTS = json.loads((Path(__file__).parent / "data" / "cli_outputs.json").read_text())
 
 
-@pytest.mark.parametrize("case", sorted(CLI_OUTPUTS), ids=lambda c: c.replace(" ", "-"))
-def test_cli_outputs_unchanged(capsys, monkeypatch, tmp_path, case):
+def cli_output(capsys, monkeypatch, case):
+    """The output of one pinned case run in the working directory, ``wall_time_ms`` aside."""
     pin = CLI_OUTPUTS[case]
-    monkeypatch.chdir(tmp_path)
     for name, file_doc in pin["files"].items():
-        (tmp_path / name).write_text(json.dumps(file_doc))
+        Path(name).write_text(json.dumps(file_doc))
     code, doc = run_cli(capsys, monkeypatch, pin["argv"], stdin_doc=pin["network"])
     assert code == 0
     doc["manifest"].pop("wall_time_ms")
-    assert doc == pin["output"]
+    return doc
+
+
+@pytest.mark.parametrize("case", sorted(CLI_OUTPUTS), ids=lambda c: c.replace(" ", "-"))
+def test_cli_outputs_unchanged(capsys, monkeypatch, tmp_path, case):
+    monkeypatch.chdir(tmp_path)
+    assert cli_output(capsys, monkeypatch, case) == CLI_OUTPUTS[case]["output"]
+
+
+def test_a_reused_parser_keeps_no_state_between_calls(capsys, monkeypatch, tmp_path, hyper_n4):
+    # Every pin, forward then backward in one process, with a usage error
+    # and a help text between cases: each output still equals its pin.
+    monkeypatch.chdir(tmp_path)
+    cases = sorted(CLI_OUTPUTS) + sorted(LADDER_OUTPUTS)
+    for case in cases + cases[::-1]:
+        if case in CLI_OUTPUTS:
+            assert cli_output(capsys, monkeypatch, case) == CLI_OUTPUTS[case]["output"], case
+        else:
+            assert ladder_output(capsys, monkeypatch, hyper_n4, case) == LADDER_OUTPUTS[case], case
+        with pytest.raises(SystemExit) as exc:
+            main(["rate-region", "--T", "1"])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["rate-region", "--help"])
+        assert exc.value.code == 0
+        capsys.readouterr()
 
 
 # The benchmark's line-ladder jobs with their traced counts; read, never written.
@@ -721,6 +751,52 @@ def test_every_subcommand_has_a_description_in_help(capsys):
     assert len(names) == 10
     for name in names:
         assert re.search(rf"^ +{name} +\S", text, re.M), name
+
+
+def test_help_wraps_to_the_terminal_width_of_each_call(capsys, monkeypatch):
+    # The parser is built once, but help reads the width when it is printed,
+    # so each text equals that of a freshly built parser.
+    texts = []
+    for columns in ("60", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as exc:
+            main(["rate-region", "--help"])
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+        with pytest.raises(SystemExit):
+            cli._build_parser.__wrapped__().parse_args(["rate-region", "--help"])
+        assert capsys.readouterr().out == texts[-1]
+    narrow, wide = (max(map(len, text.splitlines())) for text in texts)
+    assert narrow < wide
+
+
+def test_import_builds_no_parser_and_repeated_calls_build_one():
+    # ``import delaysched.cli`` builds none, so importing it costs the same,
+    # and three ``main`` calls build one parser tree: the top-level parser
+    # and one per subcommand.
+    src = os.path.dirname(os.path.dirname(delaysched.__file__))
+    probe = (
+        "import argparse, contextlib, io\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(self)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import delaysched.cli\n"
+        "counts = [len(built)]\n"
+        "for _ in range(3):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert delaysched.cli.main(['gen-line', '--L', '2', '--K', '1']) == 0\n"
+        "    counts.append(len(built))\n"
+        "print(*counts)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    tree = 1 + len(cli.COMMANDS)
+    assert out == ["0", str(tree), str(tree), str(tree)]
 
 
 def test_a_closed_stdout_exits_1_without_a_traceback():

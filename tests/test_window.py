@@ -219,6 +219,22 @@ def test_enumeration_cap(monkeypatch, hyper_n4):
     assert next(gen) == 0
 
 
+@pytest.mark.parametrize("capped", [build, window_symmetric_rate])
+def test_a_capped_window_is_refused_before_it_is_built(capped):
+    # Two links at delays -1/+1, T 5,000: 10,000 bits, each mask a
+    # 10,000-bit (or doubled, 20,000-bit) int, one per link and slot.
+    net = make_network(["a", "b"], {"a": [["b"]], "b": [["a"]]},
+                       {("a", "b"): 1, ("b", "a"): -1})
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match="^10000 bits exceeds brute-force cap 24$"):
+            capped(net, 5000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("value", ["abc", "1.5", "12 bits"])
 def test_cap_bits_that_is_not_an_int_names_the_variable(monkeypatch, line41, value):
     monkeypatch.setenv("DELAYSCHED_CAP_BITS", value)
