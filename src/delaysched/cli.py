@@ -73,7 +73,7 @@ def _cmd_character(args, net: Network) -> dict:
 
 
 def _cmd_reduce(args, net: Network) -> dict:
-    assignment = None
+    shifts = None
     if args.assignment is not None:
         try:
             shifts = [int(x) for x in args.assignment.split(",")]
@@ -81,12 +81,11 @@ def _cmd_reduce(args, net: Network) -> dict:
             raise ValueError(f"bad assignment {args.assignment!r}") from exc
         if len(shifts) != len(net.links):
             raise ValueError("assignment length does not match link count")
-        assignment = dict(zip(net.links, shifts))
-        net = apply_vertex_assignment(net, assignment)
+        net = apply_vertex_assignment(net, dict(zip(net.links, shifts)))
     reduced, g = gcd_reduce(net)
     payload = network_to_json(reduced) | {"g": g, "character": character(reduced)}
-    if assignment is not None:
-        payload["assignment"] = [assignment[l] for l in reduced.links]
+    if shifts is not None:
+        payload["assignment"] = shifts  # gcd_reduce keeps the link order
     return payload
 
 

@@ -91,18 +91,22 @@ def _packed_rates(
     field width ``den.bit_length() + 1``: one field per link, link 0
     lowest.  A path's scaled count is at most ``den`` on every link, so no
     field carries into the next and each field's top bit, its guard, is
-    clear.  A path that is not closed raises ValueError (``check_closed``);
-    blocks are not checked: callers pass blocks of a ``num_links x T``
-    window.
+    clear.  A path that is not closed, a ``T`` that is not a window length,
+    or a block outside the ``num_links x T`` window, raises ValueError
+    (``check_closed``, ``check_block``); empty input checks no block and
+    no ``T``.
     """
     for p in paths:
         check_closed("path", p)
+    blocks = {b for p in paths for b in p}
+    for block in blocks:
+        check_block(block, num_links, T)
     masks = link_row_masks(num_links, T)
     lengths = {len(p) for p in paths}
     period = lcm(*(n - 1 for n in lengths))
     width = (period * T).bit_length() + 1
     packed: dict[int, int] = {}
-    for block in {b for p in paths for b in p}:
+    for block in blocks:
         fields = 0
         for m in reversed(masks):
             fields = fields << width | (block & m).bit_count()
@@ -122,8 +126,9 @@ def rate_numerators(
     with ``den = lcm(path lengths) * T``, so integer comparisons order the
     rates exactly as their fractions.  A path's numerators are the fields
     of the one int ``_packed_rates`` packs for it, the form
-    ``pareto_filter`` compares, unpacked link by link.  Blocks are not
-    checked: callers pass blocks of a ``num_links x T`` window.
+    ``pareto_filter`` compares, unpacked link by link.  A path that is not
+    closed, a ``T`` that is not a window length, or a block outside the
+    window, raises ValueError; empty input checks no block and no ``T``.
     """
     rates, den, width = _packed_rates(paths, T, num_links)
     field = (1 << width) - 1
@@ -136,10 +141,8 @@ def closed_path_rate(path: Sequence[int], T: int, num_links: int) -> tuple[Fract
 
     A ``T`` that is not an int >= 1, a path that is not closed, or a block
     with a bit outside the ``num_links * T`` bits of a T-window, raises
-    ValueError.
+    ValueError (``rate_numerators``).
     """
-    for block in path:
-        check_block(block, num_links, T)
     (numerator,), den = rate_numerators([path], T, num_links)
     return tuple(Fraction(c, den) for c in numerator)
 
@@ -623,7 +626,9 @@ def pareto_filter(
     Each cycle's rate is packed once; the distinct packed rates go through
     the front, and the kept cycles come out sorted and distinct.  Cycles
     sharing a maximal rate vector are all retained, so every surviving
-    vector keeps its witnesses retrievable.
+    vector keeps its witnesses retrievable.  A cycle that is not closed, a
+    ``T`` that is not a window length, or a block outside the window,
+    raises ValueError; empty input checks no block and no ``T``.
     """
     items = tuple(cycles)
     rates, _, width = _packed_rates(items, T, num_links)

@@ -236,79 +236,80 @@ def network_to_json(network: Network) -> dict:
     }
 
 
+def check_list(name: str, value) -> list:
+    """``value`` if it is a list, else ValueError: the one list check of every
+    document reader, since a string where a list belongs would otherwise be
+    read a character at a time."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return value
+
+
 def network_from_json(doc: Mapping) -> Network:
     """Parse a network document; validates before returning.
 
     Two delay conventions are accepted: explicit ``delays`` triples, or a
     ``node_delays`` matrix plus ``link_endpoints`` (0-based node indices),
     from which link-wise delays are derived for exactly the collision
-    support: ``D_L(l, l') = D(s_l, r_l) - D(s_l', r_l)``.
+    support: ``D_L(l, l') = D(s_l, r_l) - D(s_l', r_l)``.  Every malformed
+    document raises InvalidNetworkError, a missing key or a member of the
+    wrong type as ``malformed network document: ...``.
     """
     try:
-        raw_links = doc["links"]
+        links = [str(l) for l in check_list("links", doc["links"])]
         raw_collisions = doc.get("collisions", {})
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise InvalidNetworkError(f"malformed network document: {exc}") from exc
-    # A string where a list belongs would otherwise be read a character at a time.
-    if not isinstance(raw_links, list):
-        raise InvalidNetworkError("links must be a list of link identifiers")
-    if not isinstance(raw_collisions, Mapping):
-        raise InvalidNetworkError("collisions must map each link to a list of collision sets")
-    for link, phis in raw_collisions.items():
-        if not isinstance(phis, list) or not all(isinstance(phi, list) for phi in phis):
-            raise InvalidNetworkError(
-                f"collisions of {link!r} must be a list of lists of links"
-            )
-    links = [str(l) for l in raw_links]
-    collisions = {
-        str(link): [[str(m) for m in phi] for phi in phis]
-        for link, phis in raw_collisions.items()
-    }
+        if not isinstance(raw_collisions, Mapping):
+            raise InvalidNetworkError("collisions must map each link to a list of collision sets")
+        collisions = {
+            str(link): [[str(m) for m in check_list(f"collision set of {link!r}", phi)]
+                        for phi in check_list(f"collisions of {link!r}", phis)]
+            for link, phis in raw_collisions.items()
+        }
+        if "delays" in doc:
+            delays = {}
+            for triple in check_list("delays", doc["delays"]):
+                try:
+                    l, lp, d = triple
+                except (TypeError, ValueError) as exc:
+                    raise InvalidNetworkError(f"malformed delay triple {triple!r}") from exc
+                pair = (str(l), str(lp))
+                if pair in delays:
+                    raise InvalidNetworkError(f"repeated delay for pair {pair!r}")
+                delays[pair] = d
+        elif "node_delays" in doc:
+            matrix = doc["node_delays"]
+            endpoints = doc.get("link_endpoints")
+            if endpoints is None:
+                raise InvalidNetworkError("node_delays requires link_endpoints")
 
-    if "delays" in doc:
-        if not isinstance(doc["delays"], list):
-            raise InvalidNetworkError("delays must be a list of [link, link, delay] triples")
-        delays = {}
-        for triple in doc["delays"]:
+            def node(i):
+                # A negative index would read the matrix from its end, a bool as 0/1.
+                if type(i) is not int or not 0 <= i < len(matrix):
+                    raise ValueError(f"node index {i!r} not in range({len(matrix)})")
+                return i
+
+            def entry(s, r):
+                d = matrix[s][r]
+                if type(d) is not int:
+                    raise ValueError(f"matrix entry [{s}][{r}] = {d!r} is not an integer")
+                return d
+
+            delays = {}
             try:
-                l, lp, d = triple
-            except (TypeError, ValueError) as exc:
-                raise InvalidNetworkError(f"malformed delay triple {triple!r}") from exc
-            pair = (str(l), str(lp))
-            if pair in delays:
-                raise InvalidNetworkError(f"repeated delay for pair {pair!r}")
-            delays[pair] = d
-    elif "node_delays" in doc:
-        matrix = doc["node_delays"]
-        endpoints = doc.get("link_endpoints")
-        if endpoints is None:
-            raise InvalidNetworkError("node_delays requires link_endpoints")
-        network = make_network(links, collisions, {})
-
-        def node(i):
-            # A negative index would read the matrix from its end, a bool as 0/1.
-            if type(i) is not int or not 0 <= i < len(matrix):
-                raise ValueError(f"node index {i!r} not in range({len(matrix)})")
-            return i
-
-        def entry(s, r):
-            d = matrix[s][r]
-            if type(d) is not int:
-                raise ValueError(f"matrix entry [{s}][{r}] = {d!r} is not an integer")
-            return d
-
-        delays = {}
-        try:
-            for l, support in collision_support(network).items():
-                s_l, r_l = map(node, endpoints[l])
-                for lp in sorted(support):  # set order varies with the hash seed
-                    s_lp, _ = map(node, endpoints[lp])
-                    delays[(l, lp)] = entry(s_l, r_l) - entry(s_lp, r_l)
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise InvalidNetworkError(f"bad node_delays/link_endpoints: {exc}") from exc
-    else:
-        raise InvalidNetworkError("network document has neither delays nor node_delays")
-
+                for l in links:
+                    s_l, r_l = map(node, endpoints[l])
+                    support = set().union(*collisions.get(l, ()))
+                    for lp in sorted(support):  # set order varies with the hash seed
+                        s_lp, _ = map(node, endpoints[lp])
+                        delays[(l, lp)] = entry(s_l, r_l) - entry(s_lp, r_l)
+            except (KeyError, IndexError, TypeError, ValueError) as exc:
+                raise InvalidNetworkError(f"bad node_delays/link_endpoints: {exc}") from exc
+        else:
+            raise InvalidNetworkError("network document has neither delays nor node_delays")
+    except InvalidNetworkError:
+        raise
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise InvalidNetworkError(f"malformed network document: {exc}") from exc
     network = make_network(links, collisions, delays)
     validate(network)
     return network

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .cycles import closed_path_rate, pareto_filter, rate_numerators
 from .exactlp import dominating_combination, max_symmetric_scale
-from .network import Network, character, format_rate, parse_rate, span_slots
+from .network import Network, character, check_list, format_rate, parse_rate, span_slots
 from .window import block_from_rows, block_to_rows, build_window, check_bits, check_closed, check_int
 
 __all__ = [
@@ -199,13 +199,6 @@ def region_to_json(region: RegionDescription) -> dict:
     }
 
 
-def _as_list(value, what: str) -> list:
-    # A string where a list belongs would otherwise be read a character at a time.
-    if not isinstance(value, list):
-        raise ValueError(f"{what} must be a list, got {value!r}")
-    return value
-
-
 def region_from_json(doc: Mapping) -> RegionDescription:
     """Parse a region document; every witness must give its generator's rate.
 
@@ -213,19 +206,19 @@ def region_from_json(doc: Mapping) -> RegionDescription:
     included, raises ValueError as ``bad region document: ...``.
     """
     try:
-        links = tuple(str(l) for l in _as_list(doc["links"], "links"))
+        links = tuple(str(l) for l in check_list("links", doc["links"]))
         T = check_int("window length", doc["T"], 1)
         generators = []
         witnesses = []
-        for entry in _as_list(doc["generators"], "generators"):
-            rate = tuple(parse_rate(r) for r in _as_list(entry["rate"], "rate"))
+        for entry in check_list("generators", doc["generators"]):
+            rate = tuple(parse_rate(r) for r in check_list("rate", entry["rate"]))
             if not all(0 <= r <= 1 for r in rate):
                 raise ValueError(f"generator rate {entry['rate']} is not in [0, 1]")
             generators.append(rate)
             witness = entry.get("witness")
             if witness is not None:
-                for rows in _as_list(witness, "witness"):
-                    if len(_as_list(rows, "witness block")) != len(links):
+                for rows in check_list("witness", witness):
+                    if len(check_list("witness block", rows)) != len(links):
                         raise ValueError("every witness block needs one row per link")
                 witness = check_closed("witness", tuple(block_from_rows(b, T) for b in witness))
             witnesses.append(witness)

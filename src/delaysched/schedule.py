@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .network import Network, character, is_binary
+from .network import Network, character, check_list, is_binary
 from .window import bit_position, check_block, check_closed, check_int, link_row_masks
 
 __all__ = [
@@ -214,7 +214,7 @@ def schedule_from_json(network: Network, doc: Mapping) -> PeriodicSchedule:
         rows = [set() for _ in network.links]
         for link, slots in active.items():
             li = network.link_index(link)
-            for t in slots:
+            for t in check_list(f"slots of {link!r}", slots):
                 if type(t) is not int:
                     raise ValueError(f"bad slot {t!r} for link {link!r}")
                 rows[li].add(t % period)

@@ -155,10 +155,6 @@ class WindowGraph:
         """No hyperedge has its source and all its targets active."""
         return all(bits & m != m for m in self.masks)
 
-    def check_cap(self) -> None:
-        """Raise ``CapExceededError`` if the window is past the brute-force cap."""
-        check_bits(self.nbits)
-
     def independent_sets(self) -> Iterator[int]:
         """Yield every independent assignment once, in ascending bit order."""
         yield from self._walk([()] * self.nbits)
@@ -171,7 +167,7 @@ class WindowGraph:
         decided: the set holds ``vbit`` or some ``rest`` whole, else the
         branch is cut.  An empty list is skipped without a call.
         """
-        self.check_cap()
+        check_bits(self.nbits)
         n = self.nbits
         by_min: list[list[int]] = [[] for _ in range(n)]
         for m in self.masks:

@@ -29,6 +29,8 @@ from delaysched import (
     johnson_cycles,
     line_network,
     make_network,
+    pareto_filter,
+    rate_numerators,
     region_from_cycles,
     region_regime,
     schedule_from_closed_path,
@@ -57,6 +59,8 @@ CHECKED = {
     ("schedule_is_path", "T"):
         lambda v: schedule_is_path(LINE, schedule_from_closed_path([0, 0], 1, 4), v),
     ("closed_path_rate", "T"): lambda v: closed_path_rate([0, 0], v, 4),
+    ("rate_numerators", "T"): lambda v: rate_numerators([[0, 0]], v, 4),
+    ("pareto_filter", "T"): lambda v: pareto_filter([(0, 0)], v, 4),
     ("johnson_cycles", "max_len"): lambda v: johnson_cycles(build(LINE, 1), max_len=v),
     ("build_layered", "T"): lambda v: build_layered(LINE, v, 1),
     ("build_layered", "k"): lambda v: build_layered(LINE, 1, v),
@@ -76,8 +80,6 @@ EXEMPT = {
     ("link_row_masks", "T"): "bit-layout helper: masks for a window its caller has checked",
     ("block_to_rows", "T"): "bit-layout helper: formats a block its caller has checked",
     ("WindowGraph", "T"): "a record that build_window fills after checking T",
-    ("rate_numerators", "T"): "hot path over blocks its caller vouches for, T included",
-    ("pareto_filter", "T"): "hot path over blocks its caller vouches for, T included",
     ("PeriodicSchedule.slab", "k"): "a slab index: any int, with no least value",
 }
 

@@ -83,6 +83,21 @@ def test_a_reader_raises_value_error_for_a_malformed_document(name, doc):
         _read(name, doc)
 
 
+# Per reader: a document with the string "ab" where its first list belongs.
+MISPLACED_STRING = {
+    "network_from_json": {"links": "ab", "delays": []},
+    "schedule_from_json": {"period": 2, "active": {"l1": "ab"}},
+    "region_from_json": {"links": "ab", "T": 1, "generators": []},
+}
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_the_readers_report_a_misplaced_string_one_way(name):
+    # Read a character at a time, "ab" would be two links or two slots.
+    with pytest.raises(ValueError, match="must be a list, got 'ab'"):
+        _read(name, MISPLACED_STRING[name])
+
+
 # Small values, so that no drawn window length or period allocates much.
 ATOMS = [None, True, False, 0, 1, 2, -1, 1.5, "", "x", "a", "b", "l1", "l2", "l3",
          "0", "1", "10", "01", "1/2", "1/0"]

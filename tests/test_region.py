@@ -15,6 +15,8 @@ from delaysched import (
     johnson_cycles,
     line_network,
     make_network,
+    pareto_filter,
+    rate_numerators,
     rate_vector,
     region_from_cycles,
     region_regime,
@@ -61,6 +63,18 @@ def test_rate_of_closed_path_reference():
     assert closed_path_rate((v(2), v(2)), 1, 4) == R1
     with pytest.raises(ValueError, match="path is not a closed block path"):
         closed_path_rate((v(2), v(3)), 1, 4)
+
+
+def test_a_region_from_the_wrong_window_length_is_refused(line41):
+    # T 2 cycles read at T 1 would give the generator (0, 0, 1, 1): l3 and
+    # l4 always on, which collide, with witness (3, 131, 3), not a path of
+    # 4 x 1 blocks.
+    cycles = algorithm_a(line41, 2, 3).cycles
+    for read in (lambda: region_from_cycles(line41, cycles, 1),
+                 lambda: pareto_filter(cycles, 1, 4),
+                 lambda: rate_numerators(cycles, 1, 4)):
+        with pytest.raises(ValueError, match=r"^block \d+ is not a 4 x 1 block$"):
+            read()
 
 
 def test_rate_normalized_per_slot():

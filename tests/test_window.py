@@ -239,7 +239,7 @@ def test_a_capped_window_is_refused_before_it_is_built(capped):
 def test_cap_bits_that_is_not_an_int_names_the_variable(monkeypatch, line41, value):
     monkeypatch.setenv("DELAYSCHED_CAP_BITS", value)
     with pytest.raises(ValueError, match=f"DELAYSCHED_CAP_BITS must be an int, got '{value}'"):
-        build_window(line41, 1).check_cap()
+        list(build_window(line41, 1).independent_sets())
 
 
 # Random draws whose window stays within 14 bits, so brute force is cheap.
