@@ -62,12 +62,9 @@ def dominates(a: Sequence[int], b: Sequence[int]) -> bool:
 def canonical_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
     """Rotate a closed block path so the smallest block comes first.
 
-    A tuple that already starts with its smallest block is returned as is;
-    a sequence that is not closed raises ValueError (``check_closed``).
+    A sequence that is not closed raises ValueError (``check_closed``).
     """
     check_closed("cycle", cycle)
-    if type(cycle) is tuple and cycle[0] == min(cycle):
-        return cycle
     return _rotations(tuple(cycle[1:-1]), [cycle[0]])[0]
 
 
@@ -91,11 +88,11 @@ def _packed_rates(
     field width ``den.bit_length() + 1``: one field per link, link 0
     lowest.  A path's scaled count is at most ``den`` on every link, so no
     field carries into the next and each field's top bit, its guard, is
-    clear.  A path that is not closed, a ``T`` that is not a window length,
-    or a block outside the ``num_links x T`` window, raises ValueError
-    (``check_closed``, ``check_block``); empty input checks no block and
-    no ``T``.
+    clear.  A ``T`` that is not a window length (``check_int``), a path
+    that is not closed, or a block outside the ``num_links x T`` window,
+    raises ValueError (``check_closed``, ``check_block``).
     """
+    check_int("window length", T, 1)
     for p in paths:
         check_closed("path", p)
     blocks = {b for p in paths for b in p}
@@ -128,7 +125,7 @@ def rate_numerators(
     of the one int ``_packed_rates`` packs for it, the form
     ``pareto_filter`` compares, unpacked link by link.  A path that is not
     closed, a ``T`` that is not a window length, or a block outside the
-    window, raises ValueError; empty input checks no block and no ``T``.
+    window, raises ValueError.
     """
     rates, den, width = _packed_rates(paths, T, num_links)
     field = (1 << width) - 1
@@ -628,7 +625,7 @@ def pareto_filter(
     sharing a maximal rate vector are all retained, so every surviving
     vector keeps its witnesses retrievable.  A cycle that is not closed, a
     ``T`` that is not a window length, or a block outside the window,
-    raises ValueError; empty input checks no block and no ``T``.
+    raises ValueError.
     """
     items = tuple(cycles)
     rates, _, width = _packed_rates(items, T, num_links)

@@ -17,7 +17,7 @@ from itertools import compress
 from typing import Mapping
 
 from .network import Network
-from .schedule import PeriodicSchedule
+from .schedule import PeriodicSchedule, check_rows
 from .window import build_window, check_bits, check_block, check_int, join_pair, split_pair
 
 __all__ = [
@@ -151,15 +151,16 @@ def schedule_is_path(network: Network, s: PeriodicSchedule, T: int) -> bool:
     its link's own bit, and the masks inside the right half are those of
     the left half shifted, so a pair whose left slab is all zero is an
     edge iff its right slab is a vertex, which the pair starting at that
-    slab checks.  So only pairs starting at a busy slab are checked: the
-    cost is per active slot, not per slot of the period.  The schedule
-    must have one row per link of the network, else ValueError.
+    slab checks.  So only pairs starting at a busy slab are checked, and
+    a schedule with no active slot is a path: the cost is per active
+    slot, not per slot of the period.  The schedule must have one row per
+    link of the network, else ValueError before any window is built.
     """
     num_links = len(network.links)
     check_int("window length", T, 1)
+    check_rows(s, num_links)
     double = build_window(network, 2 * T)
     lcm = math.lcm(s.period, T)
-    # Slab 0 always goes, so a schedule with no active slot still has its rows checked.
-    starts = {0} | {(t + j) // T for row in s.rows for t in row for j in range(0, lcm, s.period)}
-    return all(double.is_independent(join_pair(
-        s.slab(T, k, num_links), s.slab(T, k + 1, num_links), num_links * T)) for k in starts)
+    starts = {(t + j) // T for row in s.rows for t in row for j in range(0, lcm, s.period)}
+    return all(double.is_independent(join_pair(s.slab(T, k), s.slab(T, k + 1), num_links * T))
+               for k in starts)

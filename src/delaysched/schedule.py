@@ -64,8 +64,8 @@ class PeriodicSchedule:
             raise ValueError(f"bad slot {t!r}")
         return 1 if t % self.period in self.rows[link_index] else 0
 
-    def slab(self, T: int, k: int, num_links: int) -> int:
-        """Columns ``kT .. (k+1)T - 1`` as a block int; ``num_links`` must be the row count.
+    def slab(self, T: int, k: int) -> int:
+        """Columns ``kT .. (k+1)T - 1`` as a block of one bit row per schedule row.
 
         ``T`` is a window length (``check_int``); ``k`` is any int (not a
         bool) slab index, else ValueError.
@@ -73,13 +73,13 @@ class PeriodicSchedule:
         check_int("window length", T, 1)
         if type(k) is not int:
             raise ValueError(f"bad slab index {k!r}")
-        _check_rows(self, num_links)
-        return sum(1 << bit_position(l, j, num_links, T) for l, row in enumerate(self.rows)
+        return sum(1 << bit_position(l, j, len(self.rows), T) for l, row in enumerate(self.rows)
                    for j in range(T) if (k * T + j) % self.period in row)
 
 
-def _check_rows(s: PeriodicSchedule, num_links: int) -> None:
-    # The one row-count check of every function reading a schedule against a network.
+def check_rows(s: PeriodicSchedule, num_links: int) -> None:
+    """ValueError unless ``s`` has ``num_links`` rows: the one row-count check
+    of every function reading a schedule against a network."""
     if len(s.rows) != num_links:
         raise ValueError(f"schedule has {len(s.rows)} rows for {num_links} links")
 
@@ -93,7 +93,7 @@ def is_collision_free_at(network: Network, s: PeriodicSchedule, link: str, t: in
     """
     if type(t) is not int:
         raise ValueError(f"bad slot {t!r}")
-    _check_rows(s, len(network.links))
+    check_rows(s, len(network.links))
     network.link_index(link)
     for phi in network.profile(link):
         if all((t + network.delay(link, lp)) % s.period in s.rows[network.link_index(lp)]
@@ -108,7 +108,7 @@ def active_slots(network: Network, s: PeriodicSchedule) -> Iterator[tuple[int, i
     Links come in network order, slots ascending.  The schedule must have
     one row per link of the network, else ValueError.
     """
-    _check_rows(s, len(network.links))
+    check_rows(s, len(network.links))
     return (
         (li, t, is_collision_free_at(network, s, link, t))
         for li, link in enumerate(network.links)
@@ -192,7 +192,7 @@ def schedule_from_closed_path(path: Sequence[int], T: int, num_links: int) -> Pe
 
 def schedule_to_json(network: Network, s: PeriodicSchedule) -> dict:
     """The schedule's document: its period and each active link's active slots."""
-    _check_rows(s, len(network.links))
+    check_rows(s, len(network.links))
     return {
         "period": s.period,
         "active": {link: sorted(s.rows[li]) for li, link in enumerate(network.links)

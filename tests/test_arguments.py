@@ -72,7 +72,7 @@ CHECKED = {
     ("region_from_cycles", "T"): lambda v: region_from_cycles(LINE, [], v),
     ("window_symmetric_rate", "T"): lambda v: window_symmetric_rate(LINE, v),
     ("region_regime", "T"): lambda v: region_regime(LINE, v),
-    ("PeriodicSchedule.slab", "T"): lambda v: PeriodicSchedule(2, [{0}, {1}]).slab(v, 0, 2),
+    ("PeriodicSchedule.slab", "T"): lambda v: PeriodicSchedule(2, [{0}, {1}]).slab(v, 0),
 }
 
 EXEMPT = {

@@ -103,18 +103,13 @@ def _ref_canonical_cycle(cycle):
 
 def test_canonical_cycle_returns_canonical_tuples_as_is():
     cyc = (1, 4, 2, 1)
-    assert canonical_cycle(cyc) is cyc
     from_list = canonical_cycle(list(cyc))
-    assert type(from_list) is tuple and from_list == cyc
+    assert type(from_list) is tuple and from_list == canonical_cycle(cyc) == cyc
     rng = random.Random(8200)
-    kept = 0
     for _ in range(500):
         interior = [rng.randint(0, 7) for _ in range(rng.randint(1, 5))]
         cyc = (*interior, interior[0])
-        out = canonical_cycle(cyc)
-        assert out == canonical_cycle(list(cyc)) == _ref_canonical_cycle(cyc), cyc
-        kept += out is cyc
-    assert 100 < kept < 400
+        assert canonical_cycle(cyc) == canonical_cycle(list(cyc)) == _ref_canonical_cycle(cyc), cyc
 
 
 def test_cycle_dominates_alignment():
@@ -175,19 +170,12 @@ def test_johnson_matches_dfs_oracle_small(case, max_len):
     g = oracle_graph(case)
     res = johnson_cycles(g, max_len=max_len)
     assert res.complete
-    assert set(res.cycles) == brute_cycles(g, max_len)
+    assert res.cycles == tuple(sorted(brute_cycles(g, max_len)))
 
 
-@pytest.mark.parametrize("case", list(ORACLE_CASES))
-def test_johnson_matches_networkx(case):
-    nx = pytest.importorskip("networkx")
-    g = oracle_graph(case)
-    dg = nx.DiGraph([(a, b) for a in g.vertices for b in g.adjacency[a]])
-    for max_len in (1, 2, 3, None) if case == "line41" else (1, 2, 3):
-        expected = sorted(
-            canonical_cycle((*c, c[0])) for c in nx.simple_cycles(dg, length_bound=max_len)
-        )
-        assert johnson_cycles(g, max_len=max_len).cycles == tuple(expected)
+def test_johnson_matches_dfs_oracle_uncapped():
+    g = oracle_graph("line41")
+    assert johnson_cycles(g).cycles == tuple(sorted(brute_cycles(g)))
 
 
 def test_johnson_negative_length_rejected(line41):
@@ -1578,6 +1566,15 @@ def test_rate_numerators_match_the_per_link_sum():
     assert rate_numerators([], 2, 3) == ([], 2)
     with pytest.raises(ValueError, match="path is not a closed block path"):
         rate_numerators([(1, 1), (1, 2)], 1, 2)
+
+
+@pytest.mark.parametrize("T", [True, 2.0, 0], ids=repr)
+@pytest.mark.parametrize("read", [rate_numerators, pareto_filter], ids=lambda f: f.__name__)
+def test_empty_input_still_checks_the_window_length(read, T):
+    # With no block to check, 2.0 raised TypeError, True was read as 1 and
+    # 0 gave a zero denominator.
+    with pytest.raises(ValueError, match="window length"):
+        read([], T, 4)
 
 
 def _guards(width, dim):

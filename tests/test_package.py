@@ -60,7 +60,7 @@ def test_every_earlier_export_is_still_exported():
 
 
 def test_the_package_imports_only_the_standard_library():
-    # No runtime dependency is pulled in, not even for a single call.
+    # No dependency is pulled in, not even for a single call: the tests need only pytest.
     tomllib = pytest.importorskip("tomllib")
     package = Path(delaysched.__file__).parent
     foreign = set()
@@ -77,6 +77,7 @@ def test_the_package_imports_only_the_standard_library():
     assert not foreign
     pyproject = tomllib.loads((package.parents[1] / "pyproject.toml").read_text())
     assert pyproject["project"]["dependencies"] == []
+    assert pyproject["project"]["optional-dependencies"]["test"] == ["pytest"]
 
 
 def test_no_module_imports_another_modules_private_name():

@@ -24,6 +24,7 @@ from delaysched import (
     validate,
     verify,
 )
+from delaysched import schedgraph as schedgraph_mod
 from delaysched import schedule as schedule_mod
 from delaysched.window import block_from_rows, block_to_rows
 from conftest import random_network, v
@@ -180,10 +181,10 @@ def test_closed_path_schedules_and_slabs_match_the_text_form():
         s = schedule_from_closed_path(path, T, L)
         assert s == _text_schedule(path, T, L)
         for k in range(len(blocks) + 1):
-            assert s.slab(T, k, L) == _text_slab(s, T, k, L) == path[k % len(blocks)]
+            assert s.slab(T, k) == _text_slab(s, T, k, L) == path[k % len(blocks)]
         for width in (1, 2, 3):
             for k in range(3):
-                assert s.slab(width, k, L) == _text_slab(s, width, k, L)
+                assert s.slab(width, k) == _text_slab(s, width, k, L)
 
 
 def test_one_cycles_give_constant_schedules(line41):
@@ -305,8 +306,8 @@ def test_every_schedule_reader_costs_per_active_slot(monkeypatch):
     for name in ("active", "slab"):
         monkeypatch.setattr(PeriodicSchedule, name, spy(name))
     for read, expected in [
-        (lambda: s.slab(1, 10**20 - 1, 3), 0),
-        (lambda: s.slab(2, 5 * 10**19, 3), 0b100000),
+        (lambda: s.slab(1, 10**20 - 1), 0),
+        (lambda: s.slab(2, 5 * 10**19), 0b100000),
         (lambda: list(active_slots(net, s)), [(0, 0, True)]),
         (lambda: verify(net, s), True),
         (lambda: rate_vector(net, s), (F(1, 10**20), F(0), F(0))),
@@ -445,9 +446,7 @@ def test_schedule_rows_must_match_the_network_links(line41, count):
     verify,
     rate_vector,
     schedule_to_json,
-    lambda net, s: s.slab(1, 0, len(net.links)),
-], ids=["is_collision_free_at", "active_slots", "verify", "rate_vector", "schedule_to_json",
-        "slab"])
+], ids=["is_collision_free_at", "active_slots", "verify", "rate_vector", "schedule_to_json"])
 def test_every_schedule_reader_checks_the_row_count(read, count):
     # Fewer rows once read past the last one; more were answered or dropped.
     net = line_network(3, 1)
@@ -468,30 +467,31 @@ def test_collision_check_rejects_a_slot_that_is_not_an_int(t):
 def test_slab_rejects_an_index_that_is_not_an_int(k):
     s = PeriodicSchedule(2, [{0}, {1}])
     with pytest.raises(ValueError, match=re.escape(f"bad slab index {k!r}")):
-        s.slab(1, k, 2)
+        s.slab(1, k)
 
 
 def test_slab_takes_any_int_index():
     s = PeriodicSchedule(2, [{0}, {1}])
-    assert [s.slab(1, k, 2) for k in (-1, 0, 1, 2)] == [0b01, 0b10, 0b01, 0b10]
-
-
-@pytest.mark.parametrize("num_links", [1, 3], ids=["fewer", "more"])
-def test_slab_rows_must_match_the_link_count(num_links):
-    s = PeriodicSchedule(1, ({0}, set()))
-    with pytest.raises(ValueError, match=f"schedule has 2 rows for {num_links} links"):
-        s.slab(1, 0, num_links)
+    assert [s.slab(1, k) for k in (-1, 0, 1, 2)] == [0b01, 0b10, 0b01, 0b10]
 
 
 @pytest.mark.parametrize("count", [2, 4], ids=["fewer", "more"])
-@pytest.mark.parametrize("read", [
-    lambda net, s: schedule_is_path(net, s, 1),
-    lambda net, s: s.slab(1, 0, len(net.links)),
-], ids=["schedule_is_path", "slab"])
-def test_a_schedule_with_no_active_slot_still_checks_the_row_count(read, count):
+def test_a_schedule_with_no_active_slot_still_checks_the_row_count(count):
     s = PeriodicSchedule(5, (set(),) * count)
     with pytest.raises(ValueError, match=f"schedule has {count} rows for 3 links"):
-        read(line_network(3, 1), s)
+        schedule_is_path(line_network(3, 1), s, 1)
+
+
+@pytest.mark.parametrize("rows", [(set(),) * 3, ({0}, {1}, {2})], ids=["idle", "busy"])
+def test_schedule_is_path_checks_the_row_count_before_it_builds_a_window(monkeypatch, rows):
+    # The row count was read from the first slab, after the doubled window
+    # was built: 443 ms and 14 MB for this 10000-slot one.
+    def refuse(network, T):
+        raise AssertionError(f"built a {T}-slot window")
+
+    monkeypatch.setattr(schedgraph_mod, "build_window", refuse)
+    with pytest.raises(ValueError, match="schedule has 3 rows for 2 links"):
+        schedule_is_path(line_network(2, 1), PeriodicSchedule(5, rows), 5000)
 
 
 @pytest.mark.parametrize("T", [0, -1])
@@ -499,7 +499,7 @@ def test_slab_rejects_a_window_length_below_one(T):
     # Read as the empty block before; tests/test_arguments.py covers True and 2.0.
     s = PeriodicSchedule(2, [{0}, {1}])
     with pytest.raises(ValueError, match="window length must be >= 1"):
-        s.slab(T, 0, 2)
+        s.slab(T, 0)
 
 
 @pytest.mark.parametrize("T_F", [3.0, True], ids=["float", "bool"])
