@@ -288,6 +288,19 @@ def test_schedule_is_path_checks_every_lift_of_a_slot():
     assert not _dense_is_path(_wide_pair(3), s, 2)
 
 
+@pytest.mark.parametrize("T", [1, 2, 3])
+def test_a_schedule_with_no_active_slot_is_a_path(T):
+    # schedule_is_path checks no pair for an idle schedule: the all-zero
+    # pair must be an edge of every doubled window.
+    rng = random.Random(9300 + T)
+    for _ in range(200):
+        net = random_network(rng)
+        L = len(net.links)
+        assert build_window(net, 2 * T).is_independent(join_pair(0, 0, L * T)), net.links
+        s = PeriodicSchedule(rng.randint(1, 6), (set(),) * L)
+        assert schedule_is_path(net, s, T) and _dense_is_path(net, s, T), (net.links, T)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_random_paths_induce_collision_free_schedules_in_regime(seed):
     # Binary profile with window length >= character: every closed path's
