@@ -23,6 +23,7 @@ import json
 import os
 import sys
 import time
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import cycles as cyc
@@ -119,10 +120,13 @@ def _run_cycle_algorithm(net, args) -> cyc.CycleSearchResult:
 def _cmd_cycles(args, net: Network) -> tuple[dict, bool]:
     num_links = len(net.links)
     result = _run_cycle_algorithm(net, args)
+    # One denominator for all: Fraction reduces each rate to what
+    # closed_path_rate gives for its cycle alone.
+    numerators, den = cyc.rate_numerators(result.cycles, args.T, num_links)
     cycles = [
         {"blocks": _blocks_json(c, num_links, args.T),
-         "rate": [format_rate(r) for r in cyc.closed_path_rate(c, args.T, num_links)]}
-        for c in result.cycles
+         "rate": [format_rate(Fraction(x, den)) for x in rate]}
+        for c, rate in zip(result.cycles, numerators)
     ]
     return {"complete": result.complete, "cycles": cycles}, result.complete
 

@@ -11,13 +11,16 @@ the two enumeration strategies built from those pieces.
 from __future__ import annotations
 
 import time
+from array import array
+from bisect import bisect_right
 from collections import defaultdict
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, chain, islice, product
 from math import lcm
 from numbers import Real
-from typing import Iterable, Iterator, Sequence
+from operator import eq, sub
 
 from .network import Network
 from .schedgraph import SchedulingGraph, build_maximal
@@ -46,9 +49,13 @@ Rows = dict[int, tuple[int, ...]]
 
 @dataclass(frozen=True)
 class CycleSearchResult:
-    """Cycles found by an enumeration, with a truncation marker."""
+    """Cycles found by an enumeration, with a truncation marker.
 
-    cycles: tuple[tuple[int, ...], ...]
+    ``algorithm_a`` and ``algorithm_b`` return a tuple; ``johnson_cycles``
+    returns its cycles packed, a sequence that reads as that tuple.
+    """
+
+    cycles: Sequence[tuple[int, ...]]
     complete: bool
 
 
@@ -93,6 +100,7 @@ def _packed_rates(
     raises ValueError (``check_closed``, ``check_block``).
     """
     check_int("window length", T, 1)
+    paths = tuple(paths)  # read four times: a packed sequence is unpacked once
     for p in paths:
         check_closed("path", p)
     blocks = {b for p in paths for b in p}
@@ -164,48 +172,64 @@ def johnson_cycles(
     Each cycle is found once, from its least block: the search from a root
     extends only through larger blocks not already on the path, and a path
     holds at most ``max_len`` blocks (Johnson, SIAM J. Comput. 4(1), 1975,
-    without the blocking sets).  The search from a root is one walk whose
-    first step visits the root itself.  A visited block closes a cycle when
-    the root is in its row, so a row is only walked to extend the path, and
-    only past the root.  Per root, each row is read once into one record:
-    whether it holds the root, its part past the root, and its closers, the
-    blocks of that part whose own row holds the root.  A block that takes
-    the path's last place walks only its row's closers.  Cycles come out
-    canonically rotated and sorted.  The budget is checked once per step of
-    the walk (a step runs until it goes down one block or its frame runs
-    out), the root's own step included; a search it stops is flagged
-    incomplete.
+    without the blocking sets).  The walk runs on indices into the graph's
+    blocks sorted once, over index rows sorted once per distinct row, so
+    cycles come out canonically rotated and sorted as they are found.  The
+    search from a root is one walk whose first step visits the root
+    itself.  A visited block closes a cycle when the root is in its row,
+    so a row is only walked to extend the path, and only past the root.
+    Per root, each row is read once into one record: whether it holds the
+    root, its part past the root, and its closers, the blocks of that part
+    whose own row holds the root.  A block that takes the path's last
+    place walks only its row's closers.  The budget is checked once per
+    step of the walk (a step runs until it goes down one block or its
+    frame runs out), the root's own step included; a search it stops is
+    flagged incomplete.  The cycles are returned packed (``_PackedCycles``).
     """
     max_len = len(graph.vertices) if max_len is None else check_int("max_len", max_len, 0)
-    adj = graph.adjacency
     expired = _stop_check(budget)
-    found: list[tuple[int, ...]] = []
+    blocks = tuple(sorted(graph.vertices))
+    index = {b: i for i, b in enumerate(blocks)}
+    numbers: dict[int, int] = {}  # the id of each distinct row -> its number
+    rows: list[tuple[int, ...]] = []  # each distinct row as its sorted indices
+    kind: list[int] = []  # each block's row number
+    for b in blocks:
+        row = graph.adjacency[b]
+        k = numbers.get(id(row))
+        if k is None:
+            k = numbers[id(row)] = len(rows)
+            rows.append(tuple(sorted(map(index.__getitem__, row))))
+        kind.append(k)
+    found: list[tuple[int, ...]] = []  # each cycle without its closing root
+    complete = True
     inner = max_len - 2  # the path length at which a visit closes through closers
-    for root in graph.vertices if max_len else ():
-        # Rows are shared between blocks: this root's record of a row,
-        # [holds the root, part past the root, closers], is kept under its id.
-        records: dict[int, list] = {}
+    for root in range(len(blocks)) if max_len else ():
+        # This root's record of each row, [holds the root, part past the
+        # root, closers], under the row's number.
+        records: list[list | None] = [None] * len(rows)
         path: list[int] = []
         on_path: set[int] = set()
         stack = [(root,)]  # the root's own frame, walked once
         while True:
             if expired and expired():
-                return CycleSearchResult(tuple(sorted(found)), False)
+                complete = False
+                break
             depth = len(path)
             for nxt in stack[-1]:
                 if nxt in on_path:
                     continue
-                row = adj[nxt]
-                rec = records.get(id(row))
+                k = kind[nxt]
+                rec = records[k]
                 if rec is None:
-                    rec = records[id(row)] = [root in row, None, None]
+                    rec = records[k] = [root in rows[k], None, None]
                 if rec[0]:
-                    found.append((*path, nxt, root))
+                    found.append((*path, nxt))
                 if depth > inner:  # max_len 1: the root's self-loop only
                     continue
                 succ = rec[1]
                 if succ is None:
-                    succ = rec[1] = tuple([b for b in row if b > root])
+                    row = rows[k]
+                    succ = rec[1] = row[bisect_right(row, root):]
                 if depth < inner:
                     path.append(nxt)
                     on_path.add(nxt)
@@ -215,20 +239,76 @@ def johnson_cycles(
                 if ends is None:
                     ends = rec[2] = []
                     for b in succ:
-                        r = adj[b]
-                        held = records.get(id(r))
+                        held = records[kind[b]]
                         if held is None:
-                            held = records[id(r)] = [root in r, None, None]
+                            held = records[kind[b]] = [root in rows[kind[b]], None, None]
                         if held[0]:
                             ends.append(b)
                 head = (*path, nxt)
-                found += [head + (c, root) for c in ends if c != nxt and c not in on_path]
+                found += [(*head, c) for c in ends if c != nxt and c not in on_path]
             else:
                 if depth < 2:  # what is left is the root's own frame: the root is done
                     break
                 stack.pop()
                 on_path.discard(path.pop())
-    return CycleSearchResult(tuple(sorted(found)), True)
+        if not complete:
+            break
+    return CycleSearchResult(_PackedCycles(blocks, found), complete)
+
+
+class _PackedCycles(Sequence):
+    """Closed block paths held as indices into one table of blocks.
+
+    Reads as the tuple of block tuples it packs: ``len``, indexing,
+    slices (a tuple), iteration, ``in``, ``==`` and ``hash`` give what
+    that tuple gives.  Cycle ``i`` is the blocks at
+    ``flat[ends[i - 1]:ends[i]]`` (from 0 for the first) and its first
+    block again, which is not stored.  No per-cycle object is kept: a
+    cycle costs one byte per stored block up to 256 blocks in the table
+    (two up to 65,536, four past that) and four bytes for its end.
+    """
+
+    __slots__ = ("_blocks", "_flat", "_ends")
+
+    def __init__(self, blocks: tuple[int, ...], cycles: list[tuple[int, ...]]):
+        self._blocks = blocks
+        flat = chain.from_iterable(cycles)
+        if len(blocks) <= 1 << 8:  # through bytes: 2.4x faster than array's own loop
+            self._flat = array("B", bytes(flat))
+        else:
+            self._flat = array("H" if len(blocks) <= 1 << 16 else "I", list(flat))
+        self._ends = array("I" if len(self._flat) < 1 << 32 else "Q",
+                           accumulate(map(len, cycles)))
+
+    def __len__(self) -> int:
+        return len(self._ends)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
+        ends = self._ends
+        i = range(len(ends))[i]  # IndexError and TypeError as a tuple raises them
+        ixs = self._flat[ends[i - 1] if i else 0:ends[i]]
+        get = self._blocks.__getitem__
+        return (*map(get, ixs), get(ixs[0]))
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        blocks = map(self._blocks.__getitem__, self._flat)
+        for n in map(sub, self._ends, chain((0,), self._ends)):
+            first = next(blocks)
+            yield (first, *islice(blocks, n - 1), first)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, _PackedCycles)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(map(repr, self[:3])) + ", ..." * (len(self) > 3)
+        return f"<{len(self)} cycles: {shown}>"
 
 
 def path_to_cycles(

@@ -14,7 +14,7 @@ import delaysched
 from delaysched import cli
 from delaysched import cycles as cycles_mod
 from delaysched.cli import main
-from delaysched.network import network_fingerprint, network_from_json, network_to_json
+from delaysched.network import format_rate, network_fingerprint, network_from_json, network_to_json
 
 from conftest import hyper_chain
 
@@ -259,6 +259,28 @@ def test_cycles_cli_johnson(capsys, monkeypatch):
     assert len(doc["cycles"]) == 6
     for c in doc["cycles"]:
         assert c["blocks"][0] == c["blocks"][-1]
+
+
+@pytest.mark.parametrize("algorithm, k, search", [
+    ("incremental", 4, lambda net: cycles_mod.algorithm_a(net, 1, 4)),
+    ("johnson", 3, lambda net: cycles_mod.johnson_cycles(delaysched.build(net, 1), max_len=3)),
+], ids=["incremental", "johnson"])
+def test_cycles_cli_rates_are_each_cycles_own(capsys, monkeypatch, algorithm, k, search):
+    # The rates are read over one denominator for all cycles, of mixed
+    # lengths; each must reduce to the rate of its cycle alone.
+    net_doc = gen_line(capsys, monkeypatch, 4, 1)
+    code, doc = run_cli(
+        capsys, monkeypatch,
+        ["cycles", "--T", "1", "--algorithm", algorithm, "--max-length", str(k)],
+        stdin_doc=net_doc,
+    )
+    assert code == 0
+    cycles = search(network_from_json(net_doc)).cycles
+    assert len({len(c) for c in cycles}) > 1
+    assert [c["rate"] for c in doc["cycles"]] == [
+        [format_rate(r) for r in cycles_mod.closed_path_rate(c, 1, 4)]
+        for c in cycles
+    ]
 
 
 def test_verify_schedule_cli(capsys, monkeypatch, tmp_path):

@@ -423,6 +423,72 @@ def test_johnson_on_large_line_graphs_keeps_its_recorded_cycles(case):
     assert hashlib.sha256(blocks).hexdigest() == sha
 
 
+def test_johnson_holds_its_cycles_packed():
+    # One tuple per cycle held about 80 bytes per cycle here; indices into
+    # one table of blocks, with one end per cycle, hold under half of that.
+    g = build(line_network(4, 1), 2)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        res = johnson_cycles(g, max_len=3)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(res.cycles) == 23932
+    assert held <= 32 * len(res.cycles)
+
+
+def assert_reads_as(packed, want):
+    """A packed cycle sequence reads as the tuple ``want``, as a tuple would."""
+    assert type(want) is tuple
+    assert len(packed) == len(want)
+    assert tuple(packed) == want and list(reversed(packed)) == list(reversed(want))
+    assert packed == want and want == packed and not packed != want
+    assert hash(packed) == hash(want)
+    assert packed != list(want)
+    for i in range(-len(want), len(want)):
+        assert packed[i] == want[i]
+    for i in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            packed[i]
+    for s in (slice(None), slice(1, None), slice(None, -1), slice(None, None, -2), slice(5, 2)):
+        assert type(packed[s]) is tuple and packed[s] == want[s]
+    assert all(c in packed for c in want[:3] + want[-3:])
+    assert (-1, -1) not in packed
+
+
+def test_johnson_cycles_read_as_the_tuple_they_pack(monkeypatch):
+    # The full scan's sorted tuple is the form the packed cycles replace.
+    # The walk finds cycles in sorted order, so a cut run holds a prefix.
+    cut = 0
+    for seed in range(7400, 7420):
+        net = random_network(random.Random(seed))
+        g = build(net, 1 + seed % 2)
+        if len(g.vertices) > 48:
+            continue
+        want = _ref_johnson(g, 3).cycles
+        res = johnson_cycles(g, max_len=3)
+        assert_reads_as(res.cycles, want)
+        again = johnson_cycles(g, max_len=3)
+        assert again == res and again.cycles == res.cycles
+        assert hash(again) == hash(res)
+        with monkeypatch.context() as m:
+            m.setattr(cycles_mod, "time", step_clock())
+            part = johnson_cycles(g, max_len=3, budget=len(g.vertices))
+        cut += not part.complete
+        assert_reads_as(part.cycles, want[:len(part.cycles)])
+        assert not part.complete or part.cycles == res.cycles
+        if len(part.cycles) < len(want):
+            assert part.cycles != res.cycles and res.cycles != part.cycles
+    assert cut >= 5
+    # Vertices and rows out of order still give sorted cycles.
+    g = SchedulingGraph((9, 1, 5, 3), {9: (1, 9, 3), 1: (5, 9, 3), 5: (3, 1), 3: (9, 5, 1)})
+    assert_reads_as(johnson_cycles(g).cycles, (
+        (1, 3, 1), (1, 3, 5, 1), (1, 3, 9, 1), (1, 5, 1), (1, 5, 3, 1), (1, 5, 3, 9, 1),
+        (1, 9, 1), (1, 9, 3, 1), (1, 9, 3, 5, 1), (3, 5, 3), (3, 9, 3), (9, 9)))
+    assert repr(johnson_cycles(g, max_len=1).cycles) == "<1 cycles: (9, 9)>"
+
+
 # ------------------------------------------------------------- path2cycles
 
 def test_path_to_cycles_trivial_paths():
