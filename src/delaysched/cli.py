@@ -61,8 +61,11 @@ def _read_json(path: str | None):
         raise ValueError(f"cannot read JSON input: {exc}") from exc
 
 
-def _blocks_json(blocks, num_links: int, T: int) -> list:
-    return [block_to_rows(b, num_links, T) for b in blocks]
+def _blocks_json(blocks, num_links: int, T: int, rows: dict | None = None) -> list:
+    """Each block as its rows, a block already in ``rows`` (a fresh dict
+    when none is given) not converted again."""
+    rows = {} if rows is None else rows
+    return [rows.get(b) or rows.setdefault(b, block_to_rows(b, num_links, T)) for b in blocks]
 
 
 def _cmd_gen_line(args, net: Network) -> dict:
@@ -123,8 +126,9 @@ def _cmd_cycles(args, net: Network) -> tuple[dict, bool]:
     # One denominator for all: Fraction reduces each rate to what
     # closed_path_rate gives for its cycle alone.
     numerators, den = cyc.rate_numerators(result.cycles, args.T, num_links)
+    rows: dict[int, list[str]] = {}  # each distinct block converted once
     cycles = [
-        {"blocks": _blocks_json(c, num_links, args.T),
+        {"blocks": _blocks_json(c, num_links, args.T, rows),
          "rate": [format_rate(Fraction(x, den)) for x in rate]}
         for c, rate in zip(result.cycles, numerators)
     ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, islice, product
 from math import lcm
 from numbers import Real
-from operator import eq, sub
+from operator import eq
 
 from .network import Network
 from .schedgraph import SchedulingGraph, build_maximal
@@ -52,7 +52,8 @@ class CycleSearchResult:
     """Cycles found by an enumeration, with a truncation marker.
 
     ``algorithm_a`` and ``algorithm_b`` return a tuple; ``johnson_cycles``
-    returns its cycles packed, a sequence that reads as that tuple.
+    returns its cycles grouped by head (``_GroupedCycles``), a sequence
+    that reads as that tuple.
     """
 
     cycles: Sequence[tuple[int, ...]]
@@ -100,7 +101,7 @@ def _packed_rates(
     raises ValueError (``check_closed``, ``check_block``).
     """
     check_int("window length", T, 1)
-    paths = tuple(paths)  # read four times: a packed sequence is unpacked once
+    paths = tuple(paths)  # read four times: grouped cycles are expanded once
     for p in paths:
         check_closed("path", p)
     blocks = {b for p in paths for b in p}
@@ -180,32 +181,35 @@ def johnson_cycles(
     so a row is only walked to extend the path, and only past the root.
     Per root, each row is read once into one record: whether it holds the
     root, its part past the root, and its closers, the blocks of that part
-    whose own row holds the root.  A block that takes the path's last
-    place walks only its row's closers.  The budget is checked once per
-    step of the walk (a step runs until it goes down one block or its
-    frame runs out), the root's own step included; a search it stops is
-    flagged incomplete.  The cycles are returned packed (``_PackedCycles``).
+    whose own row holds the root, numbered once in a table of closer
+    lists.  The cycles are kept as groups, each one head (the path and
+    the visited block) and no cycle object: the head's own cycle when the
+    root is in the visited block's row, and, for a block that takes the
+    path's last place, one cycle per closer of its row not on the head.
+    Such a block is not walked; its group's size is its closers less the
+    head blocks among them, one bisect each, and a group of size 0 is
+    not kept.  The budget is checked once per step of the walk (a step
+    runs until it goes down one block or its frame runs out), the root's
+    own step included; a search it stops is flagged incomplete.  The
+    cycles are returned grouped (``_GroupedCycles``).
     """
     max_len = len(graph.vertices) if max_len is None else check_int("max_len", max_len, 0)
     expired = _stop_check(budget)
     blocks = tuple(sorted(graph.vertices))
     index = {b: i for i, b in enumerate(blocks)}
-    numbers: dict[int, int] = {}  # the id of each distinct row -> its number
-    rows: list[tuple[int, ...]] = []  # each distinct row as its sorted indices
-    kind: list[int] = []  # each block's row number
-    for b in blocks:
-        row = graph.adjacency[b]
-        k = numbers.get(id(row))
-        if k is None:
-            k = numbers[id(row)] = len(rows)
-            rows.append(tuple(sorted(map(index.__getitem__, row))))
-        kind.append(k)
-    found: list[tuple[int, ...]] = []  # each cycle without its closing root
+    # Each distinct row in order of first use, under its id; its number is
+    # its place in that order, and it is walked as its sorted indices.
+    distinct = {id(row): row for row in map(graph.adjacency.__getitem__, blocks)}
+    numbers = {key: k for k, key in enumerate(distinct)}
+    kind = [numbers[id(graph.adjacency[b])] for b in blocks]  # each block's row number
+    rows = [tuple(sorted(map(index.__getitem__, row))) for row in distinct.values()]
+    # Each group's head (from its root), closer list number and size in
+    # turn, and every closer list in order of its number.
+    groups, closers = [], []
     complete = True
     inner = max_len - 2  # the path length at which a visit closes through closers
     for root in range(len(blocks)) if max_len else ():
-        # This root's record of each row, [holds the root, part past the
-        # root, closers], under the row's number.
+        # This root's record of each row (``_record``), under the row's number.
         records: list[list | None] = [None] * len(rows)
         path: list[int] = []
         on_path: set[int] = set()
@@ -219,11 +223,9 @@ def johnson_cycles(
                 if nxt in on_path:
                     continue
                 k = kind[nxt]
-                rec = records[k]
-                if rec is None:
-                    rec = records[k] = [root in rows[k], None, None]
+                rec = records[k] or _record(records, k, root in rows[k])
                 if rec[0]:
-                    found.append((*path, nxt))
+                    groups += (*path, nxt), -1, 1
                 if depth > inner:  # max_len 1: the root's self-loop only
                     continue
                 succ = rec[1]
@@ -239,13 +241,18 @@ def johnson_cycles(
                 if ends is None:
                     ends = rec[2] = []
                     for b in succ:
-                        held = records[kind[b]]
-                        if held is None:
-                            held = records[kind[b]] = [root in rows[kind[b]], None, None]
+                        held = records[kind[b]] or _record(records, kind[b], root in rows[kind[b]])
                         if held[0]:
                             ends.append(b)
-                head = (*path, nxt)
-                found += [(*head, c) for c in ends if c != nxt and c not in on_path]
+                    rec[3] = len(closers)
+                    closers.append(ends)
+                if ends:
+                    head = (*path, nxt)
+                    size = last = len(ends)
+                    for b in head:  # closers ascend; hi keeps the index in range
+                        size -= ends[bisect_left(ends, b, 0, last - 1)] == b
+                    if size:
+                        groups += head, rec[3], size
             else:
                 if depth < 2:  # what is left is the root's own frame: the root is done
                     break
@@ -253,53 +260,86 @@ def johnson_cycles(
                 on_path.discard(path.pop())
         if not complete:
             break
-    return CycleSearchResult(_PackedCycles(blocks, found), complete)
+    return CycleSearchResult(_GroupedCycles(blocks, groups, closers), complete)
 
 
-class _PackedCycles(Sequence):
-    """Closed block paths held as indices into one table of blocks.
+def _record(records: list, k: int, holds: bool) -> list:
+    """A root's new record of row ``k``, stored in ``records``: [holds the
+    root, part past the root, closers, their list number]."""
+    rec = records[k] = [holds, None, None, None]
+    return rec
 
-    Reads as the tuple of block tuples it packs: ``len``, indexing,
+
+def _flat(blocks: tuple[int, ...], seqs: list) -> tuple[array, array]:
+    """Sequences of indices into ``blocks`` as one array of the indices (one
+    byte each up to 256 blocks, two up to 65,536, four past that) and one
+    of where each sequence starts, its end last (``_starts``)."""
+    code = "B" if len(blocks) <= 1 << 8 else "H" if len(blocks) <= 1 << 16 else "I"
+    # Bytes go into an array 2.4x faster than the array's own loop takes ints.
+    flat = array(code, (bytes if code == "B" else list)(chain.from_iterable(seqs)))
+    return flat, _starts(map(len, seqs), len(flat))
+
+
+def _starts(lengths: Iterable[int], total: int) -> array:
+    """0 and the running sums of ``lengths``, which add up to ``total``:
+    four bytes each, eight from 2**32."""
+    return array("I" if total < 1 << 32 else "Q", accumulate(lengths, initial=0))
+
+
+class _GroupedCycles(Sequence):
+    """Closed block paths held as groups that share a head, in indices into
+    one table of blocks.
+
+    Reads as the tuple of block tuples it holds: ``len``, indexing,
     slices (a tuple), iteration, ``in``, ``==`` and ``hash`` give what
-    that tuple gives.  Cycle ``i`` is the blocks at
-    ``flat[ends[i - 1]:ends[i]]`` (from 0 for the first) and its first
-    block again, which is not stored.  No per-cycle object is kept: a
-    cycle costs one byte per stored block up to 256 blocks in the table
-    (two up to 65,536, four past that) and four bytes for its end.
+    that tuple gives.  Group ``g``'s head is the blocks at
+    ``heads[head_at[g]:head_at[g + 1]]``, its root first.  With list
+    number -1 the group is the head's own cycle; otherwise it is the
+    head, one closer of list ``lists[g]`` that is not on the head, and
+    the root again, for each such closer in ascending order.  Closer list
+    ``k`` is ``closers[closer_at[k]:closer_at[k + 1]]``, and the groups
+    before ``g`` hold ``counts[g]`` cycles.  No per-group object is kept:
+    a group costs its head's indices (one byte each up to 256 blocks) and
+    four bytes each for its head start, list number and count, and a
+    closer list is held once for all the groups that name it.
     """
 
-    __slots__ = ("_blocks", "_flat", "_ends")
+    __slots__ = ("_blocks", "_heads", "_head_at", "_lists", "_closers", "_closer_at", "_counts")
 
-    def __init__(self, blocks: tuple[int, ...], cycles: list[tuple[int, ...]]):
+    def __init__(self, blocks: tuple[int, ...], groups: list, closers: list[list[int]]):
         self._blocks = blocks
-        flat = chain.from_iterable(cycles)
-        if len(blocks) <= 1 << 8:  # through bytes: 2.4x faster than array's own loop
-            self._flat = array("B", bytes(flat))
-        else:
-            self._flat = array("H" if len(blocks) <= 1 << 16 else "I", list(flat))
-        self._ends = array("I" if len(self._flat) < 1 << 32 else "Q",
-                           accumulate(map(len, cycles)))
+        self._heads, self._head_at = _flat(blocks, groups[0::3])
+        self._closers, self._closer_at = _flat(blocks, closers)
+        self._lists = array("i", groups[1::3])
+        self._counts = _starts(groups[2::3], sum(groups[2::3]))
 
     def __len__(self) -> int:
-        return len(self._ends)
+        return self._counts[-1]
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
-        ends = self._ends
-        i = range(len(ends))[i]  # IndexError and TypeError as a tuple raises them
-        ixs = self._flat[ends[i - 1] if i else 0:ends[i]]
-        get = self._blocks.__getitem__
-        return (*map(get, ixs), get(ixs[0]))
+        i = range(len(self))[i]  # IndexError and TypeError as a tuple raises them
+        g = bisect_right(self._counts, i) - 1
+        return next(islice(self._expand(g, g + 1), i - self._counts[g], None))
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
-        blocks = map(self._blocks.__getitem__, self._flat)
-        for n in map(sub, self._ends, chain((0,), self._ends)):
-            first = next(blocks)
-            yield (first, *islice(blocks, n - 1), first)
+        return self._expand(0, len(self._lists))
+
+    def _expand(self, g: int, stop: int) -> Iterator[tuple[int, ...]]:
+        """The cycles of groups ``g`` to ``stop - 1``, in order."""
+        get, at, closer_at = self._blocks.__getitem__, self._head_at, self._closer_at
+        for start, end, k in zip(at[g:stop], at[g + 1:stop + 1], self._lists[g:stop]):
+            ixs = self._heads[start:end]
+            head = tuple(map(get, ixs))
+            if k < 0:
+                yield (*head, head[0])
+            for c in self._closers[closer_at[k]:closer_at[k + 1]]:  # k = -1 reads [end:0]: none
+                if c not in ixs:
+                    yield (*head, get(c), head[0])
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (tuple, _PackedCycles)):
+        if not isinstance(other, (tuple, _GroupedCycles)):
             return NotImplemented
         return len(self) == len(other) and all(map(eq, self, other))
 

@@ -283,6 +283,33 @@ def test_cycles_cli_rates_are_each_cycles_own(capsys, monkeypatch, algorithm, k,
     ]
 
 
+def test_cycles_cli_converts_each_distinct_block_once(capsys, monkeypatch):
+    # Johnson's cycles share their blocks; each distinct block is turned
+    # into rows once, and every cycle prints the rows of its own blocks.
+    net_doc = gen_line(capsys, monkeypatch, 4, 1)
+    to_rows = cli.block_to_rows
+    calls = []
+
+    def spy(bits, num_links, T):
+        calls.append(bits)
+        return to_rows(bits, num_links, T)
+
+    monkeypatch.setattr(cli, "block_to_rows", spy)
+    code, doc = run_cli(
+        capsys, monkeypatch,
+        ["cycles", "--T", "2", "--algorithm", "johnson", "--max-length", "2"],
+        stdin_doc=net_doc,
+    )
+    assert code == 0
+    cycles = cycles_mod.johnson_cycles(delaysched.build(network_from_json(net_doc), 2),
+                                       max_len=2).cycles
+    assert len(doc["cycles"]) == len(cycles) > 500
+    assert sorted(calls) == sorted({b for c in cycles for b in c})
+    assert [c["blocks"] for c in doc["cycles"]] == [
+        [to_rows(b, 4, 2) for b in c] for c in cycles
+    ]
+
+
 def test_verify_schedule_cli(capsys, monkeypatch, tmp_path):
     net_doc = gen_line(capsys, monkeypatch, 4, 1)
     sched = {"period": 2, "active": {"l1": [0], "l2": [1], "l3": [1], "l4": [0]}}

@@ -423,19 +423,67 @@ def test_johnson_on_large_line_graphs_keeps_its_recorded_cycles(case):
     assert hashlib.sha256(blocks).hexdigest() == sha
 
 
-def test_johnson_holds_its_cycles_packed():
-    # One tuple per cycle held about 80 bytes per cycle here; indices into
-    # one table of blocks, with one end per cycle, hold under half of that.
-    g = build(line_network(4, 1), 2)
+def _johnson_memory(g, max_len):
+    """The result of ``johnson_cycles`` and the bytes it holds and peaked
+    at during the call, by tracemalloc."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        res = johnson_cycles(g, max_len=3)
-        held = tracemalloc.get_traced_memory()[0] - before
+        res = johnson_cycles(g, max_len=max_len)
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return res, held - before, peak - before
+
+
+def test_johnson_holds_its_cycles_packed():
+    # One tuple per cycle held about 80 bytes per cycle here, and one
+    # index per block with one end per cycle about 14.  Groups that share
+    # a head and a closer list hold under 6.
+    res, held, _ = _johnson_memory(build(line_network(4, 1), 2), 3)
     assert len(res.cycles) == 23932
-    assert held <= 32 * len(res.cycles)
+    assert held <= 8 * len(res.cycles)
+
+
+def test_johnson_peak_memory_stays_near_what_it_holds():
+    # The walk keeps one head per group until the end, not one tuple per
+    # cycle: about 11 bytes per cycle at the peak here, where building
+    # every cycle's tuple peaked at about 79.
+    res, _, peak = _johnson_memory(build(line_network(4, 1), 2), 3)
+    assert len(res.cycles) == 23932
+    assert peak <= 16 * len(res.cycles)
+
+
+def _complete_digraph(n):
+    """Every block in every row, its own included: every closer of a
+    head's last block lies on the head or extends it."""
+    vertices = tuple(range(1, n + 1))
+    return SchedulingGraph(vertices, dict.fromkeys(vertices, vertices))
+
+
+def test_johnson_group_sizes_match_the_cycles_they_hold():
+    # A group's size is its closers less the head blocks among them; a
+    # size off by one shows as a length that iteration does not reach, or
+    # as an index that reads another cycle.
+    # Lengths up to 5 on graphs of at most 16 vertices, up to 3 on the
+    # rest, and every length on graphs of at most 10 vertices.
+    graphs = [_complete_digraph(n) for n in range(1, 8)]
+    for seed in range(7500, 7520):
+        net = random_network(random.Random(seed))
+        g = build(net, 1 + seed % 2)
+        if len(g.vertices) <= 48:
+            graphs.append(g)
+    assert len(graphs) >= 20
+    for g in graphs:
+        n = len(g.vertices)
+        for max_len in [0, 1, 2, 3] + [4, 5] * (n <= 16) + [None] * (n <= 10):
+            cycles = johnson_cycles(g, max_len=max_len).cycles
+            want = _ref_johnson(g, max_len).cycles
+            assert len(cycles) == sum(1 for _ in cycles) == len(want), (g.vertices, max_len)
+            assert [cycles[i] for i in range(len(want))] == list(want)
+            assert [cycles[i] for i in range(-len(want), 0)] == list(want)
+    # The complete digraph on 7 blocks: C(7, k) * (k - 1)! cycles of k blocks.
+    assert len(johnson_cycles(graphs[6]).cycles) == 2372
 
 
 def assert_reads_as(packed, want):
