@@ -61,13 +61,6 @@ def _read_json(path: str | None):
         raise ValueError(f"cannot read JSON input: {exc}") from exc
 
 
-def _blocks_json(blocks, num_links: int, T: int, rows: dict | None = None) -> list:
-    """Each block as its rows, a block already in ``rows`` (a fresh dict
-    when none is given) not converted again."""
-    rows = {} if rows is None else rows
-    return [rows.get(b) or rows.setdefault(b, block_to_rows(b, num_links, T)) for b in blocks]
-
-
 def _cmd_gen_line(args, net: Network) -> dict:
     return network_to_json(net)
 
@@ -99,13 +92,14 @@ def _cmd_schedgraph(args, net: Network) -> dict:
         mx = sg.build_maximal(net, args.T)
         payload = {"left": len(mx.left), "right": len(mx.right), "maximal_edges": len(mx.edges)}
         if args.dump:
-            payload["edges"] = [_blocks_json(edge, num_links, args.T) for edge in mx.edges]
+            rows = {b: block_to_rows(b, num_links, args.T) for b in {*mx.left, *mx.right}}
+            payload["edges"] = [[rows[a], rows[b]] for a, b in mx.edges]
         return payload
     graph = sg.build(net, args.T)
     payload = {"vertices": len(graph.vertices), "edges": graph.edge_count}
     if args.dump:
         index = {v: i for i, v in enumerate(graph.vertices)}
-        payload["vertex_list"] = _blocks_json(graph.vertices, num_links, args.T)
+        payload["vertex_list"] = [block_to_rows(v, num_links, args.T) for v in graph.vertices]
         payload["adjacency"] = [[index[b] for b in graph.adjacency[a]] for a in graph.vertices]
     return payload
 
@@ -123,14 +117,14 @@ def _run_cycle_algorithm(net, args) -> cyc.CycleSearchResult:
 def _cmd_cycles(args, net: Network) -> tuple[dict, bool]:
     num_links = len(net.links)
     result = _run_cycle_algorithm(net, args)
+    paths = tuple(result.cycles)  # a grouped Johnson result is expanded once, here
     # One denominator for all: Fraction reduces each rate to what
     # closed_path_rate gives for its cycle alone.
-    numerators, den = cyc.rate_numerators(result.cycles, args.T, num_links)
-    rows: dict[int, list[str]] = {}  # each distinct block converted once
+    numerators, den = cyc.rate_numerators(paths, args.T, num_links)
+    rows = {b: block_to_rows(b, num_links, args.T) for b in {b for c in paths for b in c}}
     cycles = [
-        {"blocks": _blocks_json(c, num_links, args.T, rows),
-         "rate": [format_rate(Fraction(x, den)) for x in rate]}
-        for c, rate in zip(result.cycles, numerators)
+        {"blocks": [rows[b] for b in c], "rate": [format_rate(Fraction(x, den)) for x in rate]}
+        for c, rate in zip(paths, numerators)
     ]
     return {"complete": result.complete, "cycles": cycles}, result.complete
 

@@ -101,29 +101,24 @@ def link_row_masks(num_links: int, T: int) -> list[int]:
 
 
 def block_from_rows(rows, T: int) -> int:
-    """Pack per-link 0/1 strings (one per link, length T) into an int."""
+    """Pack per-link 0/1 strings (one per link, length T) into an int: the
+    rows read column by column are its binary digits."""
     check_int("window length", T, 1)
-    L = len(rows)
-    bits = 0
     for l, row in enumerate(rows):
         if len(row) != T:
             raise ValueError(f"row {l} has length {len(row)}, expected {T}")
-        for t, ch in enumerate(row):
-            if ch == "1":
-                bits |= 1 << bit_position(l, t, L, T)
-            elif ch != "0":
+        for ch in row:
+            if ch not in ("0", "1"):
                 raise ValueError(f"row {l} has non-binary character {ch!r}")
-    return bits
+    return int("0" + "".join(map("".join, zip(*rows))), 2)
 
 
 def block_to_rows(bits: int, num_links: int, T: int) -> list[str]:
-    return [
-        "".join(
-            "1" if bits >> bit_position(l, t, num_links, T) & 1 else "0"
-            for t in range(T)
-        )
-        for l in range(num_links)
-    ]
+    """Per-link 0/1 strings of a block's low ``num_links * T`` bits: its
+    binary digit ``t * num_links + l`` is entry ``(l, t)``."""
+    n = num_links * T
+    digits = f"{bits & (1 << n) - 1 | 1 << n:b}"[1:]  # the top 1 keeps leading zeros
+    return [digits[l::num_links] for l in range(num_links)]
 
 
 def join_pair(a: int, b: int, nbits: int) -> int:

@@ -310,6 +310,34 @@ def test_cycles_cli_converts_each_distinct_block_once(capsys, monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("options, converted", [
+    ([], 1421),  # each vertex once
+    (["--maximal"], 102),  # each distinct end of 784 edges once
+])
+def test_schedgraph_dump_converts_each_distinct_block_once(capsys, monkeypatch, options,
+                                                           converted):
+    net_doc = gen_line(capsys, monkeypatch, 5, 1)
+    to_rows = cli.block_to_rows
+    calls = []
+
+    def spy(bits, num_links, T):
+        calls.append(bits)
+        return to_rows(bits, num_links, T)
+
+    monkeypatch.setattr(cli, "block_to_rows", spy)
+    code, doc = run_cli(capsys, monkeypatch, ["schedgraph", "--T", "3", "--dump", *options],
+                        stdin_doc=net_doc)
+    assert code == 0
+    assert len(calls) == len(set(calls)) == converted
+    net = network_from_json(net_doc)
+    if options:
+        edges = delaysched.build_maximal(net, 3).edges
+        assert len(edges) == 784
+        assert doc["edges"] == [[to_rows(a, 5, 3), to_rows(b, 5, 3)] for a, b in edges]
+    else:
+        assert doc["vertex_list"] == [to_rows(v, 5, 3) for v in delaysched.build(net, 3).vertices]
+
+
 def test_verify_schedule_cli(capsys, monkeypatch, tmp_path):
     net_doc = gen_line(capsys, monkeypatch, 4, 1)
     sched = {"period": 2, "active": {"l1": [0], "l2": [1], "l3": [1], "l4": [0]}}

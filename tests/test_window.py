@@ -22,6 +22,7 @@ from delaysched.window import (
     block_to_rows,
     check_block,
     check_closed,
+    check_int,
     join_pair,
     split_pair,
 )
@@ -193,6 +194,74 @@ def test_block_row_roundtrip():
     rows = ["10", "01", "11", "00"]
     bits = block_from_rows(rows, 2)
     assert block_to_rows(bits, 4, 2) == rows
+
+
+def _probe_rows(bits, num_links, T):
+    """Reference reader: each entry probed at its ``bit_position``."""
+    return [
+        "".join("1" if bits >> bit_position(l, t, num_links, T) & 1 else "0" for t in range(T))
+        for l in range(num_links)
+    ]
+
+
+def _probe_block(rows, T):
+    """Reference writer: each row checked, then each 1 set at its ``bit_position``."""
+    check_int("window length", T, 1)
+    bits = 0
+    for l, row in enumerate(rows):
+        if len(row) != T:
+            raise ValueError(f"row {l} has length {len(row)}, expected {T}")
+        for t, ch in enumerate(row):
+            if ch == "1":
+                bits |= 1 << bit_position(l, t, len(rows), T)
+            elif ch != "0":
+                raise ValueError(f"row {l} has non-binary character {ch!r}")
+    return bits
+
+
+def _raised(call, *args):
+    with pytest.raises(Exception) as exc:
+        call(*args)
+    return type(exc.value), str(exc.value)
+
+
+def test_digit_rows_match_the_bit_probes():
+    # Blocks with bits above the window and negative ints read as their
+    # low num_links * T bits do; rows, as strings or as lists of
+    # one-character strings, pack back to those bits.
+    rng = random.Random(53)
+    checked = 0
+    for num_links in range(7):
+        for T in range(1, 7):
+            n = num_links * T
+            blocks = [0, (1 << n) - 1, 1 << n, -1, -(1 << n)]
+            blocks += [rng.getrandbits(n + 8) for _ in range(195)]
+            blocks += [-rng.getrandbits(n + 8) - 1 for _ in range(100)]
+            for bits in blocks:
+                rows = block_to_rows(bits, num_links, T)
+                assert rows == _probe_rows(bits, num_links, T), (bits, num_links, T)
+                low = bits & (1 << n) - 1
+                assert block_from_rows(rows, T) == _probe_block(rows, T) == low
+                assert block_from_rows([list(r) for r in rows], T) == low
+                checked += 1
+    assert checked == 12_600
+
+
+@pytest.mark.parametrize("rows, T", [
+    (["10", "0"], 2),
+    (["10", "011"], 2),
+    (["10", "2"], 2),
+    (["1x", "00"], 2),
+    ([["1", "10"], ["0", "0"]], 2),
+    ([["1", ""], ["0", "0"]], 2),
+    ([[1, 0], ["0", "0"]], 2),
+    (["01", "02", "1"], 2),
+    (["10", "01"], 0),
+    (["10", "01"], 2.0),
+    (["10", "01"], True),
+], ids=repr)
+def test_a_bad_row_or_length_raises_what_the_bit_probes_raise(rows, T):
+    assert _raised(block_from_rows, rows, T) == _raised(_probe_block, rows, T)
 
 
 def test_enumeration_counts(line41, hyper_n4):
